@@ -1,5 +1,8 @@
 #include "exec/checkpoint.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -33,6 +36,18 @@ hex16(std::uint64_t v)
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(v));
     return buf;
+}
+
+/** A temp-file name no other producer, in this process or another one
+ *  sharing the directory, can be writing at the same time: the pid
+ *  tells processes apart, and a process-wide counter tells this
+ *  process's threads and successive writes apart. */
+std::string
+unique_tmp_path(const std::string& path)
+{
+    static std::atomic<std::uint64_t> counter{0};
+    return path + ".tmp." + std::to_string(::getpid()) + "." +
+           std::to_string(counter.fetch_add(1));
 }
 
 } // namespace
@@ -203,15 +218,22 @@ CheckpointStore::store_to_disk(const std::string& key,
     std::error_code ec;
     std::filesystem::create_directories(opt_.disk_dir, ec);
     // Write-then-rename so a concurrent reader never sees a torn file.
-    const std::string tmp = path + ".tmp";
+    // Each producer writes its own temp file: producers of the same key
+    // in other stores or processes sharing the directory would
+    // otherwise truncate and interleave one shared temp file, and the
+    // rename would publish the mix.
+    const std::string tmp = unique_tmp_path(path);
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
             return false; // disk tier is best-effort
         out.write(reinterpret_cast<const char*>(blob.data()),
                   static_cast<std::streamsize>(blob.size()));
-        if (!out)
+        out.close(); // flushes: a full disk fails here, not in write()
+        if (!out) {
+            std::filesystem::remove(tmp, ec);
             return false;
+        }
     }
     std::filesystem::rename(tmp, path, ec);
     if (ec) {

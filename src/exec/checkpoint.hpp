@@ -46,8 +46,13 @@ struct CheckpointOptions {
     std::string disk_dir;
 };
 
-/** Blob format version for warm checkpoints (bump on layout change). */
-inline constexpr std::uint32_t CKPT_VERSION = 1;
+/**
+ * Blob format version for warm checkpoints (bump on layout change, so
+ * a stale disk-tier file from an older build reads as a miss instead
+ * of failing mid-restore). 2: MISB's flat PS/SP tables, with the
+ * redundant mapped-address set dropped.
+ */
+inline constexpr std::uint32_t CKPT_VERSION = 2;
 
 /**
  * Two-tier (memory LRU + disk) cache of sealed snapshot blobs.

@@ -17,8 +17,15 @@ GhbTemporal::index_key(sim::Addr block) const
 {
     if (cfg_.mode == GhbIndexMode::SingleAddress)
         return block;
-    // Domino: correlate on the (previous, current) pair.
-    return util::mix64(last_trigger_) ^ (block * 0x9e3779b97f4a7c15ULL);
+    // Domino: correlate on the (previous, current) pair. The hash can in
+    // principle equal the FlatMap's all-ones empty sentinel; that one
+    // value is folded onto its neighbour. Distinct pairs already collide
+    // in this hashed index, so the fold is one more collision, not a new
+    // behaviour. STMS keys are block addresses, whose top bits are
+    // always clear.
+    const std::uint64_t key =
+        util::mix64(last_trigger_) ^ (block * 0x9e3779b97f4a7c15ULL);
+    return key == decltype(index_)::EMPTY ? key - 1 : key;
 }
 
 void
@@ -34,19 +41,18 @@ GhbTemporal::train(const TrainEvent& ev, PrefetchHost& host)
 
     // --- Predict: find the previous occurrence and replay successors.
     if (cfg_.mode != GhbIndexMode::AddressPair || have_last_) {
-        auto it = index_.find(index_key(ev.block));
+        const std::uint64_t* last = index_.find(index_key(ev.block));
         // Off-chip index probe.
         ++stats_.meta_offchip_reads;
         host.offchip_metadata_access(ev.core, ev.now, sim::BLOCK_SIZE,
                                      false, charge);
-        if (it != index_.end() &&
-            next_pos_ - it->second <= cfg_.ghb_entries) {
+        if (last != nullptr && next_pos_ - *last <= cfg_.ghb_entries) {
             // Off-chip history-buffer read (one burst covers a stream).
             ++stats_.meta_offchip_reads;
             host.offchip_metadata_access(ev.core, ev.now, sim::BLOCK_SIZE,
                                          false, charge);
             for (std::uint32_t d = 1; d <= cfg_.degree; ++d) {
-                std::uint64_t pos = it->second + d;
+                std::uint64_t pos = *last + d;
                 if (pos >= next_pos_)
                     break;
                 sim::Addr target = ghb_[pos % cfg_.ghb_entries];
@@ -59,7 +65,7 @@ GhbTemporal::train(const TrainEvent& ev, PrefetchHost& host)
 
     // --- Record: append to the history buffer, update the index.
     ghb_[next_pos_ % cfg_.ghb_entries] = ev.block;
-    index_[index_key(ev.block)] = next_pos_;
+    index_.ref(index_key(ev.block)) = next_pos_;
     ++next_pos_;
     have_last_ = true;
     last_trigger_ = ev.block;
@@ -77,12 +83,9 @@ GhbTemporal::train(const TrainEvent& ev, PrefetchHost& host)
 
     // Bound the index map: drop entries that fell out of the buffer.
     if (index_.size() > 2ULL * cfg_.ghb_entries) {
-        for (auto it = index_.begin(); it != index_.end();) {
-            if (next_pos_ - it->second > cfg_.ghb_entries)
-                it = index_.erase(it);
-            else
-                ++it;
-        }
+        index_.erase_if([&](std::uint64_t, std::uint64_t pos) {
+            return next_pos_ - pos > cfg_.ghb_entries;
+        });
     }
 }
 

@@ -113,11 +113,11 @@ Misb::fetch_granule(bool is_ps, std::uint64_t first_key,
     auto& backing = is_ps ? ps_backing_ : sp_backing_;
     auto& mcache = is_ps ? ps_cache_ : sp_cache_;
     for (std::uint32_t i = 0; i < cfg_.granule_entries; ++i) {
-        auto it = backing.find(base + i);
-        if (it == backing.end())
+        const std::uint64_t* v = backing.find(base + i);
+        if (v == nullptr)
             continue;
-        handle_eviction(mcache.insert(base + i, it->second, false), is_ps,
-                        ev, host);
+        handle_eviction(mcache.insert(base + i, *v, false), is_ps, ev,
+                        host);
     }
     return done;
 }
@@ -130,11 +130,12 @@ Misb::ps_lookup(sim::Addr phys, const TrainEvent& ev, PrefetchHost& host,
     if (auto v = ps_cache_.find(phys))
         return *v;
     // Bloom filter: untracked addresses never go off chip.
-    if (mapped_.find(phys) == mapped_.end())
+    const std::uint64_t* v = ps_backing_.find(phys);
+    if (v == nullptr)
         return INVALID;
+    const std::uint64_t structural = *v;
     avail = fetch_granule(true, phys, ev, host);
-    auto it = ps_backing_.find(phys);
-    return it == ps_backing_.end() ? INVALID : it->second;
+    return structural;
 }
 
 sim::Addr
@@ -144,19 +145,19 @@ Misb::sp_lookup(std::uint64_t structural, const TrainEvent& ev,
     avail = ev.now;
     if (auto v = sp_cache_.find(structural))
         return *v;
-    auto it = sp_backing_.find(structural);
-    if (it == sp_backing_.end())
+    const std::uint64_t* v = sp_backing_.find(structural);
+    if (v == nullptr)
         return INVALID;
+    const sim::Addr phys = *v;
     avail = fetch_granule(false, structural, ev, host);
-    return it->second;
+    return phys;
 }
 
 void
 Misb::ps_update(sim::Addr phys, std::uint64_t structural,
                 const TrainEvent& ev, PrefetchHost& host)
 {
-    ps_backing_[phys] = structural;
-    mapped_.insert(phys);
+    ps_backing_.ref(phys) = structural;
     handle_eviction(ps_cache_.insert(phys, structural, true), true, ev,
                     host);
 }
@@ -165,7 +166,7 @@ void
 Misb::sp_update(std::uint64_t structural, sim::Addr phys,
                 const TrainEvent& ev, PrefetchHost& host)
 {
-    sp_backing_[structural] = phys;
+    sp_backing_.ref(structural) = phys;
     handle_eviction(sp_cache_.insert(structural, phys, true), false, ev,
                     host);
 }
@@ -245,8 +246,7 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
             // hit on chip.
             std::uint64_t key =
                 (s / cfg_.granule_entries + 1) * cfg_.granule_entries;
-            if (sp_backing_.find(key) != sp_backing_.end() &&
-                !sp_cache_.find(key)) {
+            if (sp_backing_.count(key) && !sp_cache_.find(key)) {
                 fetch_granule(false, key, ev, host);
             }
         }
@@ -293,19 +293,19 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
     }
     std::uint64_t sb = ps_lookup(b, ev, host, t_ignore);
     if (sb == expected) {
-        ps_confident_.insert(b);
+        ps_confident_.ref(b) = 1;
     } else if (sb != INVALID && sb % cfg_.stream_length == 0) {
         // B anchors its own stream chunk (a loop header or stream
         // head). Re-mapping it would shift its whole stream one slot
         // every lap of a cyclic structure; ISB leaves heads in place
         // and lets A's chunk simply end here.
-    } else if (sb != INVALID && ps_confident_.erase(b) > 0) {
+    } else if (sb != INVALID && ps_confident_.erase(b)) {
         // First disagreement: keep the existing mapping (confidence
         // bit cleared); a second one will trigger the remap.
     } else {
         ps_update(b, expected, ev, host);
         sp_update(expected, b, ev, host);
-        ps_confident_.insert(b);
+        ps_confident_.ref(b) = 1;
     }
 }
 

@@ -9,7 +9,8 @@
  * (structural->physical) mappings live off chip, with small on-chip
  * metadata caches managed at fine granularity. MISB adds a metadata
  * prefetcher that walks ahead in the structural space, and a Bloom
- * filter that suppresses off-chip lookups for untracked addresses.
+ * filter that suppresses off-chip lookups for untracked addresses
+ * (modeled exactly: membership in the off-chip PS table).
  *
  * Unlike the idealized STMS/Domino models, MISB's metadata traffic is
  * charged against the DRAM model in full (reads delay the dependent
@@ -21,11 +22,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "prefetch/prefetcher.hpp"
+#include "util/flat_map.hpp"
 
 namespace triage::prefetch {
 
@@ -137,10 +137,9 @@ class Misb final : public Prefetcher
     {
         Prefetcher::checkpoint(s);
         s.section("pf.misb");
-        s.io_map(ps_backing_);
-        s.io_map(sp_backing_);
-        s.io_set(ps_confident_);
-        s.io_set(mapped_);
+        s.io_flat_map(ps_backing_);
+        s.io_flat_map(sp_backing_);
+        s.io_flat_map(ps_confident_);
         ps_cache_.checkpoint(s);
         sp_cache_.checkpoint(s);
         s.io_vec(tu_, [](sim::Snapshot& a, TuEntry& e) {
@@ -185,18 +184,23 @@ class Misb final : public Prefetcher
                              const TrainEvent& ev, PrefetchHost& host);
 
     MisbConfig cfg_;
-    // Off-chip backing store (DRAM-resident metadata, unbounded).
-    std::unordered_map<std::uint64_t, std::uint64_t> ps_backing_;
-    std::unordered_map<std::uint64_t, std::uint64_t> sp_backing_;
+    /**
+     * Off-chip backing store (DRAM-resident metadata, unbounded). PS
+     * entries are only ever added, never erased, so PS membership is
+     * also the architectural Bloom filter: a block absent from
+     * ps_backing_ is untracked and never costs an off-chip lookup.
+     */
+    util::FlatMap<std::uint64_t, std::uint64_t> ps_backing_;
+    util::FlatMap<std::uint64_t, std::uint64_t> sp_backing_;
     /**
      * 1-bit remap confidence per mapped physical block (part of the PS
-     * entry architecturally): a block is re-mapped to a new structural
-     * address only after two consecutive disagreements, so blocks with
-     * several valid successors stop churning the structural space.
+     * entry architecturally; its keys are a subset of ps_backing_'s):
+     * a block is re-mapped to a new structural address only after two
+     * consecutive disagreements, so blocks with several valid
+     * successors stop churning the structural space. Presence is the
+     * bit; the value is unused.
      */
-    std::unordered_set<std::uint64_t> ps_confident_;
-    /** Architecturally a Bloom filter: is this address tracked at all? */
-    std::unordered_set<std::uint64_t> mapped_;
+    util::FlatMap<std::uint64_t, std::uint8_t> ps_confident_;
     MetadataCache ps_cache_;
     MetadataCache sp_cache_;
 

@@ -9,7 +9,7 @@
  * properties the rest of the system relies on:
  *
  *  - **Byte determinism.** Two identical component states always
- *    serialize to identical bytes. Unordered containers are written in
+ *    serialize to identical bytes. Hash maps are written in
  *    sorted-key order, and every scalar goes through a fixed-width
  *    little-endian codec, so `save(A) == save(B)` is a usable equality
  *    test on warm state (tests/test_snapshot.cpp leans on this).
@@ -31,8 +31,7 @@
 #include <cstring>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "util/flat_map.hpp"
@@ -152,46 +151,12 @@ class Snapshot
     }
 
     /**
-     * Unordered map with POD key/value, serialized in ascending key
-     * order so identical maps produce identical bytes regardless of
-     * their internal bucket history.
-     */
-    template <typename K, typename V>
-    void
-    io_map(std::unordered_map<K, V>& m)
-    {
-        std::uint64_t n = m.size();
-        io(n);
-        if (saving()) {
-            std::vector<K> keys;
-            keys.reserve(m.size());
-            for (const auto& [k, v] : m)
-                keys.push_back(k);
-            std::sort(keys.begin(), keys.end());
-            for (K k : keys) {
-                V v = m.at(k);
-                io_pod(k);
-                io_pod(v);
-            }
-        } else {
-            m.clear();
-            m.reserve(static_cast<std::size_t>(n));
-            for (std::uint64_t i = 0; i < n; ++i) {
-                K k{};
-                V v{};
-                io_pod(k);
-                io_pod(v);
-                m.emplace(k, v);
-            }
-        }
-    }
-
-    /**
-     * Flat hot-path map (util::FlatMap), serialized exactly like
-     * io_map: count, then (key, value) pairs in sorted-key order.
-     * Slot order is an artifact of the operation history, so sorting
-     * keeps the byte-determinism property (two logically equal maps
-     * always serialize identically, whatever their table layouts).
+     * Hash map (util::FlatMap) with POD key/value: the count, then the
+     * (key, value) pairs in ascending key order. Slot order is an
+     * artifact of the operation history, so sorting keeps the
+     * byte-determinism property (two logically equal maps always
+     * serialize identically, whatever their table layouts). Save
+     * gathers the pairs in one slot-order sweep and sorts them once.
      */
     template <typename K, typename V>
     void
@@ -200,12 +165,12 @@ class Snapshot
         std::uint64_t n = m.size();
         io(n);
         if (saving()) {
-            std::vector<K> keys;
-            keys.reserve(m.size());
-            m.for_each([&](K k, const V&) { keys.push_back(k); });
-            std::sort(keys.begin(), keys.end());
-            for (K k : keys) {
-                V v = *m.find(k);
+            std::vector<std::pair<K, V>> pairs;
+            pairs.reserve(m.size());
+            m.for_each([&](K k, const V& v) { pairs.emplace_back(k, v); });
+            // Keys are unique, so pair order is key order.
+            std::sort(pairs.begin(), pairs.end());
+            for (auto& [k, v] : pairs) {
                 io_pod(k);
                 io_pod(v);
             }
@@ -218,29 +183,6 @@ class Snapshot
                 io_pod(k);
                 io_pod(v);
                 m.ref(k) = v;
-            }
-        }
-    }
-
-    /** Unordered set with POD key, sorted like io_map. */
-    template <typename K>
-    void
-    io_set(std::unordered_set<K>& s)
-    {
-        std::uint64_t n = s.size();
-        io(n);
-        if (saving()) {
-            std::vector<K> keys(s.begin(), s.end());
-            std::sort(keys.begin(), keys.end());
-            for (K k : keys)
-                io_pod(k);
-        } else {
-            s.clear();
-            s.reserve(static_cast<std::size_t>(n));
-            for (std::uint64_t i = 0; i < n; ++i) {
-                K k{};
-                io_pod(k);
-                s.insert(k);
             }
         }
     }

@@ -5,12 +5,18 @@
  * the determinism contract — bit-identical results at any worker
  * count. These tests are also the TSan smoke target (see README).
  */
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exec/checkpoint.hpp"
 #include "exec/lab.hpp"
 #include "obs/observer.hpp"
 #include "stats/experiment.hpp"
@@ -228,6 +234,48 @@ TEST(Lab, ObsJobsBypassMemoization)
     EXPECT_GT(obs.registry.size(), 0u);
     EXPECT_FALSE(obs.sampler.epochs().empty());
     (void)id;
+}
+
+TEST(Lab, StaleCheckpointVersionOnDiskReadsAsMiss)
+{
+    // A disk-tier file left by a build with an older checkpoint layout
+    // has the right key and a valid checksum, but restoring its payload
+    // into today's components would panic at the first changed section.
+    // The version in its frame makes it a miss: the job warms up cold,
+    // matches a checkpoint-free run, and replaces the stale file.
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("triage_ckpt_stale_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const exec::Job job = bench_job("mcf", "misb");
+    const std::string wk = exec::warm_prefix(exec::key_of(job)).str();
+    exec::CheckpointOptions opt;
+    opt.disk_dir = dir;
+    const std::string path = exec::CheckpointStore(opt).disk_path(wk);
+    {
+        sim::Snapshot stale;
+        stale.section("pf.misb.v1"); // not a section today's MISB reads
+        const sim::SnapshotBlob blob =
+            stale.seal(exec::CKPT_VERSION - 1, wk);
+        std::ofstream f(path, std::ios::binary);
+        f.write(reinterpret_cast<const char*>(blob.data()),
+                static_cast<std::streamsize>(blob.size()));
+    }
+
+    ::setenv("TRIAGE_CKPT_DIR", dir.c_str(), 1);
+    exec::Lab lab({.jobs = 1});
+    ::unsetenv("TRIAGE_CKPT_DIR");
+    ASSERT_EQ(lab.checkpoints()->disk_dir(), dir);
+    expect_identical(lab.run(job), exec::run_job(job));
+    const auto st = lab.checkpoints()->stats();
+    EXPECT_EQ(st.disk_hits, 0u);
+    EXPECT_EQ(st.misses, 1u);
+
+    exec::CheckpointStore fresh(opt);
+    EXPECT_TRUE(fresh.acquire(wk).hit());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Lab, CustomFactoryJobsMemoizeByVariant)

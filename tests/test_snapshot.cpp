@@ -6,12 +6,15 @@
  * mid-measure epoch resume, the warm-prefix sharing contract, and the
  * two-tier CheckpointStore.
  */
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <unordered_map>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,32 +70,37 @@ TEST(SnapshotArchive, ScalarRoundtrip)
 
 TEST(SnapshotArchive, MapBytesIndependentOfInsertionOrder)
 {
-    std::unordered_map<std::uint64_t, std::uint32_t> fwd, rev;
+    util::FlatMap<std::uint64_t, std::uint32_t> fwd, rev;
     for (std::uint64_t k = 0; k < 64; ++k)
-        fwd.emplace(k * 977, static_cast<std::uint32_t>(k));
+        fwd.ref(k * 977) = static_cast<std::uint32_t>(k);
     for (std::uint64_t k = 64; k-- > 0;)
-        rev.emplace(k * 977, static_cast<std::uint32_t>(k));
+        rev.ref(k * 977) = static_cast<std::uint32_t>(k);
     sim::Snapshot a, b;
-    a.io_map(fwd);
-    b.io_map(rev);
+    a.io_flat_map(fwd);
+    b.io_flat_map(rev);
     EXPECT_EQ(a.seal(VER, FP), b.seal(VER, FP));
 }
 
-TEST(SnapshotArchive, FlatMapBytesMatchIoMapFormat)
+TEST(SnapshotArchive, FlatMapWireFormatIsCountThenSortedPairs)
 {
-    // io_flat_map keeps the exact io_map wire format (count + sorted
-    // key/value pairs), so converting a component's container from
-    // unordered_map to FlatMap never perturbs its snapshot bytes.
-    std::unordered_map<std::uint64_t, std::uint32_t> um;
+    // The wire format every hash table in a checkpoint uses: the count,
+    // then (key, value) pairs in ascending key order. Pinned byte for
+    // byte, so changing how io_flat_map gathers or sorts the pairs can
+    // never move a component's snapshot bytes.
     util::FlatMap<std::uint64_t, std::uint32_t> fm;
-    for (std::uint64_t k = 0; k < 64; ++k) {
-        um.emplace(k * 977, static_cast<std::uint32_t>(k));
+    for (std::uint64_t k = 64; k-- > 0;)
         fm.ref(k * 977) = static_cast<std::uint32_t>(k);
+    sim::Snapshot expect, actual;
+    std::uint64_t n = 64;
+    expect.io(n);
+    for (std::uint64_t k = 0; k < 64; ++k) {
+        std::uint64_t key = k * 977;
+        std::uint32_t v = static_cast<std::uint32_t>(k);
+        expect.io_pod(key);
+        expect.io_pod(v);
     }
-    sim::Snapshot a, b;
-    a.io_map(um);
-    b.io_flat_map(fm);
-    EXPECT_EQ(a.seal(VER, FP), b.seal(VER, FP));
+    actual.io_flat_map(fm);
+    EXPECT_EQ(actual.seal(VER, FP), expect.seal(VER, FP));
 }
 
 TEST(SnapshotArchive, FlatMapBytesIndependentOfOperationHistory)
@@ -498,6 +506,58 @@ TEST(CheckpointStore, DiskTierSurvivesTheStoreAndRejectsCorruption)
         EXPECT_EQ(store.stats().disk_hits, 0u);
         EXPECT_EQ(store.stats().misses, 1u);
     }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointStore, ConcurrentStoresPublishOneKeyToOneDirectory)
+{
+    // Two stores (two processes, in production) sharing one disk
+    // directory produce the same key at the same moment. Each writes
+    // its own temp file and renames it over the other's, so the file
+    // left behind is a whole, valid blob and no temp file leaks.
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("triage_ckpt_race_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+    exec::CheckpointOptions opt;
+    opt.disk_dir = dir;
+    for (int round = 0; round < 4; ++round) {
+        const std::string key = "race" + std::to_string(round);
+        // 8 MB: long enough to write that the two producers' writes
+        // overlap (at 1 MB they tended to finish one after the other).
+        sim::Snapshot s;
+        for (std::uint64_t i = 0; i < (1u << 20); ++i)
+            s.io(i);
+        const sim::SnapshotBlob blob = s.seal(exec::CKPT_VERSION, key);
+
+        exec::CheckpointStore a(opt), b(opt);
+        auto la = a.acquire(key);
+        auto lb = b.acquire(key);
+        ASSERT_FALSE(la.hit());
+        ASSERT_FALSE(lb.hit());
+        std::atomic<int> arrived{0};
+        auto publish = [&](exec::CheckpointStore::Lease& lease) {
+            ++arrived;
+            while (arrived.load() < 2)
+                std::this_thread::yield();
+            lease.publish(blob);
+        };
+        std::thread ta(publish, std::ref(la));
+        std::thread tb(publish, std::ref(lb));
+        ta.join();
+        tb.join();
+        EXPECT_EQ(a.stats().bytes_disk_written, blob.size());
+        EXPECT_EQ(b.stats().bytes_disk_written, blob.size());
+
+        exec::CheckpointStore reader(opt);
+        auto hit = reader.acquire(key);
+        ASSERT_TRUE(hit.hit());
+        EXPECT_EQ(reader.stats().disk_hits, 1u);
+        EXPECT_EQ(hit.blob(), blob);
+    }
+    for (const auto& f : std::filesystem::directory_iterator(dir))
+        EXPECT_EQ(f.path().extension(), ".ckpt") << f.path();
     std::filesystem::remove_all(dir);
 }
 
