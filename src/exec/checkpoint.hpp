@@ -50,9 +50,10 @@ struct CheckpointOptions {
  * Blob format version for warm checkpoints (bump on layout change, so
  * a stale disk-tier file from an older build reads as a miss instead
  * of failing mid-restore). 2: MISB's flat PS/SP tables, with the
- * redundant mapped-address set dropped.
+ * redundant mapped-address set dropped. 3: MISB's granule-organized
+ * PS/SP tables, with the confidence set folded into PS values.
  */
-inline constexpr std::uint32_t CKPT_VERSION = 2;
+inline constexpr std::uint32_t CKPT_VERSION = 3;
 
 /**
  * Two-tier (memory LRU + disk) cache of sealed snapshot blobs.

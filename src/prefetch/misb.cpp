@@ -55,6 +55,68 @@ MetadataCache::insert(std::uint64_t key, std::uint64_t value, bool dirty)
     return ev;
 }
 
+GranuleTable::GranuleTable(std::uint32_t width)
+    : width_(width), shift_(util::log2_exact(width))
+{
+    TRIAGE_ASSERT(util::is_pow2(width), "granule width");
+}
+
+std::uint64_t&
+GranuleTable::ref(std::uint64_t key)
+{
+    std::uint32_t& r = index_.ref(key >> shift_);
+    if (r == 0) {
+        const std::size_t rows = pool_.size() / width_;
+        TRIAGE_ASSERT(rows < ~std::uint32_t{0}, "granule pool full");
+        r = static_cast<std::uint32_t>(rows + 1);
+        pool_.resize(pool_.size() + width_, ABSENT);
+    }
+    std::uint64_t& v = pool_[slot(r, key)];
+    if (v == ABSENT) {
+        v = 0;
+        ++size_;
+    }
+    return v;
+}
+
+void
+GranuleTable::checkpoint(sim::Snapshot& s)
+{
+    std::uint64_t entries = size_;
+    std::uint64_t granules = index_.size();
+    s.io(entries);
+    s.io(granules);
+    if (s.saving()) {
+        std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
+        order.reserve(index_.size());
+        index_.for_each([&](std::uint64_t g, std::uint32_t r) {
+            order.emplace_back(g, r);
+        });
+        std::sort(order.begin(), order.end());
+        for (auto& [g, r] : order) {
+            s.io(g);
+            std::uint64_t* row = &pool_[slot(r, 0)];
+            for (std::uint32_t i = 0; i < width_; ++i)
+                s.io_pod(row[i]);
+        }
+        return;
+    }
+    index_.clear();
+    index_.reserve(static_cast<std::size_t>(granules));
+    pool_.assign(static_cast<std::size_t>(granules) * width_, ABSENT);
+    size_ = 0;
+    for (std::uint64_t r = 0; r < granules; ++r) {
+        std::uint64_t g = 0;
+        s.io(g);
+        index_.ref(g) = static_cast<std::uint32_t>(r + 1);
+        for (std::size_t i = r * width_; i < (r + 1) * width_; ++i) {
+            s.io_pod(pool_[i]);
+            size_ += pool_[i] != ABSENT;
+        }
+    }
+    TRIAGE_ASSERT(size_ == entries, "granule table entry count");
+}
+
 MisbConfig
 isb_config(std::uint32_t degree)
 {
@@ -69,6 +131,8 @@ isb_config(std::uint32_t degree)
 
 Misb::Misb(MisbConfig cfg)
     : cfg_(cfg),
+      ps_backing_(cfg.granule_entries),
+      sp_backing_(cfg.granule_entries),
       ps_cache_(cfg.ps_cache_entries, cfg.cache_ways),
       sp_cache_(cfg.sp_cache_entries, cfg.cache_ways),
       tu_(cfg.training_unit_entries),
@@ -78,7 +142,7 @@ Misb::Misb(MisbConfig cfg)
 }
 
 void
-Misb::handle_eviction(const MetadataCache::Evicted& ev_entry, bool is_ps,
+Misb::handle_eviction(const MetadataCache::Evicted& ev_entry,
                       const TrainEvent& ev, PrefetchHost& host)
 {
     if (!ev_entry.valid || !ev_entry.dirty)
@@ -87,13 +151,30 @@ Misb::handle_eviction(const MetadataCache::Evicted& ev_entry, bool is_ps,
     // 4-byte entries coalesce in a write buffer and drain to DRAM one
     // 64 B burst per granule_entries evictions, instead of a full line
     // per entry.
-    (void)is_ps;
     if (++pending_dirty_ >= cfg_.granule_entries) {
         pending_dirty_ = 0;
         ++stats_.meta_offchip_writes;
         host.offchip_metadata_access(ev.core, ev.now, sim::BLOCK_SIZE,
                                      true, cfg_.charge_time);
     }
+}
+
+std::uint64_t
+Misb::new_stream()
+{
+    const std::uint64_t s = next_structural_;
+    next_structural_ += cfg_.stream_length;
+    TRIAGE_ASSERT(next_structural_ < CONFIDENT,
+                  "structural space overlaps the PS confidence bit");
+    return s;
+}
+
+std::uint64_t&
+Misb::ps_entry(sim::Addr phys)
+{
+    std::uint64_t* v = ps_backing_.find(phys);
+    TRIAGE_ASSERT(v != nullptr, "confidence bit on an unmapped PS entry");
+    return *v;
 }
 
 sim::Cycle
@@ -110,13 +191,17 @@ Misb::fetch_granule(bool is_ps, std::uint64_t first_key,
     sim::Cycle done = host.offchip_metadata_access(
         ev.core, ev.now, bursts * sim::BLOCK_SIZE, false,
         cfg_.charge_time);
-    auto& backing = is_ps ? ps_backing_ : sp_backing_;
-    auto& mcache = is_ps ? ps_cache_ : sp_cache_;
+    const GranuleTable& backing = is_ps ? ps_backing_ : sp_backing_;
+    MetadataCache& mcache = is_ps ? ps_cache_ : sp_cache_;
+    const std::uint64_t* row = backing.row(base / cfg_.granule_entries);
+    if (row == nullptr)
+        return done;
+    // Only PS values carry the confidence bit.
+    const std::uint64_t mask = is_ps ? ~CONFIDENT : ~std::uint64_t{0};
     for (std::uint32_t i = 0; i < cfg_.granule_entries; ++i) {
-        const std::uint64_t* v = backing.find(base + i);
-        if (v == nullptr)
+        if (row[i] == GranuleTable::ABSENT)
             continue;
-        handle_eviction(mcache.insert(base + i, *v, false), is_ps, ev,
+        handle_eviction(mcache.insert(base + i, row[i] & mask, false), ev,
                         host);
     }
     return done;
@@ -133,7 +218,7 @@ Misb::ps_lookup(sim::Addr phys, const TrainEvent& ev, PrefetchHost& host,
     const std::uint64_t* v = ps_backing_.find(phys);
     if (v == nullptr)
         return INVALID;
-    const std::uint64_t structural = *v;
+    const std::uint64_t structural = *v & ~CONFIDENT;
     avail = fetch_granule(true, phys, ev, host);
     return structural;
 }
@@ -158,8 +243,7 @@ Misb::ps_update(sim::Addr phys, std::uint64_t structural,
                 const TrainEvent& ev, PrefetchHost& host)
 {
     ps_backing_.ref(phys) = structural;
-    handle_eviction(ps_cache_.insert(phys, structural, true), true, ev,
-                    host);
+    handle_eviction(ps_cache_.insert(phys, structural, true), ev, host);
 }
 
 void
@@ -167,8 +251,7 @@ Misb::sp_update(std::uint64_t structural, sim::Addr phys,
                 const TrainEvent& ev, PrefetchHost& host)
 {
     sp_backing_.ref(structural) = phys;
-    handle_eviction(sp_cache_.insert(structural, phys, true), false, ev,
-                    host);
+    handle_eviction(sp_cache_.insert(structural, phys, true), ev, host);
 }
 
 void
@@ -211,8 +294,8 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
                                              sim::BLOCK_SIZE, false,
                                              cfg_.charge_time);
             }
-            handle_eviction(ps_cache_.insert(ev.block, s, false), true,
-                            ev, host);
+            handle_eviction(ps_cache_.insert(ev.block, s, false), ev,
+                            host);
         }
     } else {
         s = ps_lookup(ev.block, ev, host, ps_avail);
@@ -246,7 +329,8 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
             // hit on chip.
             std::uint64_t key =
                 (s / cfg_.granule_entries + 1) * cfg_.granule_entries;
-            if (sp_backing_.count(key) && !sp_cache_.find(key)) {
+            if (sp_backing_.find(key) != nullptr &&
+                !sp_cache_.find(key)) {
                 fetch_granule(false, key, ev, host);
             }
         }
@@ -280,32 +364,31 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
     std::uint64_t sa = ps_lookup(a, ev, host, t_ignore);
     if (sa == INVALID) {
         // Start a new structural stream for this correlation.
-        sa = next_structural_;
-        next_structural_ += cfg_.stream_length;
+        sa = new_stream();
         ps_update(a, sa, ev, host);
         sp_update(sa, a, ev, host);
     }
     std::uint64_t expected = sa + 1;
     if (expected % cfg_.stream_length == 0) {
         // Stream chunk exhausted: B begins a new stream.
-        expected = next_structural_;
-        next_structural_ += cfg_.stream_length;
+        expected = new_stream();
     }
     std::uint64_t sb = ps_lookup(b, ev, host, t_ignore);
     if (sb == expected) {
-        ps_confident_.ref(b) = 1;
+        ps_entry(b) |= CONFIDENT;
     } else if (sb != INVALID && sb % cfg_.stream_length == 0) {
         // B anchors its own stream chunk (a loop header or stream
         // head). Re-mapping it would shift its whole stream one slot
         // every lap of a cyclic structure; ISB leaves heads in place
         // and lets A's chunk simply end here.
-    } else if (sb != INVALID && ps_confident_.erase(b)) {
-        // First disagreement: keep the existing mapping (confidence
-        // bit cleared); a second one will trigger the remap.
+    } else if (sb != INVALID && (ps_entry(b) & CONFIDENT) != 0) {
+        // First disagreement: keep the existing mapping but clear its
+        // confidence bit; a second one will trigger the remap.
+        ps_entry(b) &= ~CONFIDENT;
     } else {
         ps_update(b, expected, ev, host);
         sp_update(expected, b, ev, host);
-        ps_confident_.ref(b) = 1;
+        ps_entry(b) |= CONFIDENT;
     }
 }
 

@@ -10,7 +10,9 @@
  * metadata caches managed at fine granularity. MISB adds a metadata
  * prefetcher that walks ahead in the structural space, and a Bloom
  * filter that suppresses off-chip lookups for untracked addresses
- * (modeled exactly: membership in the off-chip PS table).
+ * (modeled exactly: membership in the off-chip PS table). The
+ * off-chip tables are stored the way they move: by 64 B granule
+ * (GranuleTable), so one modeled burst is one host probe.
  *
  * Unlike the idealized STMS/Domino models, MISB's metadata traffic is
  * charged against the DRAM model in full (reads delay the dependent
@@ -120,6 +122,81 @@ class MetadataCache
     std::uint64_t misses_ = 0;
 };
 
+/**
+ * Off-chip metadata table stored by granule: the unit MISB moves in
+ * one off-chip fetch. A key belongs to granule `key / width`; every
+ * granule that holds at least one entry owns a `width`-wide row in one
+ * flat pool, with all ones marking an absent slot. A modeled burst is
+ * then one index probe plus a contiguous scan, where a per-key map
+ * would pay `width` scattered probes. Entries are only ever added.
+ *
+ * Memory is proportional to touched granules, not entries: a trace
+ * that maps one key per granule pays a whole row per entry, `width`
+ * times the bytes per entry of full rows (docs/performance.md §7).
+ */
+class GranuleTable
+{
+  public:
+    /** Slot value meaning "no entry"; never storable as a value. */
+    static constexpr std::uint64_t ABSENT = ~std::uint64_t{0};
+
+    /** @p width entries per granule; a power of two. */
+    explicit GranuleTable(std::uint32_t width);
+
+    /** Pointer to the value mapped to @p key, or nullptr. */
+    std::uint64_t*
+    find(std::uint64_t key)
+    {
+        const std::uint32_t* r = index_.find(key >> shift_);
+        if (r == nullptr)
+            return nullptr;
+        std::uint64_t* v = &pool_[slot(*r, key)];
+        return *v == ABSENT ? nullptr : v;
+    }
+
+    /**
+     * Value slot for @p key, inserting 0 if absent. Callers must not
+     * store ABSENT. The reference is invalidated by the next insert.
+     */
+    std::uint64_t& ref(std::uint64_t key);
+
+    /**
+     * The `width` slots of @p granule in ascending key order (ABSENT
+     * where unmapped), or nullptr if the granule holds no entry.
+     */
+    const std::uint64_t*
+    row(std::uint64_t granule) const
+    {
+        const std::uint32_t* r = index_.find(granule);
+        return r == nullptr ? nullptr : &pool_[slot(*r, 0)];
+    }
+
+    /** Number of mapped keys. */
+    std::size_t size() const { return size_; }
+
+    /**
+     * The entry count, the granule count, then each granule id in
+     * ascending order with its row: canonical bytes whatever the
+     * insertion order.
+     */
+    void checkpoint(sim::Snapshot& s);
+
+  private:
+    std::size_t
+    slot(std::uint32_t row_plus_1, std::uint64_t key) const
+    {
+        return static_cast<std::size_t>(row_plus_1 - 1) * width_ +
+               (key & (width_ - 1));
+    }
+
+    std::uint32_t width_;
+    std::uint32_t shift_;
+    /** Granule id -> row index + 1 (0 is FlatMap::ref's "new"). */
+    util::FlatMap<std::uint64_t, std::uint32_t> index_;
+    std::vector<std::uint64_t> pool_;
+    std::size_t size_ = 0;
+};
+
 /** MISB prefetcher. */
 class Misb final : public Prefetcher
 {
@@ -137,9 +214,8 @@ class Misb final : public Prefetcher
     {
         Prefetcher::checkpoint(s);
         s.section("pf.misb");
-        s.io_flat_map(ps_backing_);
-        s.io_flat_map(sp_backing_);
-        s.io_flat_map(ps_confident_);
+        ps_backing_.checkpoint(s);
+        sp_backing_.checkpoint(s);
         ps_cache_.checkpoint(s);
         sp_cache_.checkpoint(s);
         s.io_vec(tu_, [](sim::Snapshot& a, TuEntry& e) {
@@ -162,6 +238,8 @@ class Misb final : public Prefetcher
 
   private:
     static constexpr std::uint64_t INVALID = ~std::uint64_t{0};
+    /** Remap-confidence bit inside a PS table value (see ps_backing_). */
+    static constexpr std::uint64_t CONFIDENT = std::uint64_t{1} << 63;
 
     /**
      * Look up PS[phys]; on on-chip miss fetch the off-chip granule
@@ -177,30 +255,33 @@ class Misb final : public Prefetcher
     void sp_update(std::uint64_t structural, sim::Addr phys,
                    const TrainEvent& ev, PrefetchHost& host);
     void handle_eviction(const MetadataCache::Evicted& ev_entry,
-                         bool is_ps, const TrainEvent& ev,
-                         PrefetchHost& host);
+                         const TrainEvent& ev, PrefetchHost& host);
+    /** First structural address of a fresh stream_length chunk. */
+    std::uint64_t new_stream();
+    /** The PS table value of mapped block @p phys (asserted mapped). */
+    std::uint64_t& ps_entry(sim::Addr phys);
     /** Fetch one off-chip granule into the on-chip cache. */
     sim::Cycle fetch_granule(bool is_ps, std::uint64_t first_key,
                              const TrainEvent& ev, PrefetchHost& host);
 
     MisbConfig cfg_;
     /**
-     * Off-chip backing store (DRAM-resident metadata, unbounded). PS
-     * entries are only ever added, never erased, so PS membership is
-     * also the architectural Bloom filter: a block absent from
-     * ps_backing_ is untracked and never costs an off-chip lookup.
-     */
-    util::FlatMap<std::uint64_t, std::uint64_t> ps_backing_;
-    util::FlatMap<std::uint64_t, std::uint64_t> sp_backing_;
-    /**
-     * 1-bit remap confidence per mapped physical block (part of the PS
-     * entry architecturally; its keys are a subset of ps_backing_'s):
-     * a block is re-mapped to a new structural address only after two
+     * Off-chip backing store (DRAM-resident metadata, unbounded),
+     * granule-organized so fetch_granule is one row scan. PS entries
+     * are only ever added, never erased, so PS membership is also the
+     * architectural Bloom filter: a block absent from ps_backing_ is
+     * untracked and never costs an off-chip lookup.
+     *
+     * A PS value is the structural address plus, in bit 63
+     * (CONFIDENT), the entry's 1-bit remap confidence: a block is
+     * re-mapped to a new structural address only after two
      * consecutive disagreements, so blocks with several valid
-     * successors stop churning the structural space. Presence is the
-     * bit; the value is unused.
+     * successors stop churning the structural space. Structural
+     * addresses stay below 2^63 (new_stream asserts it); every read
+     * that yields a structural address masks the bit off.
      */
-    util::FlatMap<std::uint64_t, std::uint8_t> ps_confident_;
+    GranuleTable ps_backing_;
+    GranuleTable sp_backing_;
     MetadataCache ps_cache_;
     MetadataCache sp_cache_;
 

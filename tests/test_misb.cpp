@@ -1,14 +1,16 @@
 /**
  * @file
- * Focused tests for MISB internals: the metadata cache, structural
- * stream allocation, remap confidence, stream buffers, and traffic
- * accounting invariants.
+ * Focused tests for MISB internals: the granule-organized off-chip
+ * tables, the metadata cache, structural stream allocation, remap
+ * confidence, stream buffers, and traffic accounting invariants.
  */
 #include <gtest/gtest.h>
 
+#include <unordered_map>
 #include <unordered_set>
 
 #include "prefetch/misb.hpp"
+#include "util/rng.hpp"
 
 using namespace triage;
 using namespace triage::prefetch;
@@ -53,7 +55,140 @@ miss(sim::Pc pc, sim::Addr block)
     return ev;
 }
 
+/** A key near a granule boundary (either side), or key 0. */
+std::uint64_t
+boundary_key(util::Rng& rng, std::uint32_t width)
+{
+    const std::uint64_t g = rng.next_below(64);
+    switch (rng.next_below(4)) {
+    case 0:
+        return 0;
+    case 1:
+        return g * width + width - 1; // last slot of a granule
+    case 2:
+        return (g + 1) * width; // first slot of the next one
+    default:
+        return g * width + rng.next_below(width);
+    }
+}
+
+/** Random op stream on a GranuleTable and an unordered_map in lockstep. */
+void
+granule_table_equivalence_run(std::uint32_t width, std::uint64_t seed)
+{
+    util::Rng rng(seed);
+    GranuleTable t(width);
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    for (int op = 0; op < 20000; ++op) {
+        // Mostly dense keys around granule edges, some far-flung ones
+        // (sparse rows, huge granule ids).
+        const std::uint64_t k = rng.next_below(8) == 0
+                                    ? rng.next_u64() >> 2
+                                    : boundary_key(rng, width);
+        if (rng.next_below(2) == 0) {
+            const std::uint64_t v = rng.next_u64() >> 1; // never ABSENT
+            t.ref(k) = v;
+            ref[k] = v;
+        } else {
+            const std::uint64_t* p = t.find(k);
+            auto it = ref.find(k);
+            ASSERT_EQ(p != nullptr, it != ref.end()) << "key " << k;
+            if (p != nullptr) {
+                EXPECT_EQ(*p, it->second);
+            }
+        }
+        ASSERT_EQ(t.size(), ref.size()) << "op " << op;
+    }
+    // Every row matches the reference slot for slot, in key order.
+    std::unordered_set<std::uint64_t> granules;
+    for (const auto& [k, v] : ref)
+        granules.insert(k / width);
+    for (std::uint64_t g : granules) {
+        const std::uint64_t* row = t.row(g);
+        ASSERT_NE(row, nullptr) << "granule " << g;
+        for (std::uint32_t i = 0; i < width; ++i) {
+            auto it = ref.find(g * width + i);
+            EXPECT_EQ(row[i], it == ref.end() ? GranuleTable::ABSENT
+                                              : it->second);
+        }
+    }
+    EXPECT_EQ(t.row(1000), nullptr); // between the dense and sparse keys
+}
+
+sim::SnapshotBlob
+save_table(GranuleTable& t)
+{
+    sim::Snapshot s;
+    t.checkpoint(s);
+    return s.seal(1, "granules");
+}
+
 } // namespace
+
+TEST(GranuleTable, MatchesUnorderedMapAtMisbWidth)
+{
+    granule_table_equivalence_run(16, 0x6d697362);
+}
+
+TEST(GranuleTable, MatchesUnorderedMapAtIsbWidth)
+{
+    granule_table_equivalence_run(64, 0x697362);
+}
+
+TEST(GranuleTable, RefInsertsZeroOnceAndKeepsValue)
+{
+    GranuleTable t(16);
+    EXPECT_EQ(t.find(0), nullptr);
+    EXPECT_EQ(t.row(0), nullptr);
+    EXPECT_EQ(t.ref(0), 0u);
+    t.ref(0) = 7;
+    EXPECT_EQ(t.ref(0), 7u);
+    EXPECT_EQ(t.size(), 1u);
+    // A sibling slot of the same granule is still absent.
+    EXPECT_EQ(t.find(1), nullptr);
+    ASSERT_NE(t.row(0), nullptr);
+    EXPECT_EQ(t.row(0)[1], GranuleTable::ABSENT);
+}
+
+TEST(GranuleTable, SnapshotBytesIndependentOfInsertionOrder)
+{
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 0; k < 200; k += 3)
+        keys.push_back(k * 7);
+    GranuleTable fwd(16);
+    GranuleTable rev(16);
+    for (std::uint64_t k : keys)
+        fwd.ref(k) = k + 1;
+    for (auto it = keys.rbegin(); it != keys.rend(); ++it)
+        rev.ref(*it) = *it + 1;
+    EXPECT_EQ(save_table(fwd), save_table(rev));
+}
+
+TEST(GranuleTable, SnapshotRoundTrip)
+{
+    util::Rng rng(42);
+    GranuleTable t(64);
+    for (int i = 0; i < 3000; ++i)
+        t.ref(rng.next_below(50000)) = rng.next_u64() >> 1;
+    const sim::SnapshotBlob blob = save_table(t);
+
+    GranuleTable back(64);
+    back.ref(123456789) = 5; // overwritten by the restore
+    sim::Snapshot load = sim::Snapshot::open_or_die(blob, 1, "granules");
+    back.checkpoint(load);
+    EXPECT_TRUE(load.exhausted());
+    EXPECT_EQ(back.size(), t.size());
+    EXPECT_EQ(back.find(123456789), nullptr);
+    for (std::uint64_t k = 0; k < 50000; ++k) {
+        const std::uint64_t* a = t.find(k);
+        const std::uint64_t* b = back.find(k);
+        ASSERT_EQ(a != nullptr, b != nullptr) << "key " << k;
+        if (a != nullptr) {
+            EXPECT_EQ(*a, *b);
+        }
+    }
+    EXPECT_EQ(save_table(back), blob);
+}
 
 TEST(MetadataCache, HitAfterInsert)
 {

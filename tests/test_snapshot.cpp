@@ -237,7 +237,7 @@ TEST_P(WarmResave, ByteEqualAfterRoundtrip)
 INSTANTIATE_TEST_SUITE_P(AllPrefetchers, WarmResave,
                          ::testing::Values("none", "bo", "sms", "markov",
                                            "stms", "domino", "ghb_pcdc",
-                                           "misb", "next_line",
+                                           "misb", "isb", "next_line",
                                            "triage_dyn",
                                            "triage_unlimited"),
                          [](const auto& info) {

@@ -264,10 +264,11 @@ pair_jobs(const Options& o)
 /**
  * A measurement forked from a memoized warm checkpoint must be
  * bit-identical to one that warmed up cold in the same process.
- * Covers both system kinds: a single-core run and a 2-core mix. Each
- * sub-pair runs three times — cold (no store), producing (cold warmup
- * + snapshot publish), and forked (restore from the published blob) —
- * and both store-backed runs must match the cold one.
+ * Covers both system kinds (a single-core run and a 2-core mix) and
+ * MISB's off-chip tables (a 2-core MISB mix). Each sub-pair runs
+ * three times — cold (no store), producing (cold warmup + snapshot
+ * publish), and forked (restore from the published blob) — and both
+ * store-backed runs must match the cold one.
  */
 bool
 pair_ckpt(const Options& o)
@@ -304,6 +305,13 @@ pair_ckpt(const Options& o)
     mix.pf_spec = "triage_dyn";
     mix.degree = o.degree;
     check("mix2", mix);
+
+    // MISB's warm state is its off-chip granule tables and metadata
+    // caches: a fork must restore them exactly.
+    exec::Job misb = mix;
+    misb.pf_spec = "misb";
+    misb.degree = 1;
+    check("misb", misb);
     return ok;
 }
 
