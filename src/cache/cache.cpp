@@ -3,8 +3,7 @@
 #include "obs/registry.hpp"
 #include "util/bitops.hpp"
 #include "util/log.hpp"
-#include "util/mem.hpp"
-#include "util/simd_probe.hpp"
+#include "util/row_scan.hpp"
 
 namespace triage::cache {
 
@@ -22,11 +21,6 @@ SetAssocCache::SetAssocCache(const CacheGeometry& geom,
     tags_.assign(static_cast<std::size_t>(sets_) * assoc_, INVALID_TAG);
     hot_.assign(static_cast<std::size_t>(sets_) * assoc_, 0);
     owners_.assign(static_cast<std::size_t>(sets_) * assoc_, nullptr);
-    // LLC-sized tag/state arrays see hashed-set random rows; back them
-    // with huge pages so probes don't each pay a dTLB walk (no-op for
-    // the small L1/L2 arrays — see util/mem.hpp).
-    util::hint_hugepages(tags_);
-    util::hint_hugepages(hot_);
     TRIAGE_ASSERT(repl_ != nullptr);
     if (!repl_->lru_fast_view(&lru_))
         lru_ = {};
@@ -42,10 +36,9 @@ std::uint32_t
 SetAssocCache::find_way(std::size_t base, sim::Addr block) const
 {
     // Invalid ways hold INVALID_TAG (never a real block), so validity
-    // needs no separate test: one compare per way, SIMD-probed
-    // (util/simd_probe.hpp; NPOS and NO_WAY are both all-ones).
-    return util::simd::find_first_eq(tags_.data() + base, data_ways_,
-                                     block);
+    // needs no separate test: one compare per way (util/row_scan.hpp;
+    // NPOS and NO_WAY are both all-ones).
+    return util::find_first_eq(tags_.data() + base, data_ways_, block);
 }
 
 LookupResult
@@ -137,14 +130,14 @@ SetAssocCache::insert(sim::Addr block, sim::Pc pc, sim::Cycle ready_time,
     // still sit behind it, needing a second look at the tail.
     std::uint32_t resident = NO_WAY;
     std::uint32_t victim_way = NO_WAY;
-    const std::uint32_t probe = util::simd::find_first_eq_either(
+    const std::uint32_t probe = util::find_first_eq_either(
         row, data_ways_, block, INVALID_TAG);
     if (probe != NO_WAY) {
         if (row[probe] == block) {
             resident = probe;
         } else {
             victim_way = probe;
-            const std::uint32_t rest = util::simd::find_first_eq(
+            const std::uint32_t rest = util::find_first_eq(
                 row + probe + 1, data_ways_ - probe - 1, block);
             if (rest != NO_WAY)
                 resident = probe + 1 + rest;

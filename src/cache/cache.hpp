@@ -26,7 +26,7 @@
 
 #include "cache/replacement.hpp"
 #include "sim/types.hpp"
-#include "util/simd_probe.hpp"
+#include "util/row_scan.hpp"
 
 namespace triage::prefetch {
 class Prefetcher;
@@ -313,13 +313,11 @@ class SetAssocCache
                 std::uint32_t way_end)
     {
         if (lru_.stamps != nullptr) {
-            // First-minimum stamp scan, SIMD-probed; ties resolve to
-            // the lowest way exactly like the scalar `<` update did.
+            // First-minimum stamp scan; ties resolve to the lowest way.
             const std::uint64_t* row =
                 lru_.stamps + static_cast<std::size_t>(set) * lru_.assoc;
             return way_begin +
-                   util::simd::min_index(row + way_begin,
-                                         way_end - way_begin);
+                   util::min_index(row + way_begin, way_end - way_begin);
         }
         return repl_->victim(set, way_begin, way_end);
     }

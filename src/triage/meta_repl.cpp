@@ -2,7 +2,6 @@
 
 #include "util/bitops.hpp"
 #include "util/log.hpp"
-#include "util/mem.hpp"
 
 namespace triage::core {
 
@@ -76,10 +75,6 @@ MetaHawkeye::MetaHawkeye(std::uint32_t sets, std::uint32_t ways,
     samplers_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i)
         samplers_.emplace_back(ways_, history_factor_);
-    // Hashed-set random rows, same story as the store's key/entry
-    // arrays (util/mem.hpp; no-op below the 2 MB huge-page threshold).
-    util::hint_hugepages(rrpv_);
-    util::hint_hugepages(pcs_);
 }
 
 bool

@@ -4,8 +4,7 @@
 
 #include "util/bitops.hpp"
 #include "util/log.hpp"
-#include "util/mem.hpp"
-#include "util/simd_probe.hpp"
+#include "util/row_scan.hpp"
 
 namespace triage::core {
 
@@ -37,10 +36,6 @@ MetadataStore::build(std::uint64_t bytes)
                     Entry{});
     keys_.assign(static_cast<std::size_t>(sets_) * cfg_.line_entries,
                  INVALID_KEY);
-    // Hashed-set indexing makes every probe a random row; huge pages
-    // keep those from each costing a dTLB walk (util/mem.hpp).
-    util::hint_hugepages(entries_);
-    util::hint_hugepages(keys_);
     repl_ = make_meta_repl(cfg_.repl, sets_, cfg_.line_entries);
     // Counters live in the store so the policy rebuild keeps them.
     repl_->bind_stats(&repl_stats_);
@@ -55,10 +50,10 @@ MetadataStore::set_of(sim::Addr trigger) const
 std::uint32_t
 MetadataStore::find_way(std::size_t base, std::uint64_t key) const
 {
-    // SIMD probe over the packed key row (NPOS and NO_WAY are both
-    // all-ones), matching the cache tag scan (docs/performance.md).
-    return util::simd::find_first_eq(keys_.data() + base,
-                                     cfg_.line_entries, key);
+    // Scan of the packed key row (NPOS and NO_WAY are both all-ones),
+    // matching the cache tag scan.
+    return util::find_first_eq(keys_.data() + base, cfg_.line_entries,
+                               key);
 }
 
 std::uint64_t

@@ -2,8 +2,7 @@
 
 #include "util/bitops.hpp"
 #include "util/log.hpp"
-#include "util/mem.hpp"
-#include "util/simd_probe.hpp"
+#include "util/row_scan.hpp"
 
 namespace triage::core {
 
@@ -14,10 +13,6 @@ TagCompressor::TagCompressor(TagCompressorConfig cfg)
 {
     TRIAGE_ASSERT(cfg.id_bits >= 1 && cfg.id_bits <= 16);
     map_mask_ = map_tags_.size() - 1;
-    // The probe table is hash-indexed, so touches are random rows;
-    // huge pages spare each one a dTLB walk (util/mem.hpp).
-    util::hint_hugepages(map_tags_);
-    util::hint_hugepages(slots_);
 }
 
 std::size_t
@@ -30,18 +25,18 @@ std::size_t
 TagCompressor::map_probe(std::uint64_t tag) const
 {
     // Linear probe == "first slot holding my tag or the empty
-    // sentinel, scanning from home with wraparound" — one SIMD
+    // sentinel, scanning from home with wraparound" — one
     // find-first-of-two per contiguous region (at most two regions).
     const std::uint64_t* t = map_tags_.data();
     const std::size_t n = map_tags_.size();
     const std::size_t home = map_home(tag);
-    std::uint32_t r = util::simd::find_first_eq_either(
+    std::uint32_t r = util::find_first_eq_either(
         t + home, static_cast<std::uint32_t>(n - home), tag, MAP_EMPTY);
-    if (r != util::simd::NPOS)
+    if (r != util::NPOS)
         return home + r;
-    r = util::simd::find_first_eq_either(
+    r = util::find_first_eq_either(
         t, static_cast<std::uint32_t>(home), tag, MAP_EMPTY);
-    TRIAGE_ASSERT(r != util::simd::NPOS,
+    TRIAGE_ASSERT(r != util::NPOS,
                   "probe table full (load is capped at 25%)");
     return r;
 }
@@ -120,13 +115,15 @@ TagCompressor::compress(std::uint64_t tag)
     }
     // Recycle the LRU id.
     std::uint16_t victim = 0;
-    for (std::uint16_t i = 0; i < slots_.size(); ++i) {
+    // 32-bit index: at id_bits = 16, slots_.size() is 65536, which a
+    // 16-bit index never reaches.
+    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
         if (!slots_[i].valid) {
-            victim = i;
+            victim = static_cast<std::uint16_t>(i);
             break;
         }
         if (slots_[i].lru < slots_[victim].lru)
-            victim = i;
+            victim = static_cast<std::uint16_t>(i);
     }
     if (slots_[victim].valid) {
         map_erase(slots_[victim].tag);

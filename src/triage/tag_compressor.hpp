@@ -100,7 +100,7 @@ class TagCompressor
      * path and a flat probe sequence beats the node-based
      * unordered_map it replaced. Structure-of-arrays: the packed tag
      * array (MAP_EMPTY all-ones sentinel for free slots) is what the
-     * SIMD probe scans for tag-or-empty in one pass; ids sit in a
+     * probe scans for tag-or-empty in one pass; ids sit in a
      * parallel array read only on a match. The all-ones tag itself —
      * unreachable from real block addresses but legal through the
      * public API, and the property suite compresses it — lives in a

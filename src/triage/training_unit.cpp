@@ -1,7 +1,7 @@
 #include "triage/training_unit.hpp"
 
 #include "util/log.hpp"
-#include "util/simd_probe.hpp"
+#include "util/row_scan.hpp"
 
 namespace triage::core {
 
@@ -16,11 +16,11 @@ std::optional<sim::Addr>
 TrainingUnit::update(sim::Pc pc, sim::Addr block)
 {
     // At most one live slot holds this PC (inserts only happen after a
-    // full-miss scan), so the first match is the only match — a SIMD
-    // probe over the live suffix of the packed PC array.
-    const std::uint32_t hit = util::simd::find_first_eq(
+    // full-miss scan), so the first match is the only match — a scan
+    // of the live suffix of the packed PC array.
+    const std::uint32_t hit = util::find_first_eq(
         pcs_.data() + valid_from_, capacity_ - valid_from_, pc);
-    if (hit != util::simd::NPOS) {
+    if (hit != util::NPOS) {
         const std::uint32_t i = valid_from_ + hit;
         sim::Addr prev = last_[i];
         last_[i] = block;
@@ -30,12 +30,12 @@ TrainingUnit::update(sim::Pc pc, sim::Addr block)
         return prev;
     }
     // Miss: fill the last empty slot, else replace the LRU entry
-    // (first-minimum stamp, exactly the scalar scan's tie-break).
+    // (first-minimum stamp: the earliest slot wins ties).
     std::uint32_t victim;
     if (valid_from_ > 0) {
         victim = --valid_from_;
     } else {
-        victim = util::simd::min_index(lru_.data(), capacity_);
+        victim = util::min_index(lru_.data(), capacity_);
     }
     pcs_[victim] = pc;
     last_[victim] = block;
@@ -46,9 +46,9 @@ TrainingUnit::update(sim::Pc pc, sim::Addr block)
 std::optional<sim::Addr>
 TrainingUnit::last_of(sim::Pc pc) const
 {
-    const std::uint32_t hit = util::simd::find_first_eq(
+    const std::uint32_t hit = util::find_first_eq(
         pcs_.data() + valid_from_, capacity_ - valid_from_, pc);
-    if (hit != util::simd::NPOS)
+    if (hit != util::NPOS)
         return last_[valid_from_ + hit];
     return std::nullopt;
 }

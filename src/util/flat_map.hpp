@@ -16,9 +16,10 @@
  *    ever; clear() just repaints the key array and keeps the arena,
  *    so per-quantum maps (the sharded-LLC overlay) reuse their
  *    capacity instead of rebuilding a node forest each quantum.
- *  - **SIMD probes.** Linear probing over the packed key array is
- *    "first slot equal to my key or EMPTY", which is exactly the
- *    find_first_eq_either kernel (util/simd_probe.hpp).
+ *  - **Packed-key probes.** Linear probing over the packed key array
+ *    is "first slot equal to my key or EMPTY", one
+ *    find_first_eq_either row scan (util/row_scan.hpp). At the 50%
+ *    load cap the scan usually stops within a slot or two.
  *  - **Backward-shift deletion** (Knuth 6.4 R), so erase leaves no
  *    tombstones and probe sequences never degrade.
  *
@@ -42,7 +43,7 @@
 
 #include "util/bitops.hpp"
 #include "util/log.hpp"
-#include "util/simd_probe.hpp"
+#include "util/row_scan.hpp"
 
 namespace triage::util {
 
@@ -52,7 +53,8 @@ class FlatMap
     static_assert(std::is_integral_v<K> && std::is_unsigned_v<K> &&
                       sizeof(K) == 8,
                   "FlatMap keys are 64-bit unsigned (addresses/tags); "
-                  "the SIMD probe kernels scan packed 64-bit words");
+                  "the row scans (util/row_scan.hpp) read packed "
+                  "64-bit words");
     static_assert(std::is_trivially_copyable_v<V>,
                   "values live in a raw arena and are moved by memcpy");
 
@@ -281,20 +283,20 @@ class FlatMap
         return static_cast<std::size_t>(mix64(k)) & mask_;
     }
 
-    /** First slot holding @p k or EMPTY (SIMD, wraparound). */
+    /** First slot holding @p k or EMPTY (wraparound). */
     std::size_t
     probe(K k) const
     {
         const std::uint64_t* t =
             reinterpret_cast<const std::uint64_t*>(keys_);
         const std::size_t h = home(k);
-        std::uint32_t r = simd::find_first_eq_either(
+        std::uint32_t r = find_first_eq_either(
             t + h, static_cast<std::uint32_t>(cap_ - h), k, EMPTY);
-        if (r != simd::NPOS)
+        if (r != NPOS)
             return h + r;
-        r = simd::find_first_eq_either(
+        r = find_first_eq_either(
             t, static_cast<std::uint32_t>(h), k, EMPTY);
-        TRIAGE_ASSERT(r != simd::NPOS,
+        TRIAGE_ASSERT(r != NPOS,
                       "probe table full (load is capped at 50%)");
         return r;
     }

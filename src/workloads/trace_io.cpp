@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "frontend/stream_workload.hpp"
 #include "util/log.hpp"
 
 namespace triage::workloads {
@@ -20,11 +21,11 @@ struct FileCloser {
 using File = std::unique_ptr<std::FILE, FileCloser>;
 
 /**
- * Records buffered between fwrite calls, on both the save and load
- * paths. An explicit constant rather than vector capacity: capacity
- * after reserve() is only a lower bound, so flushing on
- * size()==capacity() would tie the on-disk write pattern to the
- * allocator. The round-trip test straddles this boundary.
+ * Records buffered between fwrite calls. An explicit constant rather
+ * than vector capacity: capacity after reserve() is only a lower
+ * bound, so flushing on size()==capacity() would tie the on-disk write
+ * pattern to the allocator. The round-trip test straddles this
+ * boundary.
  */
 constexpr std::size_t kFlushRecords = 4096;
 
@@ -96,73 +97,24 @@ save_trace(const std::string& path, sim::Workload& wl,
 std::unique_ptr<sim::Workload>
 load_trace(const std::string& path)
 {
-    File f(std::fopen(path.c_str(), "rb"));
-    if (!f) {
-        util::warn("load_trace: cannot open " + path);
+    // The frontend's .tria decoder does all the validation (header,
+    // count against file size, flag bits); this just drains it. The
+    // format is explicit because callers use .tri and .bin names too.
+    // No reserve() from the header count: a compressed source has no
+    // size to check that count against before the drain.
+    auto stream =
+        frontend::StreamWorkload::open(path, frontend::TraceFormat::Tria);
+    if (stream == nullptr)
         return nullptr;
-    }
-    std::uint32_t magic = 0;
-    std::uint32_t version = 0;
-    std::uint64_t count = 0;
-    if (std::fread(&magic, sizeof(magic), 1, f.get()) != 1 ||
-        std::fread(&version, sizeof(version), 1, f.get()) != 1 ||
-        std::fread(&count, sizeof(count), 1, f.get()) != 1 ||
-        magic != TRACE_MAGIC || version != TRACE_VERSION) {
-        util::warn("load_trace: bad header in " + path);
-        return nullptr;
-    }
-    // The header count sizes the upcoming reserve(); trusting it as
-    // read would let a corrupt or hostile header drive an unbounded
-    // allocation. It must agree exactly with the bytes present.
-    if (std::fseek(f.get(), 0, SEEK_END) != 0) {
-        util::warn("load_trace: cannot stat " + path);
-        return nullptr;
-    }
-    const long end = std::ftell(f.get());
-    if (end < 0 ||
-        static_cast<std::uint64_t>(end) < TRACE_HEADER_BYTES) {
-        util::warn("load_trace: truncated header in " + path);
-        return nullptr;
-    }
-    const std::uint64_t body =
-        static_cast<std::uint64_t>(end) - TRACE_HEADER_BYTES;
-    if (body % TRACE_RECORD_BYTES != 0 ||
-        body / TRACE_RECORD_BYTES != count) {
-        util::warn(util::format_msg(
-            "load_trace: header count ", count,
-            " disagrees with file size ", end, " in ", path,
-            " (corrupt or truncated trace)"));
-        return nullptr;
-    }
-    if (std::fseek(f.get(), static_cast<long>(TRACE_HEADER_BYTES),
-                   SEEK_SET) != 0) {
-        util::warn("load_trace: seek failed in " + path);
-        return nullptr;
-    }
     std::vector<sim::TraceRecord> records;
-    records.reserve(count);
-    std::vector<PackedTraceRecord> buf(kFlushRecords);
-    std::uint64_t remaining = count;
-    while (remaining > 0) {
-        std::size_t want = std::min<std::uint64_t>(remaining, buf.size());
-        if (std::fread(buf.data(), sizeof(PackedTraceRecord), want,
-                       f.get()) != want) {
-            util::warn("load_trace: truncated trace " + path);
-            return nullptr;
-        }
-        for (std::size_t i = 0; i < want; ++i) {
-            sim::TraceRecord rec;
-            if (!unpack_trace_record(buf[i], rec)) {
-                util::warn(util::format_msg(
-                    "load_trace: unknown flags bits 0x",
-                    static_cast<unsigned>(buf[i].flags), " at record ",
-                    count - remaining + i, " in ", path,
-                    " (written by a newer format revision?)"));
-                return nullptr;
-            }
-            records.push_back(rec);
-        }
-        remaining -= want;
+    sim::TraceRecord r;
+    while (stream->next(r))
+        records.push_back(r);
+    if (records.size() != stream->declared_records()) {
+        util::warn(util::format_msg("load_trace: read ", records.size(),
+                                    " of ", stream->declared_records(),
+                                    " records from ", path));
+        return nullptr;
     }
     return std::make_unique<sim::VectorWorkload>(path,
                                                  std::move(records));

@@ -41,8 +41,8 @@ inline constexpr std::uint8_t TRACE_FLAG_WRITE = 0x01;
 inline constexpr std::uint8_t TRACE_FLAG_MASK = TRACE_FLAG_WRITE;
 
 /** On-disk record layout (packed, exactly 20 bytes, little-endian).
- *  Shared by the in-memory loader here and the streaming frontend
- *  (src/frontend/decoder.cpp). */
+ *  Shared by save_trace here and the streaming frontend's decoder
+ *  (src/frontend/decoder.cpp), the one .tria reader. */
 #pragma pack(push, 1)
 struct PackedTraceRecord {
     std::uint64_t pc;
@@ -82,8 +82,10 @@ std::uint64_t save_trace(const std::string& path, sim::Workload& wl,
                          std::uint64_t max_records);
 
 /**
- * Load a trace file as a replayable workload (whole file in memory).
- * @return null on I/O or format error (a warning is printed).
+ * Load a .tria file as a replayable workload (whole file in memory):
+ * the frontend's streamed .tria reader, drained into a VectorWorkload.
+ * @return null on I/O or format error, or when fewer records decode
+ *         than the header declares (a warning is printed).
  */
 std::unique_ptr<sim::Workload> load_trace(const std::string& path);
 

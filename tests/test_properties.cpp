@@ -319,7 +319,7 @@ TEST_P(CompressorWidth, RoundTripsWithinCapacity)
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CompressorWidth,
-                         ::testing::Values(2u, 4u, 8u, 10u));
+                         ::testing::Values(2u, 4u, 8u, 10u, 16u));
 
 // ---------------------------------------------------------------------
 // Property: the partition controller generalizes to any size ladder

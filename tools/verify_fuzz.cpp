@@ -9,12 +9,8 @@
  * round-trip: a randomly configured, randomly warmed system must
  * resave byte-identically after restore, and the sealed blob must be
  * rejected under a flipped byte, a wrong version, or a mismatched
- * fingerprint. Each iteration also coin-flips the SIMD set-probe
- * dispatch (util/simd_probe.hpp) between the resolved vector kernels
- * and the forced-scalar path, so the flat maps and probe tables
- * inside the fuzzed components run under both code paths with the
- * invariant suite attached. Intended for the CI verify job under
- * ASan/UBSan (fixed --seed; --smoke shrinks the windows).
+ * fingerprint. Intended for the CI verify job under ASan/UBSan
+ * (fixed --seed; --smoke shrinks the windows).
  */
 #include <cstdint>
 #include <cstdio>
@@ -30,7 +26,6 @@
 #include "sim/system.hpp"
 #include "stats/experiment.hpp"
 #include "util/rng.hpp"
-#include "util/simd_probe.hpp"
 #include "verify/invariants.hpp"
 #include "workloads/spec.hpp"
 #include "workloads/trace_io.hpp"
@@ -281,15 +276,12 @@ main(int argc, char** argv)
     util::Rng rng(o.seed);
     bool ok = true;
     for (unsigned i = 0; i < o.iters; ++i) {
-        const bool scalar = rng.chance(0.5);
-        util::simd::force_scalar(scalar);
-        std::printf("iter %u: simd kernel %s\n", i,
-                    util::simd::active_kernel());
+        // Draw kept so a given --seed still fuzzes the same configs.
+        (void)rng.chance(0.5);
         ok &= fuzz_run(rng, o, i);
         ok &= fuzz_trace_roundtrip(rng, i);
         ok &= fuzz_snapshot_roundtrip(rng, o, i);
     }
-    util::simd::force_scalar(false);
     std::printf("%s\n", ok ? "fuzz clean" : "FUZZ FAILURES");
     return ok ? 0 : 1;
 }
