@@ -63,6 +63,16 @@ CheckpointStore::Lease::~Lease()
         store_->abandon(key_);
 }
 
+bool
+CheckpointStore::Lease::wanted()
+{
+    TRIAGE_ASSERT(producer_, "wanted() on a non-producer lease");
+    if (store_->decline_unless_wanted(key_))
+        return true;
+    producer_ = false;
+    return false;
+}
+
 void
 CheckpointStore::Lease::publish(sim::SnapshotBlob blob)
 {
@@ -71,71 +81,92 @@ CheckpointStore::Lease::publish(sim::SnapshotBlob blob)
     producer_ = false;
 }
 
+void
+CheckpointStore::expect(const std::string& key)
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    ++demand_[key];
+}
+
 CheckpointStore::Lease
 CheckpointStore::acquire(const std::string& key)
 {
     std::unique_lock<std::mutex> lock(mu_);
+    if (auto d = demand_.find(key); d != demand_.end() && d->second > 0)
+        --d->second;
     for (;;) {
         auto it = entries_.find(key);
-        if (it != entries_.end() && it->second.ready) {
-            touch_locked(key, it->second);
+        if (it != entries_.end() && it->second.blob != nullptr) {
+            Entry& e = it->second;
+            if (e.cached)
+                touch_locked(key, e);
             ++stats_.mem_hits;
-            return Lease(this, key, it->second.blob, true, false);
+            BlobPtr blob = e.blob;
+            release_locked(key);
+            return Lease(this, key, std::move(blob), false);
         }
         if (it != entries_.end() && it->second.producing) {
             // Another worker is warming this prefix; piggyback on it.
+            // The waiter count pins the entry until we wake.
+            Entry& e = it->second;
             ++stats_.waits;
+            ++e.waiters;
             const auto t0 = std::chrono::steady_clock::now();
-            ready_cv_.wait(lock, [&] {
-                auto e = entries_.find(key);
-                return e == entries_.end() || !e->second.producing;
-            });
+            ready_cv_.wait(lock, [&] { return !e.producing; });
+            --e.waiters;
             stats_.lease_wait_ns += static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - t0)
                     .count());
-            continue; // re-examine: ready (hit) or abandoned (produce)
+            continue; // re-examine: published (hit) or abandoned
         }
         // Memory miss: try the disk tier before becoming a producer.
-        sim::SnapshotBlob blob;
-        if (load_from_disk(key, blob)) {
+        sim::SnapshotBlob loaded;
+        if (load_from_disk(key, loaded)) {
             ++stats_.disk_hits;
-            stats_.bytes_disk_read += blob.size();
-            Entry& e = entries_[key];
-            e.ready = true;
-            e.blob = blob;
-            lru_.push_front(key);
-            e.lru_pos = lru_.begin();
-            mem_bytes_ += e.blob.size();
-            evict_to_budget_locked();
-            return Lease(this, key, std::move(blob), true, false);
+            stats_.bytes_disk_read += loaded.size();
+            auto blob =
+                std::make_shared<const sim::SnapshotBlob>(std::move(loaded));
+            settle_locked(key, entries_[key], blob);
+            return Lease(this, key, std::move(blob), false);
         }
         ++stats_.misses;
         entries_[key].producing = true;
-        return Lease(this, key, {}, false, true);
+        return Lease(this, key, nullptr, true);
     }
+}
+
+bool
+CheckpointStore::decline_unless_wanted(const std::string& key)
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    auto it = entries_.find(key);
+    TRIAGE_ASSERT(it != entries_.end() && it->second.producing,
+                  "wanted() against a non-producing entry");
+    if (!opt_.disk_dir.empty() || it->second.waiters > 0 ||
+        !spent_locked(key))
+        return true;
+    entries_.erase(it);
+    ++stats_.skipped;
+    return false;
 }
 
 void
 CheckpointStore::do_publish(const std::string& key,
                                 sim::SnapshotBlob blob)
 {
-    const bool wrote = store_to_disk(key, blob);
+    auto shared = std::make_shared<const sim::SnapshotBlob>(std::move(blob));
+    const bool wrote = store_to_disk(key, *shared);
     std::unique_lock<std::mutex> lock(mu_);
-    Entry& e = entries_[key];
-    TRIAGE_ASSERT(e.producing && !e.ready,
+    auto it = entries_.find(key);
+    TRIAGE_ASSERT(it != entries_.end() && it->second.producing,
                   "publish() against a non-producing entry");
-    e.producing = false;
-    e.ready = true;
-    e.blob = std::move(blob);
-    lru_.push_front(key);
-    e.lru_pos = lru_.begin();
-    mem_bytes_ += e.blob.size();
+    it->second.producing = false;
     ++stats_.produces;
-    stats_.bytes_published += e.blob.size();
+    stats_.bytes_published += shared->size();
     if (wrote)
-        stats_.bytes_disk_written += e.blob.size();
-    evict_to_budget_locked();
+        stats_.bytes_disk_written += shared->size();
+    settle_locked(key, it->second, std::move(shared));
     lock.unlock();
     ready_cv_.notify_all();
 }
@@ -149,11 +180,44 @@ CheckpointStore::abandon(const std::string& key)
         if (it == entries_.end() || !it->second.producing)
             return;
         // Producer died without publishing (exception unwound through
-        // the warmup): erase the placeholder so one waiter re-acquires
-        // and becomes the new producer.
-        entries_.erase(it);
+        // the warmup): one waiter re-acquires and becomes the new
+        // producer.
+        it->second.producing = false;
+        release_locked(key);
     }
     ready_cv_.notify_all();
+}
+
+bool
+CheckpointStore::spent_locked(const std::string& key) const
+{
+    auto d = demand_.find(key);
+    return d != demand_.end() && d->second == 0;
+}
+
+void
+CheckpointStore::settle_locked(const std::string& key, Entry& e,
+                               BlobPtr blob)
+{
+    e.blob = std::move(blob);
+    if (!spent_locked(key)) {
+        lru_.push_front(key);
+        e.lru_pos = lru_.begin();
+        e.cached = true;
+        mem_bytes_ += e.blob->size();
+        evict_to_budget_locked();
+    }
+    // Waiters pin the entry, so they take the blob even when the
+    // memory tier did not keep it.
+    release_locked(key);
+}
+
+void
+CheckpointStore::uncache_locked(Entry& e)
+{
+    lru_.erase(e.lru_pos);
+    e.cached = false;
+    mem_bytes_ -= e.blob->size();
 }
 
 void
@@ -165,17 +229,30 @@ CheckpointStore::touch_locked(const std::string& key, Entry& e)
 }
 
 void
+CheckpointStore::release_locked(const std::string& key)
+{
+    auto it = entries_.find(key);
+    if (it == entries_.end())
+        return;
+    Entry& e = it->second;
+    if (e.producing || e.waiters > 0 || (e.cached && !spent_locked(key)))
+        return;
+    if (e.cached)
+        uncache_locked(e);
+    entries_.erase(it);
+}
+
+void
 CheckpointStore::evict_to_budget_locked()
 {
     while (mem_bytes_ > opt_.mem_budget_bytes && !lru_.empty()) {
         const std::string victim = lru_.back();
         auto it = entries_.find(victim);
-        TRIAGE_ASSERT(it != entries_.end() && it->second.ready,
+        TRIAGE_ASSERT(it != entries_.end() && it->second.cached,
                       "LRU list out of sync with the entry map");
-        mem_bytes_ -= it->second.blob.size();
-        lru_.pop_back();
-        entries_.erase(it);
+        uncache_locked(it->second);
         ++stats_.evictions;
+        release_locked(victim);
     }
 }
 

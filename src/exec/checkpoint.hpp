@@ -14,6 +14,12 @@
  * validated against its fingerprint + checksum on load, so a stale or
  * corrupted file degrades to a cache miss, never a wrong result).
  *
+ * Demand: a caller that knows its future acquires (the Lab, at
+ * submission) declares them with expect(). A producer then saves only
+ * a checkpoint someone can still fork (Lease::wanted()), and the
+ * memory tier drops a blob once its declared acquires are spent. Keys
+ * nobody declared keep the plain memoizing behaviour.
+ *
  * Concurrency: acquire() hands exactly one caller per key a producer
  * lease (miss); concurrent callers for the same key block until the
  * producer publishes, then read the published blob (hit). A producer
@@ -26,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -71,6 +78,8 @@ class CheckpointStore
         std::uint64_t disk_hits = 0;
         std::uint64_t misses = 0;    ///< acquire() became a producer
         std::uint64_t produces = 0;  ///< blobs published
+        std::uint64_t skipped = 0;   ///< producer leases declined:
+                                     ///< nothing could fork the blob
         std::uint64_t waits = 0;     ///< blocked on a concurrent producer
         std::uint64_t evictions = 0; ///< LRU evictions (memory tier)
         std::uint64_t lease_wait_ns = 0; ///< total time blocked in waits
@@ -80,19 +89,22 @@ class CheckpointStore
         std::uint64_t bytes_disk_written = 0; ///< disk-tier blob writes
     };
 
+    /** A published blob, shared by the memory tier and hit leases. */
+    using BlobPtr = std::shared_ptr<const sim::SnapshotBlob>;
+
     /**
      * The result of acquire(): either a hit carrying the blob, or a
      * producer lease obligating the caller to publish() the blob it
-     * computes. Destroying an unpublished producer lease abandons it,
-     * promoting one blocked waiter to producer.
+     * computes — unless wanted() declines it. Destroying an unpublished
+     * producer lease abandons it, promoting one blocked waiter to
+     * producer.
      */
     class Lease
     {
       public:
         Lease(Lease&& o) noexcept
             : store_(o.store_), key_(std::move(o.key_)),
-              blob_(std::move(o.blob_)), hit_(o.hit_),
-              producer_(o.producer_)
+              blob_(std::move(o.blob_)), producer_(o.producer_)
         {
             o.store_ = nullptr;
             o.producer_ = false;
@@ -103,24 +115,32 @@ class CheckpointStore
         ~Lease();
 
         /** True when the store already had the blob. */
-        bool hit() const { return hit_; }
+        bool hit() const { return blob_ != nullptr; }
         /** The cached blob (hit() only). */
-        const sim::SnapshotBlob& blob() const { return blob_; }
+        const sim::SnapshotBlob& blob() const { return *blob_; }
+        /**
+         * Producer lease only, asked at the warm point: can anyone
+         * still fork this checkpoint? Yes while declared acquires
+         * remain for the key, callers wait on this lease, a disk tier
+         * is configured (another process may fork from it), or nobody
+         * ever declared demand for the key. On no, the lease is
+         * declined (Stats::skipped) and must not be published.
+         */
+        bool wanted();
         /** Publish the produced blob (producer lease only). */
         void publish(sim::SnapshotBlob blob);
 
       private:
         friend class CheckpointStore;
-        Lease(CheckpointStore* store, std::string key,
-              sim::SnapshotBlob blob, bool hit, bool producer)
+        Lease(CheckpointStore* store, std::string key, BlobPtr blob,
+              bool producer)
             : store_(store), key_(std::move(key)),
-              blob_(std::move(blob)), hit_(hit), producer_(producer)
+              blob_(std::move(blob)), producer_(producer)
         {}
 
         CheckpointStore* store_;
         std::string key_;
-        sim::SnapshotBlob blob_;
-        bool hit_;
+        BlobPtr blob_;
         bool producer_;
     };
 
@@ -133,6 +153,14 @@ class CheckpointStore
      */
     Lease acquire(const std::string& key);
 
+    /**
+     * Declare one future acquire() of @p key. Each acquire consumes
+     * one declaration; a key whose declarations are all consumed is
+     * released from the memory tier after its last fork, and a
+     * producer of it declines to save (Lease::wanted()).
+     */
+    void expect(const std::string& key);
+
     Stats stats() const;
 
     /** Redirect the disk tier ("" disables). Not thread-safe against
@@ -144,17 +172,34 @@ class CheckpointStore
     std::string disk_path(const std::string& key) const;
 
   private:
+    /** A key being produced, or a published blob not yet released. */
     struct Entry {
         bool producing = false;
-        bool ready = false;
-        sim::SnapshotBlob blob;
-        /** Position in lru_ (valid when ready). */
+        /** Published blob (null while producing). */
+        BlobPtr blob;
+        /** Counted in the memory tier (on lru_, in mem_bytes_). */
+        bool cached = false;
+        /** Acquires blocked on the producer; they pin the entry. */
+        std::size_t waiters = 0;
+        /** Position in lru_ (valid when cached). */
         std::list<std::string>::iterator lru_pos;
     };
 
     void do_publish(const std::string& key, sim::SnapshotBlob blob);
+    bool decline_unless_wanted(const std::string& key);
     void abandon(const std::string& key);
+    /** Every declared acquire of @p key has happened. */
+    bool spent_locked(const std::string& key) const;
+    /** Set @p e's published blob: the memory tier keeps it unless
+     *  @p key's declared acquires are spent; waiters take it either
+     *  way. May erase @p e. */
+    void settle_locked(const std::string& key, Entry& e, BlobPtr blob);
+    void uncache_locked(Entry& e);
     void touch_locked(const std::string& key, Entry& e);
+    /** Erase @p key's entry once no acquire can read its blob again:
+     *  no producer or waiter on it, and out of the memory tier or its
+     *  declared acquires spent. */
+    void release_locked(const std::string& key);
     void evict_to_budget_locked();
     bool load_from_disk(const std::string& key, sim::SnapshotBlob& out);
     /** Returns true when the blob reached the disk tier. */
@@ -165,7 +210,9 @@ class CheckpointStore
     mutable std::mutex mu_;
     std::condition_variable ready_cv_;
     std::unordered_map<std::string, Entry> entries_;
-    /** Ready keys, most-recently-used first. */
+    /** Declared acquires not yet made, per key ever declared. */
+    std::unordered_map<std::string, std::size_t> demand_;
+    /** Cached keys, most-recently-used first. */
     std::list<std::string> lru_;
     std::size_t mem_bytes_ = 0;
     Stats stats_;

@@ -160,9 +160,10 @@ namespace {
 
 /**
  * Reach the warm point: restore it from @p ckpt when a checkpoint for
- * this job's warm prefix exists, otherwise simulate the warmup and
- * publish the snapshot for the next job sharing the prefix. @p warm
- * and @p restore run the System-specific run_warmup / checkpoint_warm.
+ * this job's warm prefix exists, otherwise simulate the warmup and,
+ * when another job can still fork it (Lease::wanted()), publish the
+ * snapshot. @p warm and @p checkpoint run the System-specific
+ * run_warmup / checkpoint_warm.
  */
 template <typename WarmFn, typename CheckpointFn>
 void
@@ -193,6 +194,8 @@ warm_with_checkpoint(CheckpointStore* ckpt, const JobKey& key,
     }
     auto t0 = now();
     warm();
+    if (!lease.wanted())
+        return;
     auto t1 = now();
     sim::Snapshot s;
     {

@@ -191,8 +191,9 @@ sim::RunResult run_job(const Job& job);
 /**
  * run_job() forking from @p ckpt when possible: the warm prefix is
  * restored from a cached snapshot (or simulated once and published
- * for the next job sharing it). Bit-identical to the plain overload.
- * Null @p ckpt degrades to the plain path.
+ * when a later job can fork it; see CheckpointStore::expect()).
+ * Bit-identical to the plain overload. Null @p ckpt degrades to the
+ * plain path.
  */
 sim::RunResult run_job(const Job& job, CheckpointStore* ckpt);
 

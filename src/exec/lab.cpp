@@ -44,6 +44,9 @@ Lab::~Lab()
 {
     {
         std::unique_lock<std::mutex> lock(mu_);
+        // Like the worker pool, a serial Lab finishes its queue.
+        if (n_workers_ == 1)
+            run_serial(lock, nullptr);
         stop_ = true;
     }
     work_ready_.notify_all();
@@ -120,6 +123,16 @@ Lab::worker_loop(unsigned worker_id)
 }
 
 void
+Lab::run_serial(std::unique_lock<std::mutex>& lock, const Task* until)
+{
+    while (!queue_.empty() && (until == nullptr || !until->done)) {
+        std::shared_ptr<Task> task = queue_.front();
+        queue_.pop_front();
+        execute(*task, 0, lock);
+    }
+}
+
+void
 Lab::ensure_workers()
 {
     if (!workers_.empty())
@@ -153,13 +166,14 @@ Lab::submit(Job job)
     submitted_.push_back(task);
     if (memoizable)
         memo_.emplace(task->key, task);
-    if (n_workers_ == 1) {
-        // Serial path: run synchronously at submission, exactly like
-        // the hand-rolled loops this Lab replaces.
-        execute(*task, 0, lock);
-        return id;
-    }
+    // Declared before any worker can start the job, so the producer of
+    // a shared warm prefix knows at its warm point that this job will
+    // fork it.
+    if (ckpt_ != nullptr)
+        ckpt_->expect(warm_prefix(task->key).str());
     queue_.push_back(std::move(task));
+    if (n_workers_ == 1)
+        return id; // run by result() / wait_all(), in FIFO order
     ensure_workers();
     lock.unlock();
     work_ready_.notify_one();
@@ -172,6 +186,8 @@ Lab::result(JobId id)
     std::unique_lock<std::mutex> lock(mu_);
     TRIAGE_ASSERT(id < submitted_.size(), "bad JobId");
     std::shared_ptr<Task> task = submitted_[id];
+    if (n_workers_ == 1)
+        run_serial(lock, task.get());
     task_done_.wait(lock, [&] { return task->done; });
     return task->result;
 }
@@ -180,6 +196,8 @@ void
 Lab::wait_all()
 {
     std::unique_lock<std::mutex> lock(mu_);
+    if (n_workers_ == 1)
+        run_serial(lock, nullptr);
     task_done_.wait(lock, [&] {
         for (const auto& t : submitted_)
             if (!t->done)
@@ -234,6 +252,7 @@ Lab::publish_profile() const
     prof.set_counter("ckpt.disk_hits", d(s.disk_hits));
     prof.set_counter("ckpt.misses", d(s.misses));
     prof.set_counter("ckpt.produces", d(s.produces));
+    prof.set_counter("ckpt.skipped", d(s.skipped));
     prof.set_counter("ckpt.waits", d(s.waits));
     prof.set_counter("ckpt.evictions", d(s.evictions));
     prof.set_counter("ckpt.lease_wait_seconds",

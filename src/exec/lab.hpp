@@ -59,9 +59,13 @@ struct LabOptions {
  *
  * Usage: submit() every job of a sweep up front (duplicates by JobKey
  * are coalesced onto one run), then collect with result(), which
- * blocks until that job finishes. With one worker, submit() runs the
- * job synchronously on the calling thread — byte-for-byte today's
- * serial loop. Not reentrant: do not submit from inside a job.
+ * blocks until that job finishes. Each submitted job declares its warm
+ * prefix to the checkpoint store, so a warm checkpoint is saved only
+ * when a later job can fork it (docs/parallel-runs.md §6). With one
+ * worker, nothing runs at submission: result() and wait_all() run the
+ * queue in FIFO order on the calling thread, so a serial sweep has
+ * declared all its demand before its first warm point. Not reentrant:
+ * do not submit from inside a job.
  */
 class Lab
 {
@@ -80,7 +84,8 @@ class Lab
      */
     JobId submit(Job job);
 
-    /** Block until job @p id finishes and return its result. */
+    /** Block until job @p id finishes and return its result (a
+     *  serial Lab runs its queue up to that job first). */
     const sim::RunResult& result(JobId id);
 
     /** submit() + result() in one call. */
@@ -154,6 +159,9 @@ class Lab
     void execute(Task& task, unsigned worker_id,
                  std::unique_lock<std::mutex>& lock);
     void ensure_workers();
+    /** Serial Lab: run queued tasks on the calling thread until
+     *  @p until is done (null: until the queue is empty). */
+    void run_serial(std::unique_lock<std::mutex>& lock, const Task* until);
 
     unsigned n_workers_;
     std::unique_ptr<CheckpointStore> ckpt_;

@@ -300,3 +300,111 @@ TEST(Lab, CustomFactoryJobsMemoizeByVariant)
     EXPECT_EQ(lab.runs_executed(), 1u);
     expect_identical(lab.result(a), lab.result(b));
 }
+
+// ---------------------------------------------------------------------
+// Warm checkpoints on demand: the Lab declares each job's warm prefix
+// at submission, so a producer saves only what a later job can fork.
+
+namespace {
+
+exec::Job
+mix_job(const std::string& pf)
+{
+    exec::Job j;
+    j.mix = {"mcf", "omnetpp"};
+    j.pf_spec = pf;
+    j.scale = tiny_scale();
+    return j;
+}
+
+exec::Job
+window_job(std::uint64_t measure)
+{
+    exec::Job j = bench_job("mcf", "triage_dyn");
+    j.scale.measure_records = measure;
+    return j;
+}
+
+} // namespace
+
+TEST(LabCheckpoints, UnsharedPrefixesPublishNothing)
+{
+    // fig17's shape: every (mix, prefetcher) pair warms its own state,
+    // so no job can fork another's checkpoint and none is saved.
+    const std::vector<std::string> pfs = {"none", "misb", "triage_dyn"};
+    exec::Lab lab({.jobs = 2});
+    ASSERT_TRUE(lab.checkpoints()->disk_dir().empty());
+    std::vector<exec::Lab::JobId> ids;
+    for (const auto& pf : pfs)
+        ids.push_back(lab.submit(mix_job(pf)));
+    lab.wait_all();
+    const auto st = lab.checkpoints()->stats();
+    EXPECT_EQ(st.misses, 3u);
+    EXPECT_EQ(st.produces, 0u);
+    EXPECT_EQ(st.skipped, 3u);
+    EXPECT_EQ(st.bytes_published, 0u);
+    EXPECT_EQ(st.bytes_mem, 0u);
+    for (std::size_t i = 0; i < pfs.size(); ++i)
+        expect_identical(lab.result(ids[i]), exec::run_job(mix_job(pfs[i])));
+}
+
+TEST(LabCheckpoints, SharedPrefixesForkThenRelease)
+{
+    // Three windows off one warm prefix: one warmup, two forks, and
+    // the blob leaves the memory tier after the last fork.
+    for (unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE(workers);
+        exec::Lab lab({.jobs = workers});
+        ASSERT_TRUE(lab.checkpoints()->disk_dir().empty());
+        std::vector<exec::Lab::JobId> ids;
+        for (std::uint64_t measure : {10000u, 15000u, 20000u})
+            ids.push_back(lab.submit(window_job(measure)));
+        lab.wait_all();
+        const auto st = lab.checkpoints()->stats();
+        EXPECT_EQ(st.misses, 1u);
+        EXPECT_EQ(st.mem_hits, 2u);
+        EXPECT_EQ(st.produces, 1u);
+        EXPECT_EQ(st.skipped, 0u);
+        EXPECT_EQ(st.bytes_mem, 0u);
+        expect_identical(lab.result(ids[2]),
+                         exec::run_job(window_job(20000)));
+    }
+}
+
+TEST(LabCheckpoints, DiskTierAlwaysPublishes)
+{
+    // Another process may fork from the disk tier, so even a one-job
+    // Lab saves its warm checkpoint there; memory does not keep it.
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("triage_ckpt_one_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+    exec::LabOptions opt;
+    opt.jobs = 1;
+    opt.ckpt_dir = dir;
+    exec::Lab lab(opt);
+    const exec::Job job = bench_job("mcf", "misb");
+    lab.run(job);
+    const auto st = lab.checkpoints()->stats();
+    EXPECT_EQ(st.produces, 1u);
+    EXPECT_EQ(st.skipped, 0u);
+    EXPECT_GT(st.bytes_disk_written, 0u);
+    EXPECT_EQ(st.bytes_mem, 0u);
+    EXPECT_TRUE(std::filesystem::exists(lab.checkpoints()->disk_path(
+        exec::warm_prefix(exec::key_of(job)).str())));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(LabCheckpoints, SerialLabRunsNothingBeforeResultsAreRequested)
+{
+    exec::Lab lab({.jobs = 1});
+    auto a = lab.submit(window_job(10000));
+    auto b = lab.submit(window_job(15000));
+    EXPECT_EQ(lab.runs_executed(), 0u);
+    lab.result(a);
+    EXPECT_EQ(lab.runs_executed(), 1u); // FIFO, up to the asked job
+    lab.result(b);
+    EXPECT_EQ(lab.runs_executed(), 2u);
+    EXPECT_EQ(lab.checkpoints()->stats().mem_hits, 1u);
+}

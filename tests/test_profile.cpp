@@ -366,8 +366,11 @@ TEST(Profile, LabPublishesWorkerAndCkptTelemetry)
     EXPECT_EQ(counters.at("ckpt.mem_hits"), 1.0);
     ASSERT_TRUE(counters.count("ckpt.bytes_published"));
     EXPECT_GT(counters.at("ckpt.bytes_published"), 0.0);
+    // The blob left the memory tier after the second job's fork.
     ASSERT_TRUE(counters.count("ckpt.bytes_mem"));
-    EXPECT_GT(counters.at("ckpt.bytes_mem"), 0.0);
+    EXPECT_EQ(counters.at("ckpt.bytes_mem"), 0.0);
+    ASSERT_TRUE(counters.count("ckpt.skipped"));
+    EXPECT_EQ(counters.at("ckpt.skipped"), 0.0);
     // The lab also dropped "job" phase scopes around each execution.
     const auto phases = Profiler::instance().phases();
     ASSERT_TRUE(phases.count("job"));

@@ -461,6 +461,66 @@ TEST(CheckpointStore, LruEvictsAtBudget)
     EXPECT_FALSE(store.acquire("a").hit());
 }
 
+TEST(CheckpointStore, WaitersTakeABlobTheMemoryTierDidNotKeep)
+{
+    // Memory tier off and no disk: the publish evicts its own blob at
+    // once, yet the waiter blocked on the lease must still fork it
+    // rather than become a second producer and warm up again.
+    exec::CheckpointOptions opt;
+    opt.mem_budget_bytes = 0;
+    exec::CheckpointStore store(opt);
+    auto producer = store.acquire("k");
+    ASSERT_FALSE(producer.hit());
+    bool waiter_hit = false;
+    std::thread waiter([&] { waiter_hit = store.acquire("k").hit(); });
+    while (store.stats().waits == 0)
+        std::this_thread::yield();
+    sim::Snapshot s;
+    std::uint64_t v = 5;
+    s.io(v);
+    producer.publish(s.seal(exec::CKPT_VERSION, "k"));
+    waiter.join();
+    EXPECT_TRUE(waiter_hit);
+    const auto st = store.stats();
+    EXPECT_EQ(st.misses, 1u);
+    EXPECT_EQ(st.mem_hits, 1u);
+    EXPECT_EQ(st.produces, 1u);
+    EXPECT_EQ(st.bytes_mem, 0u);
+}
+
+TEST(CheckpointStore, DeclaredDemandGatesTheSave)
+{
+    // One declared acquire, consumed by the producer itself: nobody
+    // else can fork the blob, so the producer declines to save it.
+    exec::CheckpointStore store;
+    store.expect("solo");
+    {
+        auto lease = store.acquire("solo");
+        ASSERT_FALSE(lease.hit());
+        EXPECT_FALSE(lease.wanted());
+    }
+    // Two declared: the first producer saves, the second acquire
+    // forks, and the blob is released after that last fork.
+    store.expect("pair");
+    store.expect("pair");
+    {
+        auto lease = store.acquire("pair");
+        ASSERT_FALSE(lease.hit());
+        ASSERT_TRUE(lease.wanted());
+        sim::Snapshot s;
+        std::uint64_t v = 1;
+        s.io(v);
+        lease.publish(s.seal(exec::CKPT_VERSION, "pair"));
+    }
+    EXPECT_GT(store.stats().bytes_mem, 0u);
+    EXPECT_TRUE(store.acquire("pair").hit());
+    const auto st = store.stats();
+    EXPECT_EQ(st.skipped, 1u);
+    EXPECT_EQ(st.produces, 1u);
+    EXPECT_EQ(st.mem_hits, 1u);
+    EXPECT_EQ(st.bytes_mem, 0u);
+}
+
 TEST(CheckpointStore, DiskTierSurvivesTheStoreAndRejectsCorruption)
 {
     const std::string dir =

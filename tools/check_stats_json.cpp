@@ -371,9 +371,10 @@ check_profile(const Value& root, double min_attributed,
         fail("profile.counters.ckpt missing (Lab checkpoint telemetry)");
     } else {
         for (const char* key :
-             {"mem_hits", "disk_hits", "misses", "produces", "waits",
-              "evictions", "lease_wait_seconds", "bytes_published",
-              "bytes_mem", "bytes_disk_read", "bytes_disk_written"}) {
+             {"mem_hits", "disk_hits", "misses", "produces", "skipped",
+              "waits", "evictions", "lease_wait_seconds",
+              "bytes_published", "bytes_mem", "bytes_disk_read",
+              "bytes_disk_written"}) {
             const Value* v = ckpt->get(key);
             if (v == nullptr || !v->is_number() ||
                 !std::isfinite(v->number) || v->number < 0.0)

@@ -7,8 +7,11 @@
  * prints the store's hit/miss counters. Run it twice against the same
  * --dir: the first process warms up once and publishes the snapshot
  * (1 miss, 2 in-memory forks), the second process never simulates a
- * warmup at all (1 disk hit, 2 in-memory forks). CI asserts both
- * profiles with the --expect-* flags.
+ * warmup at all (1 disk hit, 2 in-memory forks). Either way the memory
+ * tier is empty at exit: the blob is released after the last fork.
+ * With --jobs=2 the second job may wait on the first one's lease instead
+ * of forking after it; the counts are the same. CI asserts every
+ * profile with the --expect-* flags.
  */
 #include <cstdint>
 #include <cstdio>
@@ -28,10 +31,12 @@ struct Options {
     std::string dir;
     std::string benchmark = "mcf";
     std::uint64_t warmup = 60000;
+    unsigned jobs = 1;
     bool fresh = false;
     long expect_mem_hits = -1;
     long expect_disk_hits = -1;
     long expect_misses = -1;
+    long expect_bytes_mem = -1;
 };
 
 void
@@ -42,10 +47,12 @@ usage(const char* argv0)
         "  --dir=DIR             on-disk checkpoint cache directory\n"
         "  --benchmark=B         benchmark analog (default mcf)\n"
         "  --warmup=N            warmup records (default 60000)\n"
+        "  --jobs=N              Lab worker threads (default 1)\n"
         "  --fresh               wipe DIR before running\n"
         "  --expect-mem-hits=N   fail unless mem_hits == N\n"
         "  --expect-disk-hits=N  fail unless disk_hits == N\n"
-        "  --expect-misses=N     fail unless misses == N\n",
+        "  --expect-misses=N     fail unless misses == N\n"
+        "  --expect-bytes-mem=N  fail unless bytes_mem == N at exit\n",
         argv0);
 }
 
@@ -66,6 +73,8 @@ parse(int argc, char** argv, Options& o)
             o.benchmark = v;
         else if (const char* v = val(a, "--warmup"))
             o.warmup = std::strtoull(v, nullptr, 10);
+        else if (const char* v = val(a, "--jobs"))
+            o.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         else if (std::strcmp(a, "--fresh") == 0)
             o.fresh = true;
         else if (const char* v = val(a, "--expect-mem-hits"))
@@ -74,6 +83,8 @@ parse(int argc, char** argv, Options& o)
             o.expect_disk_hits = std::strtol(v, nullptr, 10);
         else if (const char* v = val(a, "--expect-misses"))
             o.expect_misses = std::strtol(v, nullptr, 10);
+        else if (const char* v = val(a, "--expect-bytes-mem"))
+            o.expect_bytes_mem = std::strtol(v, nullptr, 10);
         else if (std::strcmp(a, "--help") == 0) {
             usage(argv[0]);
             return false;
@@ -82,6 +93,10 @@ parse(int argc, char** argv, Options& o)
             usage(argv[0]);
             return false;
         }
+    }
+    if (o.jobs == 0) {
+        std::fprintf(stderr, "--jobs must be at least 1\n");
+        return false;
     }
     if (o.dir.empty()) {
         std::fprintf(stderr, "--dir is required\n");
@@ -115,7 +130,7 @@ main(int argc, char** argv)
     }
 
     exec::LabOptions opt;
-    opt.jobs = 1; // deterministic log order; parallelism is tested elsewhere
+    opt.jobs = o.jobs;
     opt.ckpt_dir = o.dir;
     exec::Lab lab(opt);
 
@@ -134,15 +149,18 @@ main(int argc, char** argv)
 
     const auto st = lab.checkpoints()->stats();
     std::printf("{\"mem_hits\": %llu, \"disk_hits\": %llu, "
-                "\"misses\": %llu, \"produces\": %llu}\n",
+                "\"misses\": %llu, \"produces\": %llu, "
+                "\"bytes_mem\": %llu}\n",
                 static_cast<unsigned long long>(st.mem_hits),
                 static_cast<unsigned long long>(st.disk_hits),
                 static_cast<unsigned long long>(st.misses),
-                static_cast<unsigned long long>(st.produces));
+                static_cast<unsigned long long>(st.produces),
+                static_cast<unsigned long long>(st.bytes_mem));
 
     bool ok = true;
     ok &= check("mem_hits", o.expect_mem_hits, st.mem_hits);
     ok &= check("disk_hits", o.expect_disk_hits, st.disk_hits);
     ok &= check("misses", o.expect_misses, st.misses);
+    ok &= check("bytes_mem", o.expect_bytes_mem, st.bytes_mem);
     return ok ? 0 : 1;
 }

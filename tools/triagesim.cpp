@@ -322,6 +322,8 @@ finish_profile(const Options& o, obs::Observability& obs,
             put("disk_hits", s.disk_hits, "warm forks from the disk tier");
             put("misses", s.misses, "acquires that became producers");
             put("produces", s.produces, "warm snapshots published");
+            put("skipped", s.skipped,
+                "producer leases declined: nothing could fork them");
             put("waits", s.waits, "acquires blocked on a producer");
             put("evictions", s.evictions, "memory-tier LRU evictions");
             put("lease_wait_ns", s.lease_wait_ns,
