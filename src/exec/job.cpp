@@ -1,8 +1,5 @@
 #include "exec/job.hpp"
 
-#include <chrono>
-#include <cstdlib>
-#include <iostream>
 #include <sstream>
 
 #include "exec/checkpoint.hpp"
@@ -176,42 +173,24 @@ warm_with_checkpoint(CheckpointStore* ckpt, const JobKey& key,
     }
     const std::string wk = warm_prefix(key).str();
     CheckpointStore::Lease lease = ckpt->acquire(wk);
-    const bool timing = std::getenv("TRIAGE_CKPT_TIMING") != nullptr;
-    auto now = std::chrono::steady_clock::now;
     if (lease.hit()) {
-        auto t0 = now();
         obs::prof::ProfScope prof("snapshot.restore");
         // The store validated the frame; a mismatch here means the
         // blob rotted between acquire and open — fail loudly.
         sim::Snapshot s =
             sim::Snapshot::open_or_die(lease.blob(), CKPT_VERSION, wk);
         checkpoint(s);
-        if (timing)
-            std::cerr << "restore " << lease.blob().size() << "B "
-                      << std::chrono::duration<double>(now() - t0).count()
-                      << "s\n";
         return;
     }
-    auto t0 = now();
     warm();
     if (!lease.wanted())
         return;
-    auto t1 = now();
     sim::Snapshot s;
-    {
-        // Serialize + seal + publish (the publish includes the disk
-        // write when a cache dir is configured).
-        obs::prof::ProfScope prof("snapshot.save");
-        checkpoint(s);
-        lease.publish(s.seal(CKPT_VERSION, wk));
-    }
-    auto t2 = now();
-    if (timing)
-        std::cerr << "warm "
-                  << std::chrono::duration<double>(t1 - t0).count()
-                  << "s save "
-                  << std::chrono::duration<double>(t2 - t1).count()
-                  << "s\n";
+    // Serialize + seal + publish (the publish includes the disk write
+    // when a cache dir is configured).
+    obs::prof::ProfScope prof("snapshot.save");
+    checkpoint(s);
+    lease.publish(s.seal(CKPT_VERSION, wk));
 }
 
 } // namespace

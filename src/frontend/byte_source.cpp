@@ -1,18 +1,13 @@
 #include "frontend/byte_source.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
-#include "util/log.hpp"
-
-#ifdef TRIAGE_HAVE_ZLIB
-#include <zlib.h>
-#endif
-#ifdef TRIAGE_HAVE_LZMA
 #include <lzma.h>
-#endif
+#include <zlib.h>
+
+#include "util/log.hpp"
 
 namespace triage::frontend {
 
@@ -23,12 +18,6 @@ has_suffix(const std::string& s, const char* suf)
 {
     const std::size_t n = std::strlen(suf);
     return s.size() >= n && s.compare(s.size() - n, n, suf) == 0;
-}
-
-bool
-force_pipe()
-{
-    return std::getenv("TRIAGE_TRACE_FORCE_PIPE") != nullptr;
 }
 
 // ---------------------------------------------------------------------
@@ -56,8 +45,11 @@ class RawFileSource final : public ByteSource
         if (f_ == nullptr)
             return 0;
         std::size_t got = std::fread(p, 1, n, f_);
-        if (got < n && std::ferror(f_) != 0)
-            failed_ = true;
+        if (got < n && std::ferror(f_) != 0) {
+            util::warn("trace frontend: read error in " + path_);
+            std::fclose(f_);
+            f_ = nullptr;
+        }
         return got;
     }
 
@@ -66,7 +58,6 @@ class RawFileSource final : public ByteSource
     {
         if (f_ != nullptr && std::fseek(f_, 0, SEEK_SET) == 0) {
             std::clearerr(f_);
-            failed_ = false;
             return true;
         }
         if (f_ != nullptr) {
@@ -76,8 +67,6 @@ class RawFileSource final : public ByteSource
         open();
         return f_ != nullptr;
     }
-
-    bool failed() const override { return failed_; }
 
     std::optional<std::uint64_t>
     size_bytes() const override
@@ -98,7 +87,6 @@ class RawFileSource final : public ByteSource
     open()
     {
         f_ = std::fopen(path_.c_str(), "rb");
-        failed_ = false;
         size_.reset();
         if (f_ == nullptr)
             return;
@@ -111,109 +99,12 @@ class RawFileSource final : public ByteSource
     }
 
     std::FILE* f_ = nullptr;
-    bool failed_ = false;
     std::optional<std::uint64_t> size_;
-};
-
-// ---------------------------------------------------------------------
-// Piped decompressor fallback (zcat / xzcat)
-
-class PipeSource final : public ByteSource
-{
-  public:
-    PipeSource(std::string path, std::string tool)
-        : ByteSource(std::move(path)), tool_(std::move(tool))
-    {
-        open();
-    }
-
-    ~PipeSource() override { close(); }
-
-    bool ok() const { return f_ != nullptr; }
-
-    std::size_t
-    read(void* p, std::size_t n) override
-    {
-        if (f_ == nullptr)
-            return 0;
-        std::size_t got = std::fread(p, 1, n, f_);
-        if (got < n) {
-            if (std::ferror(f_) != 0)
-                failed_ = true;
-            // EOF: reap the child now so a failed decompressor (bad
-            // archive, missing tool) surfaces as an error, not as a
-            // silently short stream.
-            finish();
-        }
-        return got;
-    }
-
-    bool
-    reopen() override
-    {
-        close();
-        open();
-        return f_ != nullptr;
-    }
-
-    bool failed() const override { return failed_; }
-
-  private:
-    void
-    open()
-    {
-        failed_ = false;
-        // Single-quote the path for the shell popen() spawns;
-        // embedded quotes become '\'' so arbitrary names stay one
-        // argument.
-        std::string quoted = "'";
-        for (char c : path_) {
-            if (c == '\'')
-                quoted += "'\\''";
-            else
-                quoted += c;
-        }
-        quoted += "'";
-        const std::string cmd = tool_ + " -- " + quoted;
-        f_ = ::popen(cmd.c_str(), "r");
-        if (f_ == nullptr)
-            util::warn("trace frontend: cannot spawn '" + cmd + "'");
-    }
-
-    /** pclose at EOF and record a nonzero exit as a stream error. */
-    void
-    finish()
-    {
-        if (f_ == nullptr)
-            return;
-        int status = ::pclose(f_);
-        f_ = nullptr;
-        if (status != 0) {
-            failed_ = true;
-            util::warn(util::format_msg(
-                "trace frontend: '", tool_, "' exited with status ",
-                status, " decompressing ", path_));
-        }
-    }
-
-    void
-    close()
-    {
-        if (f_ != nullptr) {
-            ::pclose(f_);
-            f_ = nullptr;
-        }
-    }
-
-    std::string tool_;
-    std::FILE* f_ = nullptr;
-    bool failed_ = false;
 };
 
 // ---------------------------------------------------------------------
 // zlib
 
-#ifdef TRIAGE_HAVE_ZLIB
 class GzSource final : public ByteSource
 {
   public:
@@ -236,30 +127,26 @@ class GzSource final : public ByteSource
         if (gz_ == nullptr)
             return 0;
         int got = gzread(gz_, p, static_cast<unsigned>(n));
-        if (got < 0) {
-            failed_ = true;
-            int errnum = 0;
-            const char* msg = gzerror(gz_, &errnum);
-            util::warn(util::format_msg("trace frontend: gzip error ",
-                                        errnum, " (", msg, ") in ",
-                                        path_));
-            return 0;
-        }
-        if (static_cast<std::size_t>(got) < n) {
+        if (got < 0 || static_cast<std::size_t>(got) < n) {
             // Short read: distinguish clean EOF from a truncated or
-            // corrupt member (gzread reports those via gzerror).
-            int errnum = 0;
-            gzerror(gz_, &errnum);
-            if (errnum != Z_OK && errnum != Z_STREAM_END)
-                failed_ = true;
+            // corrupt member (gzread reports those via gzerror). An
+            // error ends the stream, so it warns once.
+            int errnum = Z_OK;
+            const char* msg = gzerror(gz_, &errnum);
+            if (errnum != Z_OK && errnum != Z_STREAM_END) {
+                util::warn(util::format_msg("trace frontend: gzip error ",
+                                            errnum, " (", msg, ") in ",
+                                            path_));
+                gzclose(gz_);
+                gz_ = nullptr;
+            }
         }
-        return static_cast<std::size_t>(got);
+        return got < 0 ? 0 : static_cast<std::size_t>(got);
     }
 
     bool
     reopen() override
     {
-        failed_ = false;
         if (gz_ != nullptr && gzrewind(gz_) == 0)
             return true;
         if (gz_ != nullptr) {
@@ -269,8 +156,6 @@ class GzSource final : public ByteSource
         open();
         return gz_ != nullptr;
     }
-
-    bool failed() const override { return failed_; }
 
   private:
     void
@@ -282,14 +167,11 @@ class GzSource final : public ByteSource
     }
 
     gzFile gz_ = nullptr;
-    bool failed_ = false;
 };
-#endif // TRIAGE_HAVE_ZLIB
 
 // ---------------------------------------------------------------------
 // liblzma
 
-#ifdef TRIAGE_HAVE_LZMA
 class XzSource final : public ByteSource
 {
   public:
@@ -305,8 +187,9 @@ class XzSource final : public ByteSource
     std::size_t
     read(void* p, std::size_t n) override
     {
-        if (f_ == nullptr || failed_)
+        if (f_ == nullptr)
             return 0;
+        bool failed = false;
         strm_.next_out = static_cast<std::uint8_t*>(p);
         strm_.avail_out = n;
         while (strm_.avail_out > 0 && !done_) {
@@ -315,7 +198,9 @@ class XzSource final : public ByteSource
                                              f_);
                 if (got < in_.size()) {
                     if (std::ferror(f_) != 0) {
-                        failed_ = true;
+                        failed = true;
+                        util::warn("trace frontend: read error in " +
+                                   path_);
                         break;
                     }
                     eof_in_ = true;
@@ -328,7 +213,7 @@ class XzSource final : public ByteSource
             if (rc == LZMA_STREAM_END) {
                 done_ = true;
             } else if (rc != LZMA_OK) {
-                failed_ = true;
+                failed = true;
                 util::warn(util::format_msg(
                     "trace frontend: xz decode error ",
                     static_cast<int>(rc), " in ", path_));
@@ -336,13 +221,16 @@ class XzSource final : public ByteSource
             } else if (eof_in_ && strm_.avail_in == 0 &&
                        strm_.avail_out > 0 && !done_) {
                 // Input exhausted mid-stream: truncated archive.
-                failed_ = true;
+                failed = true;
                 util::warn("trace frontend: truncated xz stream in " +
                            path_);
                 break;
             }
         }
-        return n - strm_.avail_out;
+        const std::size_t produced = n - strm_.avail_out;
+        if (failed)
+            close(); // an error ends the stream: later reads return 0
+        return produced;
     }
 
     bool
@@ -353,13 +241,10 @@ class XzSource final : public ByteSource
         return f_ != nullptr;
     }
 
-    bool failed() const override { return failed_; }
-
   private:
     void
     open()
     {
-        failed_ = false;
         done_ = false;
         eof_in_ = false;
         in_.resize(1 << 16);
@@ -389,9 +274,7 @@ class XzSource final : public ByteSource
     std::vector<std::uint8_t> in_;
     bool eof_in_ = false;
     bool done_ = false;
-    bool failed_ = false;
 };
-#endif // TRIAGE_HAVE_LZMA
 
 template <typename T>
 std::unique_ptr<ByteSource>
@@ -406,43 +289,13 @@ checked(std::unique_ptr<T> src)
 
 } // namespace
 
-std::string
-gz_backend()
-{
-#ifdef TRIAGE_HAVE_ZLIB
-    if (!force_pipe())
-        return "zlib";
-#endif
-    return "pipe(zcat)";
-}
-
-std::string
-xz_backend()
-{
-#ifdef TRIAGE_HAVE_LZMA
-    if (!force_pipe())
-        return "liblzma";
-#endif
-    return "pipe(xzcat)";
-}
-
 std::unique_ptr<ByteSource>
 open_byte_source(const std::string& path)
 {
-    if (has_suffix(path, ".gz")) {
-#ifdef TRIAGE_HAVE_ZLIB
-        if (!force_pipe())
-            return checked(std::make_unique<GzSource>(path));
-#endif
-        return checked(std::make_unique<PipeSource>(path, "zcat"));
-    }
-    if (has_suffix(path, ".xz")) {
-#ifdef TRIAGE_HAVE_LZMA
-        if (!force_pipe())
-            return checked(std::make_unique<XzSource>(path));
-#endif
-        return checked(std::make_unique<PipeSource>(path, "xzcat"));
-    }
+    if (has_suffix(path, ".gz"))
+        return checked(std::make_unique<GzSource>(path));
+    if (has_suffix(path, ".xz"))
+        return checked(std::make_unique<XzSource>(path));
     return checked(std::make_unique<RawFileSource>(path));
 }
 

@@ -6,11 +6,10 @@
  * The frontend replays multi-GB captured traces with bounded memory,
  * so the byte layer never loads a file whole: every implementation
  * hands out bytes from a fixed-size internal buffer. Compressed inputs
- * (`.gz`, `.xz`) decompress transparently — in-process when the build
- * found zlib / liblzma, through a piped `zcat` / `xzcat` otherwise —
- * and `reopen()` restarts the stream from byte 0, which is what makes
- * a StreamWorkload's reset()/clone()/checkpoint-replay contract work
- * on a forward-only decompressor.
+ * (`.gz`, `.xz`) decompress transparently in-process through zlib /
+ * liblzma, and `reopen()` restarts the stream from byte 0, which is
+ * what makes a StreamWorkload's reset()/clone()/checkpoint-replay
+ * contract work on a forward-only decompressor.
  */
 #ifndef TRIAGE_FRONTEND_BYTE_SOURCE_HPP
 #define TRIAGE_FRONTEND_BYTE_SOURCE_HPP
@@ -35,21 +34,17 @@ class ByteSource
 
     /**
      * Read up to @p n bytes into @p p.
-     * @return bytes produced; 0 means end-of-stream or error (check
-     *         failed() to tell them apart).
+     * @return bytes produced; 0 means end-of-stream or error (an
+     *         error warns once, naming the file).
      */
     virtual std::size_t read(void* p, std::size_t n) = 0;
 
     /** Restart from byte 0. @return false if the reopen failed. */
     virtual bool reopen() = 0;
 
-    /** An I/O or decompression error has been observed. */
-    virtual bool failed() const = 0;
-
     /**
      * Total stream length in bytes when cheaply knowable (raw files:
-     * one fseek/ftell at open). Compressed and piped sources return
-     * nullopt — their decompressed size is not known up front.
+     * one fseek/ftell at open). Compressed sources return nullopt — their decompressed size is not known up front.
      */
     virtual std::optional<std::uint64_t> size_bytes() const
     {
@@ -75,22 +70,10 @@ class ByteSource
 
 /**
  * Open @p path as a byte stream, decompressing by file extension:
- * `.gz` and `.xz` decode transparently, anything else reads raw.
- * @return null (with a warning) when the file cannot be opened or no
- *         decompressor for its extension is available.
- *
- * The `TRIAGE_TRACE_FORCE_PIPE` environment variable forces the piped
- * `zcat` / `xzcat` fallback even when the in-process codecs were
- * compiled in (used by tests to cover both paths in one build).
+ * `.gz` through zlib, `.xz` through liblzma, anything else raw.
+ * @return null (with a warning) when the file cannot be opened.
  */
 std::unique_ptr<ByteSource> open_byte_source(const std::string& path);
-
-/** "zlib" / "pipe(zcat)" / "none" — what open_byte_source would use
- *  for a `.gz` input (diagnostics and test gating). */
-std::string gz_backend();
-
-/** Same for `.xz` inputs. */
-std::string xz_backend();
 
 /**
  * Read exactly @p n bytes. @return false on a short read (EOF or

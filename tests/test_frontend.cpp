@@ -2,19 +2,22 @@
  * @file
  * Tests for the streamed trace frontend (src/frontend/, docs/traces.md):
  * stream-vs-in-memory record identity, the reset/clone/skip contracts,
- * the ChampSim and memtrace decoders, transparent .gz decompression
- * (in-process and the piped fallback), the `trace:` spec grammar and
+ * the ChampSim and memtrace decoders, transparent .gz / .xz
+ * decompression and its failure warnings, the `trace:` spec grammar and
  * JobKey identity, and mid-measure checkpoint resume on a streamed
  * workload.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <lzma.h>
+#include <zlib.h>
 
 #include "exec/checkpoint.hpp"
 #include "exec/job.hpp"
@@ -313,70 +316,178 @@ TEST(MemtraceDecoder, DecodesAndRejectsReservedBits)
 // Transparent decompression
 // ---------------------------------------------------------------------
 
+/** Slurp @p path whole (test fixtures are a few hundred KB). */
+std::string
+read_file(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in) << path;
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/** Write `<path>.gz` with zlib; @return its path. */
+std::string
+gzip_file(const std::string& path)
+{
+    const std::string raw = read_file(path);
+    const std::string out = path + ".gz";
+    gzFile gz = gzopen(out.c_str(), "wb");
+    EXPECT_NE(gz, nullptr);
+    EXPECT_EQ(gzwrite(gz, raw.data(), static_cast<unsigned>(raw.size())),
+              static_cast<int>(raw.size()));
+    EXPECT_EQ(gzclose(gz), Z_OK);
+    return out;
+}
+
+/** Write `<path>.xz` with liblzma; @return its path. */
+std::string
+xz_file(const std::string& path)
+{
+    const std::string raw = read_file(path);
+    std::vector<std::uint8_t> xz(lzma_stream_buffer_bound(raw.size()));
+    std::size_t xz_size = 0;
+    EXPECT_EQ(lzma_easy_buffer_encode(
+                  6, LZMA_CHECK_CRC64, nullptr,
+                  reinterpret_cast<const std::uint8_t*>(raw.data()),
+                  raw.size(), xz.data(), &xz_size, xz.size()),
+              LZMA_OK);
+    const std::string out = path + ".xz";
+    std::FILE* f = std::fopen(out.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    EXPECT_EQ(std::fwrite(xz.data(), 1, xz_size, f), xz_size);
+    std::fclose(f);
+    return out;
+}
+
+/** Cut @p path to half its size. */
+void
+truncate_half(const std::string& path)
+{
+    std::error_code ec;
+    const std::uintmax_t sz = std::filesystem::file_size(path, ec);
+    ASSERT_FALSE(ec);
+    ASSERT_GT(sz, 100u);
+    std::filesystem::resize_file(path, sz / 2, ec);
+    ASSERT_FALSE(ec);
+}
+
+/**
+ * Replay the 6000-record trace @p raw_path and its compressed copy
+ * @p packed side by side, twice: reset() on a forward-only
+ * decompressor re-opens from byte 0.
+ */
+void
+expect_round_trip(const std::string& raw_path, const std::string& packed)
+{
+    auto raw = frontend::open_trace(raw_path);
+    auto wl = frontend::open_trace(packed);
+    ASSERT_NE(raw, nullptr);
+    ASSERT_NE(wl, nullptr);
+    expect_same_stream(*wl, *raw, 6000);
+    wl->reset();
+    raw->reset();
+    expect_same_stream(*wl, *raw, 6000);
+}
+
+/**
+ * Replay the cut 4000-record archive @p packed: the decoder must
+ * stop short and warn, never loop or fabricate records.
+ */
+void
+expect_truncated_stream_stops(const std::string& packed)
+{
+    ::testing::internal::CaptureStderr();
+    auto wl = frontend::open_trace(packed);
+    std::uint64_t n = 0;
+    if (wl != nullptr) {
+        sim::TraceRecord r;
+        while (wl->next(r))
+            ++n;
+    }
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_LT(n, 4000u);
+    EXPECT_NE(err.find(packed), std::string::npos) << err;
+}
+
 TEST(Compression, GzRoundTripMatchesRaw)
 {
     auto path = make_tria("triage_fe_gz.tria", 6000);
-    if (std::system(("gzip -kf '" + path + "' 2>/dev/null").c_str()) != 0)
-        GTEST_SKIP() << "gzip tool unavailable";
-    auto raw = frontend::open_trace(path);
-    auto gz = frontend::open_trace(path + ".gz");
-    ASSERT_NE(raw, nullptr);
-    ASSERT_NE(gz, nullptr) << "gz backend: " << frontend::gz_backend();
-    expect_same_stream(*gz, *raw, 6000);
-    // reset() on a forward-only decompressor re-opens from byte 0.
-    gz->reset();
-    raw->reset();
-    expect_same_stream(*gz, *raw, 6000);
-    std::remove((path + ".gz").c_str());
+    auto gz = gzip_file(path);
+    expect_round_trip(path, gz);
+    std::remove(gz.c_str());
     std::remove(path.c_str());
 }
 
-TEST(Compression, PipeFallbackMatchesRaw)
+TEST(Compression, XzRoundTripMatchesRaw)
 {
-    if (std::system("command -v zcat >/dev/null 2>&1") != 0)
-        GTEST_SKIP() << "zcat unavailable";
-    auto path = make_tria("triage_fe_pipe.tria", 6000);
-    if (std::system(("gzip -kf '" + path + "' 2>/dev/null").c_str()) != 0)
-        GTEST_SKIP() << "gzip tool unavailable";
-    ::setenv("TRIAGE_TRACE_FORCE_PIPE", "1", 1);
-    auto gz = frontend::open_trace(path + ".gz");
-    ::unsetenv("TRIAGE_TRACE_FORCE_PIPE");
-    auto raw = frontend::open_trace(path);
-    ASSERT_NE(raw, nullptr);
-    ASSERT_NE(gz, nullptr);
-    expect_same_stream(*gz, *raw, 6000);
-    std::remove((path + ".gz").c_str());
+    auto path = make_tria("triage_fe_xz.tria", 6000);
+    auto xz = xz_file(path);
+    expect_round_trip(path, xz);
+    std::remove(xz.c_str());
     std::remove(path.c_str());
 }
 
 TEST(Compression, TruncatedGzFailsCleanly)
 {
     auto path = make_tria("triage_fe_torn.tria", 4000);
-    if (std::system(("gzip -kf '" + path + "' 2>/dev/null").c_str()) != 0)
-        GTEST_SKIP() << "gzip tool unavailable";
-    // Cut the compressed stream: the decoder must stop (short stream),
-    // never loop or fabricate records.
-    std::string gz = path + ".gz";
-    std::FILE* f = std::fopen(gz.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    long sz = std::ftell(f);
-    std::fclose(f);
-    ASSERT_GT(sz, 100);
-    std::error_code ec;
-    std::filesystem::resize_file(gz, static_cast<std::uintmax_t>(sz / 2),
-                                 ec);
-    ASSERT_FALSE(ec);
-    auto wl = frontend::open_trace(gz);
-    if (wl != nullptr) {
-        sim::TraceRecord r;
-        std::uint64_t n = 0;
-        while (wl->next(r))
-            ++n;
-        EXPECT_LT(n, 4000u);
-    }
+    auto gz = gzip_file(path);
+    truncate_half(gz);
+    expect_truncated_stream_stops(gz);
     std::remove(gz.c_str());
     std::remove(path.c_str());
+}
+
+TEST(Compression, TruncatedXzFailsCleanly)
+{
+    auto path = make_tria("triage_fe_torn_xz.tria", 4000);
+    auto xz = xz_file(path);
+    truncate_half(xz);
+    expect_truncated_stream_stops(xz);
+    std::remove(xz.c_str());
+    std::remove(path.c_str());
+}
+
+TEST(Compression, GzCutOnRecordBoundaryWarns)
+{
+    // A headerless ChampSim trace cut exactly after a full flush ends
+    // on an instruction boundary, so the decoder sees a clean end of
+    // input after 2000 instructions; only the byte layer knows the
+    // gzip member is unfinished, and it must say so.
+    const std::string gz =
+        ::testing::TempDir() + "triage_fe_cut.champsimtrace.gz";
+    gzFile out = gzopen(gz.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    z_off_t cut = 0;
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+        ChampSimInstr in;
+        in.ip = 0x400000 + 4 * i;
+        in.source_memory[0] = 0x10000000 + 64 * i;
+        ASSERT_EQ(gzwrite(out, &in, sizeof(in)),
+                  static_cast<int>(sizeof(in)));
+        if (i + 1 == 2000) {
+            ASSERT_EQ(gzflush(out, Z_FULL_FLUSH), Z_OK);
+            cut = gzoffset(out);
+        }
+    }
+    ASSERT_EQ(gzclose(out), Z_OK);
+    ASSERT_GT(cut, 0);
+    std::error_code ec;
+    std::filesystem::resize_file(gz, static_cast<std::uintmax_t>(cut),
+                                 ec);
+    ASSERT_FALSE(ec);
+
+    ::testing::internal::CaptureStderr();
+    auto wl = frontend::open_trace(gz);
+    ASSERT_NE(wl, nullptr);
+    sim::TraceRecord r;
+    std::uint64_t n = 0;
+    while (wl->next(r))
+        ++n;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(n, 2000u);
+    EXPECT_NE(err.find("gzip error"), std::string::npos) << err;
+    EXPECT_NE(err.find(gz), std::string::npos) << err;
+    std::remove(gz.c_str());
 }
 
 // ---------------------------------------------------------------------
