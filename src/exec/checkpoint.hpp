@@ -59,8 +59,10 @@ struct CheckpointOptions {
  * of failing mid-restore). 2: MISB's flat PS/SP tables, with the
  * redundant mapped-address set dropped. 3: MISB's granule-organized
  * PS/SP tables, with the confidence set folded into PS values.
+ * 4: util::Rng saves only its PCG state (the zipf envelope cache moved
+ * into util::ZipfDist), shrinking the DRRIP and random-policy sections.
  */
-inline constexpr std::uint32_t CKPT_VERSION = 3;
+inline constexpr std::uint32_t CKPT_VERSION = 4;
 
 /**
  * Two-tier (memory LRU + disk) cache of sealed snapshot blobs.

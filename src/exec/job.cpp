@@ -6,6 +6,7 @@
 #include "frontend/frontend.hpp"
 #include "obs/profile.hpp"
 #include "sim/multicore.hpp"
+#include "sim/read_ahead.hpp"
 #include "sim/system.hpp"
 #include "util/log.hpp"
 #include "workloads/spec.hpp"
@@ -223,7 +224,9 @@ run_job(const Job& job, CheckpointStore* ckpt)
             if (wl == nullptr)
                 util::fatal("exec::Job mix slot " + std::to_string(c) +
                             " failed to open: '" + job.mix[c] + "'");
-            sys.bind(c, *wl);
+            // bind() clones, and the clone of a decorated workload is
+            // decorated: each core gets its own producer.
+            sys.bind(c, sim::ReadAheadWorkload(std::move(wl)));
         }
         warm_with_checkpoint(
             ckpt, key,
@@ -245,6 +248,7 @@ run_job(const Job& job, CheckpointStore* ckpt)
     if (wl == nullptr)
         util::fatal("exec::Job workload failed to open ('" +
                     key.workload + "')");
+    wl = std::make_unique<sim::ReadAheadWorkload>(std::move(wl));
     wl->reset();
     sys.bind(*wl);
     warm_with_checkpoint(

@@ -49,7 +49,11 @@ class Workload
   public:
     virtual ~Workload() = default;
 
-    /** Rewind to the first record. */
+    /**
+     * Rewind to the first record. The records after reset() must not
+     * depend on how many were read before it: ReadAheadWorkload drops
+     * the records it read ahead and relies on this.
+     */
     virtual void reset() = 0;
 
     /**

@@ -66,40 +66,48 @@ Rng::chance(double p)
     return next_double() < p;
 }
 
-std::uint64_t
-Rng::next_zipf(std::uint64_t n, double s)
+namespace {
+
+// Rejection-inversion (Hormann & Derflinger 1996) hat function and its
+// inverse, valid for s != 1.
+double
+zipf_h(double s, double x)
 {
-    if (n <= 1)
+    return std::pow(x, 1.0 - s) / (1.0 - s);
+}
+
+double
+zipf_h_inv(double s, double x)
+{
+    return std::pow((1.0 - s) * x, 1.0 / (1.0 - s));
+}
+
+} // namespace
+
+ZipfDist::ZipfDist(std::uint64_t n, double s)
+    // Nudge s off the singularity at 1.
+    : n_(n), s_(std::fabs(s - 1.0) < 1e-9 ? 1.0 + 1e-9 : s),
+      hx0_(zipf_h(s_, 0.5) - 1.0),
+      hn_(zipf_h(s_, static_cast<double>(n) + 0.5))
+{}
+
+std::uint64_t
+Rng::next_zipf(const ZipfDist& d)
+{
+    if (d.n_ <= 1)
         return 0;
-    // Rejection-inversion (Hormann & Derflinger 1996). Valid for s != 1;
-    // nudge s at the singularity.
-    if (std::fabs(s - 1.0) < 1e-9)
-        s = 1.0 + 1e-9;
-    const double nd = static_cast<double>(n);
-    auto h = [s](double x) {
-        return std::pow(x, 1.0 - s) / (1.0 - s);
-    };
-    auto h_inv = [s](double x) {
-        return std::pow((1.0 - s) * x, 1.0 / (1.0 - s));
-    };
-    if (zipf_n_ != n || zipf_s_ != s) {
-        zipf_n_ = n;
-        zipf_s_ = s;
-        zipf_hx0_ = h(0.5) - 1.0;
-        zipf_hn_ = h(nd + 0.5);
-    }
-    const double hx0 = zipf_hx0_;
-    const double hn = zipf_hn_;
+    const double s = d.s_;
+    const double nd = static_cast<double>(d.n_);
     for (;;) {
-        double u = hx0 + next_double() * (hn - hx0);
-        double x = h_inv(u);
+        double u = d.hx0_ + next_double() * (d.hn_ - d.hx0_);
+        double x = zipf_h_inv(s, u);
         double k = std::floor(x + 0.5);
         if (k < 1.0)
             k = 1.0;
         if (k > nd)
             k = nd;
         if (k - x <= 0.5 ||
-            u >= h(k + 0.5) - std::pow(k, -s)) {
+            u >= zipf_h(s, k + 0.5) - std::pow(k, -s)) {
             return static_cast<std::uint64_t>(k) - 1;
         }
     }

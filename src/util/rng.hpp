@@ -17,6 +17,27 @@
 namespace triage::util {
 
 /**
+ * One Zipf distribution over ranks [0, n) with exponent s, drawn by
+ * Rng::next_zipf with the rejection-inversion method of Hormann &
+ * Derflinger (no O(n) table). The envelope constants cost two
+ * std::pow calls, so they are computed once here and each sampler
+ * owns the distributions it draws from.
+ */
+class ZipfDist
+{
+  public:
+    ZipfDist(std::uint64_t n, double s);
+
+  private:
+    friend class Rng;
+
+    std::uint64_t n_;
+    double s_;   ///< exponent, nudged off the singularity at 1
+    double hx0_; ///< h(0.5) - 1
+    double hn_;  ///< h(n + 0.5)
+};
+
+/**
  * PCG32 generator (O'Neill 2014, pcg-xsh-rr-64/32). Small state, good
  * statistical quality, and fully deterministic across platforms.
  */
@@ -45,18 +66,13 @@ class Rng
     /** Bernoulli draw: true with probability @p p. */
     bool chance(double p);
 
-    /**
-     * Zipf-distributed rank in [0, n) with exponent @p s.
-     * Uses the rejection-inversion method of Hormann & Derflinger so no
-     * O(n) table is required.
-     */
-    std::uint64_t next_zipf(std::uint64_t n, double s);
+    /** Zipf-distributed rank in [0, n) for @p d's n. */
+    std::uint64_t next_zipf(const ZipfDist& d);
 
     /**
-     * Serialize / restore the full generator state (including the zipf
-     * envelope cache, whose doubles feed subsequent draws) through a
-     * snapshot-style archive. Templated so util stays below sim in the
-     * library graph; ArchiveT is sim::Snapshot.
+     * Serialize / restore the generator state through a snapshot-style
+     * archive. Templated so util stays below sim in the library graph;
+     * ArchiveT is sim::Snapshot.
      */
     template <typename ArchiveT>
     void
@@ -64,10 +80,6 @@ class Rng
     {
         ar.io(state_);
         ar.io(inc_);
-        ar.io(zipf_n_);
-        ar.io(zipf_s_);
-        ar.io(zipf_hx0_);
-        ar.io(zipf_hn_);
     }
 
     /** Fisher-Yates shuffle of @p v. */
@@ -84,17 +96,6 @@ class Rng
   private:
     std::uint64_t state_;
     std::uint64_t inc_;
-
-    // next_zipf() envelope constants for the most recent (n, s) pair.
-    // Callers draw from a fixed distribution millions of times, and the
-    // two std::pow calls behind these dominated the sampler; the cache
-    // recomputes them only when the pair changes. Values are the exact
-    // doubles the uncached computation produced, so draw sequences are
-    // unchanged.
-    std::uint64_t zipf_n_ = 0; ///< 0 = cache empty
-    double zipf_s_ = 0.0;
-    double zipf_hx0_ = 0.0;
-    double zipf_hn_ = 0.0;
 };
 
 } // namespace triage::util

@@ -24,7 +24,8 @@ jitter(util::Rng& rng, std::uint8_t lo, std::uint8_t hi)
 // --------------------------------------------------------------------
 
 PointerChaseKernel::PointerChaseKernel(Params p)
-    : p_(p), mutate_rng_(p.seed * 977 + 5)
+    : p_(p), mutate_rng_(p.seed * 977 + 5),
+      chain_zipf_(p.chains, p.chain_skew)
 {
     TRIAGE_ASSERT(p_.chains >= 1);
     TRIAGE_ASSERT(p_.nodes >= p_.chains * 2);
@@ -75,7 +76,7 @@ PointerChaseKernel::emit(util::Rng& rng, std::uint64_t seq,
     std::uint32_t c;
     if (p_.chain_skew > 0.0 && p_.chains > 1) {
         c = static_cast<std::uint32_t>(
-            rng.next_zipf(p_.chains, p_.chain_skew));
+            rng.next_zipf(chain_zipf_));
     } else {
         c = rr_;
         rr_ = (rr_ + 1) % p_.chains;
@@ -451,7 +452,8 @@ FootprintKernel::emit(util::Rng& rng, std::uint64_t, sim::TraceRecord& out)
 // ZipfHashKernel
 // --------------------------------------------------------------------
 
-ZipfHashKernel::ZipfHashKernel(Params p) : p_(p)
+ZipfHashKernel::ZipfHashKernel(Params p)
+    : p_(p), zipf_(p.buckets, p.zipf_s)
 {
     TRIAGE_ASSERT(p_.buckets > 1 && p_.probe_blocks >= 1);
 }
@@ -474,7 +476,7 @@ ZipfHashKernel::emit(util::Rng& rng, std::uint64_t, sim::TraceRecord& out)
 {
     if (step_ == 0) {
         // Popularity-ranked bucket, then scatter ranks over the table.
-        std::uint64_t rank = rng.next_zipf(p_.buckets, p_.zipf_s);
+        std::uint64_t rank = rng.next_zipf(zipf_);
         bucket_ = util::mix64(rank * 11 + p_.seed) % p_.buckets;
     }
     out.pc = p_.pc_base + step_ * 4;
@@ -491,7 +493,8 @@ ZipfHashKernel::emit(util::Rng& rng, std::uint64_t, sim::TraceRecord& out)
 // CacheResidentKernel
 // --------------------------------------------------------------------
 
-CacheResidentKernel::CacheResidentKernel(Params p) : p_(p)
+CacheResidentKernel::CacheResidentKernel(Params p)
+    : p_(p), zipf_(p.footprint_blocks, 0.6)
 {
     TRIAGE_ASSERT(p_.footprint_blocks > 0 && p_.pcs > 0);
 }
@@ -524,7 +527,7 @@ CacheResidentKernel::emit(util::Rng& rng, std::uint64_t,
         // curve under shrinking capacity (real table-driven codes
         // degrade gradually, not over a cliff), and a visit order that
         // never recurs, so temporal prefetchers find nothing stable.
-        std::uint64_t rank = rng.next_zipf(p_.footprint_blocks, 0.6);
+        std::uint64_t rank = rng.next_zipf(zipf_);
         block = util::mix64(rank * 131 + p_.seed) % p_.footprint_blocks;
     }
     last_block_ = block;
@@ -540,7 +543,8 @@ CacheResidentKernel::emit(util::Rng& rng, std::uint64_t,
 // BTreeProbeKernel
 // --------------------------------------------------------------------
 
-BTreeProbeKernel::BTreeProbeKernel(Params p) : p_(p)
+BTreeProbeKernel::BTreeProbeKernel(Params p)
+    : p_(p), zipf_(p.keys, p.zipf_s)
 {
     TRIAGE_ASSERT(p_.levels >= 2 && p_.fanout >= 2);
     // Node-id space: level l holds fanout^l nodes (capped so deep
@@ -591,7 +595,7 @@ BTreeProbeKernel::emit(util::Rng& rng, std::uint64_t,
     if (level_ == 0) {
         if (rng.chance(p_.point_query_prob)) {
             // Point query: Zipf-popular key scattered over id space.
-            std::uint64_t rank = rng.next_zipf(p_.keys, p_.zipf_s);
+            std::uint64_t rank = rng.next_zipf(zipf_);
             key_ = util::mix64(rank * 17 + p_.seed) % p_.keys;
         } else {
             // Index scan: the probe order recurs lap after lap, which

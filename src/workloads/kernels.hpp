@@ -83,6 +83,7 @@ class PointerChaseKernel final : public Kernel
     std::vector<std::uint64_t> last_seq_;  ///< per-chain last record seq
     std::uint32_t rr_ = 0;
     util::Rng mutate_rng_;
+    util::ZipfDist chain_zipf_;
 };
 
 /**
@@ -295,6 +296,7 @@ class ZipfHashKernel final : public Kernel
 
   private:
     Params p_;
+    util::ZipfDist zipf_;
     std::uint64_t bucket_ = 0;
     std::uint32_t step_ = 0;
 };
@@ -341,6 +343,7 @@ class BTreeProbeKernel final : public Kernel
     std::uint64_t node_at(std::uint64_t key, std::uint32_t level) const;
 
     Params p_;
+    util::ZipfDist zipf_;
     std::uint64_t key_ = 0;
     std::uint32_t level_ = 0;
     std::uint64_t scan_cursor_ = 0;
@@ -377,6 +380,7 @@ class CacheResidentKernel final : public Kernel
 
   private:
     Params p_;
+    util::ZipfDist zipf_;
     std::uint64_t pos_ = 0;
     std::uint64_t last_block_ = 0;
 };

@@ -29,11 +29,10 @@ void
 SyntheticWorkload::reset()
 {
     pos_ = 0;
+    seq_ = 0;
     rng_ = util::Rng(seed_);
     for (auto& k : kernels_)
         k.kernel->reset();
-    // seq_ keeps counting across passes so dependency distances stay
-    // valid through a restart.
 }
 
 bool

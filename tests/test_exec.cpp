@@ -242,39 +242,45 @@ TEST(Lab, StaleCheckpointVersionOnDiskReadsAsMiss)
     // has the right key and a valid checksum, but restoring its payload
     // into today's components would panic at the first changed section.
     // The version in its frame makes it a miss: the job warms up cold,
-    // matches a checkpoint-free run, and replaces the stale file.
+    // matches a checkpoint-free run, and replaces the stale file. Every
+    // earlier layout is checked (2: flat MISB tables, 3: Rng snapshots
+    // with the zipf cache).
     const std::string dir =
         (std::filesystem::temp_directory_path() /
          ("triage_ckpt_stale_" + std::to_string(::getpid())))
             .string();
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
     const exec::Job job = bench_job("mcf", "misb");
+    const sim::RunResult plain = exec::run_job(job);
     const std::string wk = exec::warm_prefix(exec::key_of(job)).str();
     exec::CheckpointOptions opt;
     opt.disk_dir = dir;
-    const std::string path = exec::CheckpointStore(opt).disk_path(wk);
-    {
-        sim::Snapshot stale;
-        stale.section("pf.misb.v1"); // not a section today's MISB reads
-        const sim::SnapshotBlob blob =
-            stale.seal(exec::CKPT_VERSION - 1, wk);
-        std::ofstream f(path, std::ios::binary);
-        f.write(reinterpret_cast<const char*>(blob.data()),
-                static_cast<std::streamsize>(blob.size()));
+    for (std::uint32_t version = 2; version < exec::CKPT_VERSION;
+         ++version) {
+        SCOPED_TRACE("stale version " + std::to_string(version));
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        const std::string path = exec::CheckpointStore(opt).disk_path(wk);
+        {
+            sim::Snapshot stale;
+            stale.section("pf.misb.v1"); // not a section MISB reads today
+            const sim::SnapshotBlob blob = stale.seal(version, wk);
+            std::ofstream f(path, std::ios::binary);
+            f.write(reinterpret_cast<const char*>(blob.data()),
+                    static_cast<std::streamsize>(blob.size()));
+        }
+
+        ::setenv("TRIAGE_CKPT_DIR", dir.c_str(), 1);
+        exec::Lab lab({.jobs = 1});
+        ::unsetenv("TRIAGE_CKPT_DIR");
+        ASSERT_EQ(lab.checkpoints()->disk_dir(), dir);
+        expect_identical(lab.run(job), plain);
+        const auto st = lab.checkpoints()->stats();
+        EXPECT_EQ(st.disk_hits, 0u);
+        EXPECT_EQ(st.misses, 1u);
+
+        exec::CheckpointStore fresh(opt);
+        EXPECT_TRUE(fresh.acquire(wk).hit());
     }
-
-    ::setenv("TRIAGE_CKPT_DIR", dir.c_str(), 1);
-    exec::Lab lab({.jobs = 1});
-    ::unsetenv("TRIAGE_CKPT_DIR");
-    ASSERT_EQ(lab.checkpoints()->disk_dir(), dir);
-    expect_identical(lab.run(job), exec::run_job(job));
-    const auto st = lab.checkpoints()->stats();
-    EXPECT_EQ(st.disk_hits, 0u);
-    EXPECT_EQ(st.misses, 1u);
-
-    exec::CheckpointStore fresh(opt);
-    EXPECT_TRUE(fresh.acquire(wk).hit());
     std::filesystem::remove_all(dir);
 }
 

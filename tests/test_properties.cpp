@@ -37,10 +37,11 @@ TEST_P(OptGenVsBelady, HitCountsMatchExactly)
 {
     auto [capacity, keys, zipf_s] = GetParam();
     util::Rng rng(capacity * 7919 + keys);
+    const util::ZipfDist zipf(keys, zipf_s);
     std::vector<std::uint64_t> seq;
     seq.reserve(600);
     for (int i = 0; i < 600; ++i) {
-        seq.push_back(zipf_s > 0 ? rng.next_zipf(keys, zipf_s)
+        seq.push_back(zipf_s > 0 ? rng.next_zipf(zipf)
                                  : rng.next_below(keys));
     }
     replacement::OptGen og(capacity, /*history_factor=*/2000);
@@ -74,9 +75,10 @@ TEST_P(LruStack, MoreWaysNeverDecreaseHits)
              ways},
             std::make_unique<replacement::Lru>(sets, ways));
         util::Rng rng(99);
+        const util::ZipfDist zipf(4096, 1.0);
         std::uint64_t hits = 0;
         for (int i = 0; i < 20000; ++i) {
-            sim::Addr block = rng.next_zipf(4096, 1.0);
+            sim::Addr block = rng.next_zipf(zipf);
             if (c.access(block, 1, i, false).hit)
                 ++hits;
             else
@@ -365,9 +367,10 @@ TEST_P(TlbSize, MoreEntriesNeverSlower)
     auto total_latency = [](std::uint32_t l1, std::uint32_t l2) {
         sim::Tlb tlb(l1, l2, 7, 60);
         util::Rng rng(99);
+        const util::ZipfDist zipf(4096, 1.0);
         std::uint64_t sum = 0;
         for (int i = 0; i < 20000; ++i) {
-            sim::Addr page = rng.next_zipf(4096, 1.0);
+            sim::Addr page = rng.next_zipf(zipf);
             sum += tlb.access(page << 12);
         }
         return sum;

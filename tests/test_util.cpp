@@ -94,16 +94,18 @@ TEST(Rng, ChanceApproximatesProbability)
 TEST(Rng, ZipfInRange)
 {
     tu::Rng r(19);
+    const tu::ZipfDist d(100, 1.0);
     for (int i = 0; i < 2000; ++i)
-        EXPECT_LT(r.next_zipf(100, 1.0), 100u);
+        EXPECT_LT(r.next_zipf(d), 100u);
 }
 
 TEST(Rng, ZipfSkewsTowardLowRanks)
 {
     tu::Rng r(21);
+    const tu::ZipfDist d(1000, 1.0);
     std::map<std::uint64_t, int> counts;
     for (int i = 0; i < 20000; ++i)
-        ++counts[r.next_zipf(1000, 1.0)];
+        ++counts[r.next_zipf(d)];
     // Rank 0 must dominate rank 100 by a large factor.
     EXPECT_GT(counts[0], 20 * std::max(counts[100], 1));
 }
@@ -111,8 +113,9 @@ TEST(Rng, ZipfSkewsTowardLowRanks)
 TEST(Rng, ZipfDegenerateN)
 {
     tu::Rng r(23);
+    const tu::ZipfDist d(1, 1.2);
     for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(r.next_zipf(1, 1.2), 0u);
+        EXPECT_EQ(r.next_zipf(d), 0u);
 }
 
 TEST(Rng, ShuffleIsPermutation)

@@ -22,7 +22,8 @@
  *     (possibly empty) of well-formed, epoch-monotonic samples;
  *   - with --require-profile: "profile" is the host profiler block
  *     (backend, wall/attributed seconds, a non-empty phase table with
- *     warmup and measure phases, checkpoint counters, worker rows);
+ *     warmup and measure phases, checkpoint and read-ahead counters,
+ *     worker rows);
  *     --min-attributed=F additionally requires attributed_frac >= F
  *     and --expect-backend=NAME pins the counter backend
  *     ("perf_event" or "software");
@@ -52,6 +53,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -366,22 +368,30 @@ check_profile(const Value& root, double min_attributed,
     if (!saw_measure)
         fail("profile.phases has no measure phase");
 
-    const Value* ckpt = root.find_path("profile.counters.ckpt");
-    if (ckpt == nullptr || !ckpt->is_object()) {
-        fail("profile.counters.ckpt missing (Lab checkpoint telemetry)");
-    } else {
-        for (const char* key :
-             {"mem_hits", "disk_hits", "misses", "produces", "skipped",
-              "waits", "evictions", "lease_wait_seconds",
-              "bytes_published", "bytes_mem", "bytes_disk_read",
-              "bytes_disk_written"}) {
-            const Value* v = ckpt->get(key);
+    // Summary counter groups: every key a finite non-negative number.
+    auto require_counters = [&](const std::string& group, const char* what,
+                                std::initializer_list<const char*> keys) {
+        const std::string path = "profile.counters." + group;
+        const Value* g = root.find_path(path);
+        if (g == nullptr || !g->is_object()) {
+            fail(path + " missing (" + what + ")");
+            return;
+        }
+        for (const char* key : keys) {
+            const Value* v = g->get(key);
             if (v == nullptr || !v->is_number() ||
                 !std::isfinite(v->number) || v->number < 0.0)
-                fail(std::string("profile.counters.ckpt.") + key +
+                fail(path + "." + key +
                      " missing or not a finite non-negative number");
         }
-    }
+    };
+    require_counters("ckpt", "Lab checkpoint telemetry",
+                     {"mem_hits", "disk_hits", "misses", "produces",
+                      "skipped", "waits", "evictions",
+                      "lease_wait_seconds", "bytes_published", "bytes_mem",
+                      "bytes_disk_read", "bytes_disk_written"});
+    require_counters("readahead", "record read-ahead telemetry",
+                     {"wait_ns", "records", "discarded"});
 
     const Value* workers = p->get("workers");
     if (workers == nullptr || !workers->is_array() ||
