@@ -61,8 +61,11 @@ struct CheckpointOptions {
  * PS/SP tables, with the confidence set folded into PS values.
  * 4: util::Rng saves only its PCG state (the zipf envelope cache moved
  * into util::ZipfDist), shrinking the DRRIP and random-policy sections.
+ * 5: Triage's metadata store saves 16-byte entries (confidence in the
+ * successor's top bit) plus a successor-ctag array, and MetaHawkeye a
+ * 16-bit predictor slot per entry instead of the PC.
  */
-inline constexpr std::uint32_t CKPT_VERSION = 4;
+inline constexpr std::uint32_t CKPT_VERSION = 5;
 
 /**
  * Two-tier (memory LRU + disk) cache of sealed snapshot blobs.

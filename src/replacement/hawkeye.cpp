@@ -12,35 +12,35 @@ HawkeyePredictor::HawkeyePredictor(std::uint32_t entries)
 }
 
 std::uint32_t
-HawkeyePredictor::index(sim::Pc pc) const
+HawkeyePredictor::slot_of(sim::Pc pc) const
 {
     return static_cast<std::uint32_t>(util::mix64(pc)) & mask_;
 }
 
 void
-HawkeyePredictor::train_positive(sim::Pc pc)
+HawkeyePredictor::train_positive_slot(std::uint32_t slot)
 {
-    auto& c = table_[index(pc)];
+    auto& c = table_[slot];
     c = util::sat_inc<std::uint8_t>(c, 7);
 }
 
 void
-HawkeyePredictor::train_negative(sim::Pc pc)
+HawkeyePredictor::train_negative_slot(std::uint32_t slot)
 {
-    auto& c = table_[index(pc)];
+    auto& c = table_[slot];
     c = util::sat_dec<std::uint8_t>(c);
 }
 
 bool
 HawkeyePredictor::predict(sim::Pc pc) const
 {
-    return table_[index(pc)] >= 4;
+    return table_[slot_of(pc)] >= 4;
 }
 
 std::uint8_t
 HawkeyePredictor::counter(sim::Pc pc) const
 {
-    return table_[index(pc)];
+    return table_[slot_of(pc)];
 }
 
 Hawkeye::Hawkeye(std::uint32_t sets, std::uint32_t assoc, HawkeyeConfig cfg)

@@ -44,12 +44,19 @@ class HawkeyePredictor
   public:
     explicit HawkeyePredictor(std::uint32_t entries = 8192);
 
-    void train_positive(sim::Pc pc);
-    void train_negative(sim::Pc pc);
+    void train_positive(sim::Pc pc) { train_positive_slot(slot_of(pc)); }
+    void train_negative(sim::Pc pc) { train_negative_slot(slot_of(pc)); }
     /** Predicted cache-friendly? */
     bool predict(sim::Pc pc) const;
     /** Raw counter value (tests). */
     std::uint8_t counter(sim::Pc pc) const;
+
+    /** Table slot @p pc trains and predicts through. A caller that
+     *  keeps only this slot (not the PC) trains the same counter. */
+    std::uint32_t slot_of(sim::Pc pc) const;
+    void train_positive_slot(std::uint32_t slot);
+    void train_negative_slot(std::uint32_t slot);
+    std::uint32_t entries() const { return mask_ + 1; }
 
     void
     checkpoint(sim::Snapshot& s)
@@ -59,7 +66,6 @@ class HawkeyePredictor
     }
 
   private:
-    std::uint32_t index(sim::Pc pc) const;
     std::vector<std::uint8_t> table_;
     std::uint32_t mask_;
 };

@@ -59,10 +59,13 @@ MetaHawkeye::MetaHawkeye(std::uint32_t sets, std::uint32_t ways,
                          std::uint32_t sampled_sets,
                          std::uint32_t history_factor)
     : sets_(sets), ways_(ways), history_factor_(history_factor),
-      rrpv_(static_cast<std::size_t>(sets) * ways, MAX_RRPV),
-      pcs_(static_cast<std::size_t>(sets) * ways, 0)
+      rrpv_(static_cast<std::size_t>(sets) * ways, MAX_RRPV)
 {
     TRIAGE_ASSERT(util::is_pow2(sets_));
+    TRIAGE_ASSERT(predictor_.entries() <= 65536,
+                  "predictor slots are stored in 16 bits");
+    pc_slots_.assign(static_cast<std::size_t>(sets) * ways,
+                     static_cast<std::uint16_t>(predictor_.slot_of(0)));
     // floor_pow2, not a decrement loop: with sampled_sets == 0 the old
     // `while (!is_pow2(n)) --n;` underflowed to 0xFFFFFFFF and spun
     // ~2^31 iterations before producing a bogus shift.
@@ -89,10 +92,10 @@ MetaHawkeye::rrpv(std::uint32_t set, std::uint32_t way)
     return rrpv_[static_cast<std::size_t>(set) * ways_ + way];
 }
 
-sim::Pc&
-MetaHawkeye::entry_pc(std::uint32_t set, std::uint32_t way)
+std::uint16_t&
+MetaHawkeye::pc_slot(std::uint32_t set, std::uint32_t way)
 {
-    return pcs_[static_cast<std::size_t>(set) * ways_ + way];
+    return pc_slots_[static_cast<std::size_t>(set) * ways_ + way];
 }
 
 void
@@ -122,7 +125,7 @@ MetaHawkeye::on_hit(std::uint32_t set, std::uint32_t way,
 {
     // Per-entry state always reflects the latest access...
     rrpv(set, way) = predictor_.predict(pc) ? 0 : MAX_RRPV;
-    entry_pc(set, way) = pc;
+    pc_slot(set, way) = static_cast<std::uint16_t>(predictor_.slot_of(pc));
     if (stats_ != nullptr)
         ++(visible ? stats_->visible_events : stats_->hidden_events);
     // ...but OPTgen and the predictor only see useful reuse.
@@ -145,7 +148,7 @@ MetaHawkeye::on_insert(std::uint32_t set, std::uint32_t way,
                        std::uint64_t key, sim::Pc pc)
 {
     (void)key;
-    entry_pc(set, way) = pc;
+    pc_slot(set, way) = static_cast<std::uint16_t>(predictor_.slot_of(pc));
     bool friendly = predictor_.predict(pc);
     if (stats_ != nullptr)
         ++(friendly ? stats_->friendly_inserts : stats_->averse_inserts);
@@ -167,7 +170,7 @@ void
 MetaHawkeye::on_invalidate(std::uint32_t set, std::uint32_t way)
 {
     rrpv(set, way) = MAX_RRPV;
-    entry_pc(set, way) = 0;
+    pc_slot(set, way) = static_cast<std::uint16_t>(predictor_.slot_of(0));
 }
 
 std::uint32_t
@@ -187,7 +190,7 @@ MetaHawkeye::victim(std::uint32_t set)
     }
     if (stats_ != nullptr)
         ++stats_->victim_demotions;
-    predictor_.train_negative(entry_pc(set, best));
+    predictor_.train_negative_slot(pc_slot(set, best));
     return best;
 }
 

@@ -159,10 +159,10 @@ class MetaHawkeye final : public MetaRepl
     prefetch_hint(std::uint32_t set) const override
     {
         // Every on_hit/on_miss/on_insert reads this set's RRPV row and
-        // most write the PC row; both live in megabyte-scale arrays
+        // most write the predictor-slot row; both live in large arrays
         // indexed by a hashed set, so they are rarely host-resident.
         __builtin_prefetch(rrpv_.data() + std::size_t{set} * ways_, 1);
-        __builtin_prefetch(pcs_.data() + std::size_t{set} * ways_, 1);
+        __builtin_prefetch(pc_slots_.data() + std::size_t{set} * ways_, 1);
     }
 
     const replacement::HawkeyePredictor& predictor() const
@@ -180,7 +180,7 @@ class MetaHawkeye final : public MetaRepl
             s.io_flat_map(sampled.last_pc);
         }
         s.io_pod_vec(rrpv_);
-        s.io_pod_vec(pcs_);
+        s.io_pod_vec(pc_slots_);
     }
 
   private:
@@ -198,7 +198,8 @@ class MetaHawkeye final : public MetaRepl
     bool is_sampled(std::uint32_t set) const;
     void sample(std::uint32_t set, std::uint64_t key, sim::Pc pc);
     std::uint8_t& rrpv(std::uint32_t set, std::uint32_t way);
-    sim::Pc& entry_pc(std::uint32_t set, std::uint32_t way);
+    /** Predictor slot of the PC that last touched (set, way). */
+    std::uint16_t& pc_slot(std::uint32_t set, std::uint32_t way);
 
     std::uint32_t sets_;
     std::uint32_t ways_;
@@ -208,7 +209,12 @@ class MetaHawkeye final : public MetaRepl
     replacement::HawkeyePredictor predictor_;
     std::vector<SampledSet> samplers_;
     std::vector<std::uint8_t> rrpv_;
-    std::vector<sim::Pc> pcs_;
+    /**
+     * Per entry, predictor_.slot_of() of its last PC rather than the
+     * 8-byte PC: victim()'s train_negative is the only reader, and it
+     * needs nothing else.
+     */
+    std::vector<std::uint16_t> pc_slots_;
 };
 
 /** Factory. */

@@ -23,19 +23,19 @@ MetadataStore::build(std::uint64_t bytes)
     std::uint64_t n_entries = bytes / cfg_.entry_bytes;
     std::uint64_t n_sets = n_entries / cfg_.line_entries;
     live_entries_ = 0;
-    if (n_sets == 0) {
-        sets_ = 0;
-        entries_.clear();
-        keys_.clear();
-        repl_.reset();
-        return;
-    }
+    // Fresh exact-size arrays, so a shrink hands its pages back (an
+    // assign() would keep the old capacity).
+    repl_.reset();
     // Round down to a power of two for cheap indexing.
-    sets_ = static_cast<std::uint32_t>(util::floor_pow2(n_sets));
-    entries_.assign(static_cast<std::size_t>(sets_) * cfg_.line_entries,
-                    Entry{});
-    keys_.assign(static_cast<std::size_t>(sets_) * cfg_.line_entries,
-                 INVALID_KEY);
+    sets_ = n_sets == 0
+                ? 0
+                : static_cast<std::uint32_t>(util::floor_pow2(n_sets));
+    const std::size_t n = static_cast<std::size_t>(sets_) * cfg_.line_entries;
+    entries_ = std::vector<Entry>(n);
+    keys_ = std::vector<std::uint64_t>(n, INVALID_KEY);
+    next_ctags_ = std::vector<std::uint16_t>(n, 0);
+    if (sets_ == 0)
+        return;
     repl_ = make_meta_repl(cfg_.repl, sets_, cfg_.line_entries);
     // Counters live in the store so the policy rebuild keeps them.
     repl_->bind_stats(&repl_stats_);
@@ -57,13 +57,11 @@ MetadataStore::find_way(std::size_t base, std::uint64_t key) const
 }
 
 std::uint64_t
-MetadataStore::key_of_entry(const Entry& e) const
+MetadataStore::key_of(sim::Addr trigger, std::uint16_t ctag) const
 {
-    if (cfg_.compressed_tags) {
-        return (std::uint64_t{compressor_.set_of(e.full_trigger)} << 16) |
-               e.trigger_ctag;
-    }
-    return e.full_trigger;
+    if (cfg_.compressed_tags)
+        return (std::uint64_t{compressor_.set_of(trigger)} << 16) | ctag;
+    return trigger;
 }
 
 void
@@ -80,14 +78,17 @@ MetadataStore::prefetch_hint(sim::Addr trigger) const
         __builtin_prefetch(row + 8);
     // A probe hit or update dereferences the matching Entry; the way is
     // unknown until the key scan, so pull the front of the entry row
-    // (32-byte entries: the first two lines cover ways 0-3).
+    // (16-byte entries: the first two lines cover ways 0-7).
     const Entry* erow = entries_.data() + base;
     __builtin_prefetch(erow, 1);
-    __builtin_prefetch(reinterpret_cast<const char*>(erow) + 64, 1);
+    __builtin_prefetch(erow + 4, 1);
     if (repl_ != nullptr)
         repl_->prefetch_hint(set);
-    if (cfg_.compressed_tags)
+    if (cfg_.compressed_tags) {
+        // A hit decodes the successor ctag (a 16-way row is 32 bytes).
+        __builtin_prefetch(next_ctags_.data() + base, 1);
         compressor_.prefetch_hint(compressor_.tag_of(trigger));
+    }
 }
 
 MetaLookup
@@ -108,7 +109,7 @@ MetadataStore::probe(sim::Addr trigger)
         auto id = compressor_.find(compressor_.tag_of(trigger));
         if (!id.has_value())
             return lk;
-        key = (std::uint64_t{compressor_.set_of(trigger)} << 16) | *id;
+        key = key_of(trigger, *id);
     } else {
         key = trigger;
     }
@@ -118,14 +119,16 @@ MetadataStore::probe(sim::Addr trigger)
     const Entry& e = entries_[base + way];
     if (e.full_trigger != trigger)
         ++stats_.tag_alias_drops;
+    const sim::Addr next = e.full_next & ~CONFIDENT;
     lk.hit = true;
-    lk.confident = e.confident;
+    lk.confident = (e.full_next & CONFIDENT) != 0;
     lk.set = set;
     lk.way = way;
     lk.next = cfg_.compressed_tags
-                  ? compressor_.combine(compressor_.decompress(e.next_ctag),
-                                        e.next_set)
-                  : e.full_next;
+                  ? compressor_.combine(
+                        compressor_.decompress(next_ctags_[base + way]),
+                        compressor_.set_of(next))
+                  : next;
     ++stats_.hits;
     if (trace_ != nullptr)
         trace_->emit(obs::EventKind::MetaHit, trigger, lk.next);
@@ -149,6 +152,8 @@ MetadataStore::update(sim::Addr trigger, sim::Addr next, sim::Pc pc)
 {
     if (sets_ == 0)
         return;
+    TRIAGE_ASSERT(trigger < BLOCK_LIMIT && next < BLOCK_LIMIT,
+                  "metadata store takes block addresses");
     ++stats_.updates;
     const std::uint32_t set = set_of(trigger);
     const std::size_t base =
@@ -158,12 +163,8 @@ MetadataStore::update(sim::Addr trigger, sim::Addr next, sim::Pc pc)
     if (cfg_.compressed_tags) {
         trig_tag = compressor_.tag_of(trigger);
         auto id = compressor_.find(trig_tag);
-        if (id.has_value()) {
-            way = find_way(base,
-                           (std::uint64_t{compressor_.set_of(trigger)}
-                            << 16) |
-                               *id);
-        }
+        if (id.has_value())
+            way = find_way(base, key_of(trigger, *id));
     } else {
         way = find_way(base, trigger);
     }
@@ -171,22 +172,20 @@ MetadataStore::update(sim::Addr trigger, sim::Addr next, sim::Pc pc)
         Entry& e = entries_[base + way];
         if (e.full_trigger != trigger)
             ++stats_.tag_alias_drops;
-        if (e.full_next == next) {
-            e.confident = true;
-        } else if (e.confident) {
-            e.confident = false; // first disagreement: keep successor
+        if ((e.full_next & ~CONFIDENT) == next) {
+            e.full_next = next | CONFIDENT;
+        } else if ((e.full_next & CONFIDENT) != 0) {
+            e.full_next &= ~CONFIDENT; // first disagreement: keep successor
         } else {
             // Second disagreement: adopt the new successor (it must
             // confirm once more before prefetching when entries start
             // unconfident).
             ++stats_.confidence_flips;
-            e.full_next = next;
+            e.full_next = next | (cfg_.insert_confident ? CONFIDENT : 0);
             if (cfg_.compressed_tags) {
-                e.next_ctag =
+                next_ctags_[base + way] =
                     compressor_.compress(compressor_.tag_of(next));
-                e.next_set = compressor_.set_of(next);
             }
-            e.confident = cfg_.insert_confident;
         }
         // A metadata write refreshes recency but is invisible to the
         // filtered Hawkeye training (only prefetch-producing reads are).
@@ -205,17 +204,15 @@ MetadataStore::update(sim::Addr trigger, sim::Addr next, sim::Pc pc)
         if (trace_ != nullptr)
             trace_->emit(obs::EventKind::MetaEvict, set, target);
     }
-    Entry& n = entries_[base + target];
-    n.full_trigger = trigger;
-    n.full_next = next;
-    n.confident = cfg_.insert_confident;
-    n.valid = true;
+    entries_[base + target] = {
+        trigger, next | (cfg_.insert_confident ? CONFIDENT : 0)};
+    std::uint16_t trig_ctag = 0;
     if (cfg_.compressed_tags) {
-        n.trigger_ctag = compressor_.compress(trig_tag);
-        n.next_ctag = compressor_.compress(compressor_.tag_of(next));
-        n.next_set = compressor_.set_of(next);
+        trig_ctag = compressor_.compress(trig_tag);
+        next_ctags_[base + target] =
+            compressor_.compress(compressor_.tag_of(next));
     }
-    keys_[base + target] = key_of_entry(n);
+    keys_[base + target] = key_of(trigger, trig_ctag);
     ++live_entries_;
     repl_->on_insert(set, target, trigger, pc);
     ++stats_.inserts;
@@ -233,29 +230,31 @@ MetadataStore::resize(std::uint64_t bytes)
     TRIAGE_LOG_DEBUG("metadata store: resize ", capacity_bytes_ >> 10,
                      " KB -> ", bytes >> 10, " KB (", valid_entries(),
                      " live entries)");
-    std::vector<Entry> survivors;
-    survivors.reserve(valid_entries());
-    for (const auto& e : entries_) {
-        if (e.valid)
-            survivors.push_back(e);
-    }
+    const std::vector<Entry> old_entries = std::move(entries_);
+    const std::vector<std::uint64_t> old_keys = std::move(keys_);
+    const std::vector<std::uint16_t> old_ctags = std::move(next_ctags_);
     build(bytes);
     if (sets_ == 0)
         return;
-    // Rehash survivors into the new geometry; overflow is discarded
-    // (the paper invalidates repartitioned lines — we are slightly
-    // kinder and keep whatever still fits).
-    for (const auto& s : survivors) {
-        std::uint32_t set = set_of(s.full_trigger);
+    // Rehash live entries, in old slot order, into the new geometry;
+    // overflow is discarded (the paper invalidates repartitioned lines
+    // — we are slightly kinder and keep whatever still fits). A search
+    // key does not depend on the store geometry, so it moves as is.
+    for (std::size_t i = 0; i < old_keys.size(); ++i) {
+        if (old_keys[i] == INVALID_KEY)
+            continue;
+        const sim::Addr trigger = old_entries[i].full_trigger;
+        const std::uint32_t set = set_of(trigger);
         const std::size_t base =
             static_cast<std::size_t>(set) * cfg_.line_entries;
-        std::uint32_t w = find_way(base, INVALID_KEY);
+        const std::uint32_t w = find_way(base, INVALID_KEY);
         if (w == NO_WAY)
             continue;
-        entries_[base + w] = s;
-        keys_[base + w] = key_of_entry(s);
+        entries_[base + w] = old_entries[i];
+        keys_[base + w] = old_keys[i];
+        next_ctags_[base + w] = old_ctags[i];
         ++live_entries_;
-        repl_->on_insert(set, w, s.full_trigger, 0);
+        repl_->on_insert(set, w, trigger, 0);
     }
 }
 
@@ -269,8 +268,8 @@ std::uint64_t
 MetadataStore::count_valid_entries_slow() const
 {
     std::uint64_t n = 0;
-    for (const auto& e : entries_)
-        n += e.valid ? 1 : 0;
+    for (std::uint64_t k : keys_)
+        n += k != INVALID_KEY ? 1 : 0;
     return n;
 }
 
@@ -289,18 +288,29 @@ MetadataStore::self_check(
                " live entries exceed capacity " +
                std::to_string(capacity_entries()));
     }
+    if (keys_.size() != entries_.size() ||
+        next_ctags_.size() != entries_.size()) {
+        report("metadata store: parallel arrays disagree in size");
+        return;
+    }
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         const Entry& e = entries_[i];
-        if (e.valid && keys_[i] != key_of_entry(e)) {
-            report("metadata store: slot " + std::to_string(i) +
-                   " search key " + std::to_string(keys_[i]) +
-                   " does not mirror its entry (expect " +
-                   std::to_string(key_of_entry(e)) + ")");
+        const std::uint64_t key = keys_[i];
+        if (key == INVALID_KEY) {
+            if (e.full_trigger != 0 || e.full_next != 0 ||
+                next_ctags_[i] != 0) {
+                report("metadata store: empty slot " + std::to_string(i) +
+                       " holds a stale entry or successor ctag");
+            }
+            continue;
         }
-        if (!e.valid && keys_[i] != INVALID_KEY) {
+        const std::uint64_t expect =
+            key_of(e.full_trigger, static_cast<std::uint16_t>(key));
+        if (key != expect) {
             report("metadata store: slot " + std::to_string(i) +
-                   " invalid but search key " +
-                   std::to_string(keys_[i]) + " live");
+                   " search key " + std::to_string(key) +
+                   " does not mirror its entry (expect " +
+                   std::to_string(expect) + ")");
         }
     }
 }

@@ -130,9 +130,11 @@ class MetadataStore
 
     /**
      * Internal-consistency sweep for the verify harness: live-entry
-     * counter vs a slow scan, live entries within capacity, and every
-     * search key mirroring its entry (valid ways match key_of_entry,
-     * invalid ways hold INVALID_KEY). Calls @p report per violation.
+     * counter vs a slow scan, live entries within capacity, every live
+     * search key mirroring its entry's full_trigger (plus the key's
+     * own ctag in compressed mode), and every empty way holding a
+     * zero entry and a zero successor ctag. Calls @p report per
+     * violation.
      */
     void self_check(
         const std::function<void(const std::string&)>& report) const;
@@ -140,8 +142,8 @@ class MetadataStore
     /**
      * Save/restore the full store: current capacity (restore rebuilds
      * the geometry and policy through build() before loading into
-     * them), entries, search keys, replacement + compressor state and
-     * both counter blocks.
+     * them), entries, search keys, successor ctags, replacement +
+     * compressor state and both counter blocks.
      */
     void
     checkpoint(sim::Snapshot& s)
@@ -151,16 +153,9 @@ class MetadataStore
         s.io(cap);
         if (s.loading() && cap != capacity_bytes_)
             build(cap);
-        s.io_vec(entries_, [](sim::Snapshot& a, Entry& e) {
-            a.io(e.trigger_ctag);
-            a.io(e.next_ctag);
-            a.io(e.next_set);
-            a.io(e.confident);
-            a.io(e.valid);
-            a.io(e.full_trigger);
-            a.io(e.full_next);
-        });
+        s.io_pod_vec(entries_);
         s.io_pod_vec(keys_);
+        s.io_pod_vec(next_ctags_);
         s.io(live_entries_);
         if (repl_ != nullptr)
             repl_->checkpoint(s);
@@ -170,22 +165,30 @@ class MetadataStore
     }
 
   private:
+    /**
+     * Host layout of one simulated 4-byte entry, 29 bytes in all
+     * (docs/performance.md §11): this 16-byte pair of block addresses,
+     * the 8-byte search key, a 2-byte successor ctag in next_ctags_
+     * and MetaHawkeye's 3 bytes of RRPV and predictor slot. The full
+     * addresses drive the uncompressed mode, alias detection and
+     * rehash-on-resize; everything else an entry models is derived:
+     * valid is keys_[i] != INVALID_KEY, the trigger ctag is the
+     * compressed key's low 16 bits, and the successor's set id is
+     * compressor_.set_of(full_next). An empty slot is all zero.
+     */
     struct Entry {
-        std::uint16_t trigger_ctag = 0;
-        std::uint16_t next_ctag = 0;
-        std::uint32_t next_set = 0;
-        bool confident = false;
-        bool valid = false;
-        // Uncompressed mirrors (used when compressed_tags is off, and
-        // for rehash-on-resize).
         sim::Addr full_trigger = 0;
-        sim::Addr full_next = 0;
+        sim::Addr full_next = 0; ///< successor block | CONFIDENT
     };
 
+    /** Confidence bit, carried in full_next above any block address. */
+    static constexpr sim::Addr CONFIDENT = sim::Addr{1} << 63;
+    /** Block addresses (byte address >> 6) stay below this. */
+    static constexpr sim::Addr BLOCK_LIMIT = sim::Addr{1} << 58;
+
     /**
-     * Per-way search key mirrored from the entry, scanned by the hot
-     * lookup loop instead of the 32-byte Entry structs
-     * (docs/performance.md). Compressed mode packs
+     * Per-way search key, scanned by the hot lookup loop instead of
+     * the Entry row (docs/performance.md). Compressed mode packs
      * (trigger set id << 16) | trigger_ctag; uncompressed mode stores
      * the full trigger. INVALID_KEY marks an empty way (block
      * addresses and packed ctag keys never reach all-ones).
@@ -197,8 +200,9 @@ class MetadataStore
     std::uint32_t set_of(sim::Addr trigger) const;
     /** Scan the set at @p base for @p key; first match wins. */
     std::uint32_t find_way(std::size_t base, std::uint64_t key) const;
-    /** Recompute an entry's search key (rehash-on-resize). */
-    std::uint64_t key_of_entry(const Entry& e) const;
+    /** Search key of @p trigger whose tag compressed to @p ctag
+     *  (the ctag is ignored in uncompressed mode). */
+    std::uint64_t key_of(sim::Addr trigger, std::uint16_t ctag) const;
     void build(std::uint64_t bytes);
 
     MetadataStoreConfig cfg_;
@@ -206,6 +210,8 @@ class MetadataStore
     std::uint32_t sets_ = 0;
     std::vector<Entry> entries_;
     std::vector<std::uint64_t> keys_; ///< parallel to entries_
+    /** Successor ctag per way (0 when empty or uncompressed). */
+    std::vector<std::uint16_t> next_ctags_;
     std::uint64_t live_entries_ = 0;
     std::unique_ptr<MetaRepl> repl_;
     TagCompressor compressor_;

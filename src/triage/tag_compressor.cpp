@@ -1,5 +1,7 @@
 #include "triage/tag_compressor.hpp"
 
+#include <algorithm>
+
 #include "util/bitops.hpp"
 #include "util/log.hpp"
 #include "util/row_scan.hpp"
@@ -9,7 +11,8 @@ namespace triage::core {
 TagCompressor::TagCompressor(TagCompressorConfig cfg)
     : cfg_(cfg), slots_(1u << cfg.id_bits),
       map_tags_(std::size_t{1} << (cfg.id_bits + 2), MAP_EMPTY),
-      map_ids_(std::size_t{1} << (cfg.id_bits + 2), 0)
+      map_ids_(std::size_t{1} << (cfg.id_bits + 2), 0),
+      lru_prev_(slots_.size(), LRU_NIL), lru_next_(slots_.size(), LRU_NIL)
 {
     TRIAGE_ASSERT(cfg.id_bits >= 1 && cfg.id_bits <= 16);
     map_mask_ = map_tags_.size() - 1;
@@ -106,32 +109,75 @@ TagCompressor::map_rebuild()
     }
 }
 
+void
+TagCompressor::lru_unlink(std::uint32_t id)
+{
+    const std::uint32_t p = lru_prev_[id];
+    const std::uint32_t n = lru_next_[id];
+    (p == LRU_NIL ? lru_head_ : lru_next_[p]) = n;
+    (n == LRU_NIL ? lru_tail_ : lru_prev_[n]) = p;
+}
+
+void
+TagCompressor::lru_append(std::uint32_t id)
+{
+    lru_prev_[id] = lru_tail_;
+    lru_next_[id] = LRU_NIL;
+    (lru_tail_ == LRU_NIL ? lru_head_ : lru_next_[lru_tail_]) = id;
+    lru_tail_ = id;
+}
+
+void
+TagCompressor::lru_rebuild()
+{
+    lru_head_ = lru_tail_ = LRU_NIL;
+    std::vector<std::uint32_t> order;
+    for (std::uint32_t id = 0; id < slots_.size(); ++id) {
+        if (slots_[id].valid)
+            order.push_back(id);
+    }
+    // Ties (only a hand-built snapshot has them) go to the lower id,
+    // as the scan's strict less-than did.
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::uint32_t a, std::uint32_t b) {
+                         return slots_[a].lru < slots_[b].lru;
+                     });
+    for (std::uint32_t id : order)
+        lru_append(id);
+    next_free_ = 0;
+    while (next_free_ < slots_.size() && slots_[next_free_].valid)
+        ++next_free_;
+}
+
 std::uint16_t
 TagCompressor::compress(std::uint64_t tag)
 {
     if (const std::uint16_t* hit = id_lookup(tag)) {
         slots_[*hit].lru = ++clock_;
+        lru_unlink(*hit);
+        lru_append(*hit);
         return *hit;
     }
-    // Recycle the LRU id.
-    std::uint16_t victim = 0;
-    // 32-bit index: at id_bits = 16, slots_.size() is 65536, which a
-    // 16-bit index never reaches.
-    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-        if (!slots_[i].valid) {
-            victim = static_cast<std::uint16_t>(i);
-            break;
-        }
-        if (slots_[i].lru < slots_[victim].lru)
-            victim = static_cast<std::uint16_t>(i);
-    }
-    if (slots_[victim].valid) {
+    // Fill the lowest never-used id, then recycle the LRU one. 32-bit
+    // ids: at id_bits = 16, slots_.size() is 65536, which a 16-bit
+    // index never reaches.
+    std::uint32_t victim;
+    if (next_free_ < slots_.size()) {
+        victim = next_free_;
+        do
+            ++next_free_;
+        while (next_free_ < slots_.size() && slots_[next_free_].valid);
+    } else {
+        victim = lru_head_;
+        lru_unlink(victim);
         map_erase(slots_[victim].tag);
         ++recycles_;
     }
     slots_[victim] = {tag, ++clock_, true};
-    map_insert(tag, victim);
-    return victim;
+    lru_append(victim);
+    const auto id = static_cast<std::uint16_t>(victim);
+    map_insert(tag, id);
+    return id;
 }
 
 std::optional<std::uint16_t>

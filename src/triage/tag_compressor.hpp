@@ -79,12 +79,15 @@ class TagCompressor
         });
         s.io(clock_);
         s.io(recycles_);
-        // The probe table is pure acceleration state over slots_
-        // (tag -> id for every valid slot), so it is rebuilt rather
-        // than serialized: lookups are layout-independent, and the
-        // snapshot stays smaller and trivially byte-deterministic.
-        if (s.loading())
+        // The probe table and the recency list are pure acceleration
+        // state over slots_ (tag -> id for every valid slot; valid ids
+        // in lru-stamp order), so they are rebuilt rather than
+        // serialized: lookups are layout-independent, and the snapshot
+        // stays smaller and trivially byte-deterministic.
+        if (s.loading()) {
             map_rebuild();
+            lru_rebuild();
+        }
     }
 
   private:
@@ -122,6 +125,20 @@ class TagCompressor
     /** Repopulate the probe table from the valid slots_ entries. */
     void map_rebuild();
 
+    /**
+     * Victim selection in O(1), picking what a scan of slots_ would:
+     * the lowest-index invalid slot while any remain (slots are never
+     * invalidated, so next_free_ only moves forward), else the valid
+     * slot with the smallest lru stamp — the head of an intrusive
+     * list kept in stamp order (every stamp is a fresh ++clock_, so
+     * a touched slot moves to the tail).
+     */
+    static constexpr std::uint32_t LRU_NIL = ~std::uint32_t{0};
+    void lru_unlink(std::uint32_t id);
+    void lru_append(std::uint32_t id);
+    /** Rebuild next_free_ and the list from slots_ (checkpoint load). */
+    void lru_rebuild();
+
     TagCompressorConfig cfg_;
     std::vector<Slot> slots_;             ///< id -> tag
     std::vector<std::uint64_t> map_tags_; ///< probe array (hot)
@@ -129,6 +146,11 @@ class TagCompressor
     bool empty_tag_valid_ = false;  ///< side slot: the all-ones tag
     std::uint16_t empty_tag_id_ = 0;
     std::size_t map_mask_ = 0;
+    std::vector<std::uint32_t> lru_prev_; ///< parallel to slots_
+    std::vector<std::uint32_t> lru_next_;
+    std::uint32_t lru_head_ = LRU_NIL; ///< least recently used
+    std::uint32_t lru_tail_ = LRU_NIL;
+    std::uint32_t next_free_ = 0; ///< lowest invalid slot (or size)
     std::uint64_t clock_ = 0;
     std::uint64_t recycles_ = 0;
 };

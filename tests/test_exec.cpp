@@ -244,7 +244,8 @@ TEST(Lab, StaleCheckpointVersionOnDiskReadsAsMiss)
     // The version in its frame makes it a miss: the job warms up cold,
     // matches a checkpoint-free run, and replaces the stale file. Every
     // earlier layout is checked (2: flat MISB tables, 3: Rng snapshots
-    // with the zipf cache).
+    // with the zipf cache, 4: 32-byte metadata-store entries and
+    // MetaHawkeye PCs).
     const std::string dir =
         (std::filesystem::temp_directory_path() /
          ("triage_ckpt_stale_" + std::to_string(::getpid())))

@@ -5,7 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <tuple>
+#include <unordered_map>
+#include <vector>
 
 #include "cache/cache.hpp"
 #include "prefetch/stride.hpp"
@@ -318,6 +322,164 @@ TEST_P(CompressorWidth, RoundTripsWithinCapacity)
     EXPECT_EQ(tc.recycles(), 0u);
     tc.compress(~0ULL); // one past capacity: must recycle, not corrupt
     EXPECT_EQ(tc.recycles(), 1u);
+}
+
+namespace {
+
+/**
+ * Reference tag compressor with the original victim search: every miss
+ * scans all slots for the first never-used one, else the smallest lru
+ * stamp (first wins). Same snapshot section as core::TagCompressor, so
+ * a reference state can be loaded into the real one.
+ */
+class ScanCompressor
+{
+  public:
+    struct Slot {
+        std::uint64_t tag = 0;
+        std::uint64_t lru = 0;
+        bool valid = false;
+    };
+
+    explicit ScanCompressor(std::uint32_t id_bits) : slots(1u << id_bits) {}
+
+    std::uint16_t
+    compress(std::uint64_t tag)
+    {
+        if (auto it = ids.find(tag); it != ids.end()) {
+            slots[it->second].lru = ++clock;
+            return it->second;
+        }
+        std::uint16_t victim = 0;
+        for (std::uint32_t i = 0; i < slots.size(); ++i) {
+            if (!slots[i].valid) {
+                victim = static_cast<std::uint16_t>(i);
+                break;
+            }
+            if (slots[i].lru < slots[victim].lru)
+                victim = static_cast<std::uint16_t>(i);
+        }
+        if (slots[victim].valid) {
+            ids.erase(slots[victim].tag);
+            ++recycles;
+        }
+        slots[victim] = {tag, ++clock, true};
+        ids[tag] = victim;
+        return victim;
+    }
+
+    std::optional<std::uint16_t>
+    find(std::uint64_t tag) const
+    {
+        auto it = ids.find(tag);
+        if (it == ids.end())
+            return std::nullopt;
+        return it->second;
+    }
+
+    void
+    checkpoint(sim::Snapshot& s)
+    {
+        s.section("triage.tags");
+        s.io_vec(slots, [](sim::Snapshot& a, Slot& e) {
+            a.io(e.tag);
+            a.io(e.lru);
+            a.io(e.valid);
+        });
+        s.io(clock);
+        s.io(recycles);
+    }
+
+    std::vector<Slot> slots;
+    std::unordered_map<std::uint64_t, std::uint16_t> ids;
+    std::uint64_t clock = 0;
+    std::uint64_t recycles = 0;
+};
+
+/** Save @p from and load it into @p to (both speak "triage.tags"). */
+template <typename From, typename To>
+void
+transfer(From& from, To& to)
+{
+    sim::Snapshot save;
+    from.checkpoint(save);
+    sim::Snapshot load;
+    ASSERT_TRUE(sim::Snapshot::open(save.seal(1, "tags"), 1, "tags", load));
+    to.checkpoint(load);
+    ASSERT_TRUE(load.exhausted());
+}
+
+/** Random compress/find/decompress mix over a universe twice the
+ *  capacity (so hits, fills and recycles all occur), checking ids,
+ *  decoded tags and the recycle count after every step. */
+void
+drive_against_reference(core::TagCompressor& tc, ScanCompressor& ref,
+                        util::Rng& rng, std::uint32_t ops)
+{
+    const std::uint32_t cap = tc.capacity();
+    for (std::uint32_t i = 0; i < ops; ++i) {
+        const std::uint64_t tag =
+            rng.next_below(64) == 0 ? ~0ULL
+                                    : rng.next_below(2 * cap + 8) * 127;
+        switch (rng.next_below(8)) {
+          case 0:
+          case 1:
+            ASSERT_EQ(tc.find(tag), ref.find(tag)) << "op " << i;
+            break;
+          case 2: {
+            const auto id = static_cast<std::uint16_t>(rng.next_below(cap));
+            ASSERT_EQ(tc.decompress(id), ref.slots[id].tag) << "op " << i;
+            break;
+          }
+          default:
+            ASSERT_EQ(tc.compress(tag), ref.compress(tag)) << "op " << i;
+        }
+        ASSERT_EQ(tc.recycles(), ref.recycles) << "op " << i;
+    }
+}
+
+} // namespace
+
+TEST_P(CompressorWidth, MatchesLinearScanReference)
+{
+    const std::uint32_t bits = GetParam();
+    core::TagCompressorConfig cfg;
+    cfg.id_bits = bits;
+    util::Rng rng(0x5eed + bits);
+    const std::uint32_t cap = 1u << bits;
+    // The reference costs O(capacity) per miss, so the op count is
+    // capped; the widest table starts nearly full (below) instead of
+    // filling from empty.
+    const std::uint32_t ops = std::min<std::uint32_t>(16 * cap, 4000);
+
+    if (bits <= 10) {
+        core::TagCompressor tc(cfg);
+        ScanCompressor ref(bits);
+        drive_against_reference(tc, ref, rng, ops);
+        // A checkpoint round trip rebuilds the free cursor and the
+        // recency list from the slots alone.
+        core::TagCompressor restored(cfg);
+        transfer(tc, restored);
+        drive_against_reference(restored, ref, rng, ops);
+    }
+
+    // Nearly full, with lru stamps shuffled against slot order: load a
+    // reference state into the compressor and continue both.
+    ScanCompressor ref(bits);
+    const std::uint32_t used = cap - std::min<std::uint32_t>(cap / 4, 64);
+    std::vector<std::uint64_t> stamps(used);
+    for (std::uint32_t i = 0; i < used; ++i)
+        stamps[i] = i + 1;
+    for (std::uint32_t i = used; i > 1; --i)
+        std::swap(stamps[i - 1], stamps[rng.next_below(i)]);
+    for (std::uint32_t i = 0; i < used; ++i) {
+        ref.slots[i] = {std::uint64_t{i} * 127, stamps[i], true};
+        ref.ids[std::uint64_t{i} * 127] = static_cast<std::uint16_t>(i);
+    }
+    ref.clock = used;
+    core::TagCompressor tc(cfg);
+    transfer(ref, tc);
+    drive_against_reference(tc, ref, rng, ops);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CompressorWidth,

@@ -6,7 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <memory>
 #include <random>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/lifecycle.hpp"
@@ -357,6 +362,423 @@ TEST(MetadataStore, ReplStatsCountEventsAndSurviveResize)
     s.commit_access(1, lk, 0x1, /*visible=*/false);
     EXPECT_EQ(s.repl_stats().visible_events, vis);
     EXPECT_GT(s.repl_stats().hidden_events, hid);
+}
+
+namespace {
+
+/**
+ * Reference copy of the store's earlier host layout: a 32-byte Entry
+ * holding every modelled field (trigger and successor ctags, successor
+ * set id, confidence, valid) beside the two full-address mirrors, with
+ * survivors copied out on resize. The differential test below runs it
+ * in lockstep with MetadataStore. It shares MetaRepl and TagCompressor
+ * with the real store; only the entry layout and resize differ.
+ */
+class ReferenceStore
+{
+  public:
+    explicit ReferenceStore(MetadataStoreConfig cfg) : cfg_(cfg)
+    {
+        build(cfg.capacity_bytes);
+    }
+
+    MetaLookup
+    probe(sim::Addr trigger)
+    {
+        ++stats_.lookups;
+        MetaLookup lk;
+        if (sets_ == 0)
+            return lk;
+        const std::uint32_t set = set_of(trigger);
+        std::uint32_t way = NO_WAY;
+        if (cfg_.compressed_tags) {
+            auto id = comp_.find(comp_.tag_of(trigger));
+            if (!id.has_value())
+                return lk;
+            way = find_way(set, key(comp_.set_of(trigger), *id));
+        } else {
+            way = find_way(set, trigger);
+        }
+        if (way == NO_WAY)
+            return lk;
+        const Entry& e = entries_[std::size_t{set} * cfg_.line_entries + way];
+        if (e.full_trigger != trigger)
+            ++stats_.tag_alias_drops;
+        lk.hit = true;
+        lk.confident = e.confident;
+        lk.set = set;
+        lk.way = way;
+        lk.next = cfg_.compressed_tags
+                      ? comp_.combine(comp_.decompress(e.next_ctag),
+                                      e.next_set)
+                      : e.full_next;
+        ++stats_.hits;
+        return lk;
+    }
+
+    void
+    commit_access(sim::Addr trigger, const MetaLookup& lk, sim::Pc pc,
+                  bool visible)
+    {
+        if (repl_ == nullptr)
+            return;
+        if (lk.hit)
+            repl_->on_hit(lk.set, lk.way, trigger, pc, visible);
+        else
+            repl_->on_miss(set_of(trigger), trigger, pc, visible);
+    }
+
+    void
+    update(sim::Addr trigger, sim::Addr next, sim::Pc pc)
+    {
+        if (sets_ == 0)
+            return;
+        ++stats_.updates;
+        const std::uint32_t set = set_of(trigger);
+        const std::size_t base = std::size_t{set} * cfg_.line_entries;
+        const std::uint64_t trig_tag = comp_.tag_of(trigger);
+        std::uint32_t way = NO_WAY;
+        if (cfg_.compressed_tags) {
+            if (auto id = comp_.find(trig_tag))
+                way = find_way(set, key(comp_.set_of(trigger), *id));
+        } else {
+            way = find_way(set, trigger);
+        }
+        if (way != NO_WAY) {
+            Entry& e = entries_[base + way];
+            if (e.full_trigger != trigger)
+                ++stats_.tag_alias_drops;
+            if (e.full_next == next) {
+                e.confident = true;
+            } else if (e.confident) {
+                e.confident = false;
+            } else {
+                ++stats_.confidence_flips;
+                e.full_next = next;
+                if (cfg_.compressed_tags) {
+                    e.next_ctag = comp_.compress(comp_.tag_of(next));
+                    e.next_set = comp_.set_of(next);
+                }
+                e.confident = cfg_.insert_confident;
+            }
+            repl_->on_hit(set, way, trigger, pc, false);
+            return;
+        }
+        std::uint32_t target = NO_WAY;
+        for (std::uint32_t w = 0; w < cfg_.line_entries; ++w) {
+            if (!entries_[base + w].valid) {
+                target = w;
+                break;
+            }
+        }
+        if (target == NO_WAY) {
+            target = repl_->victim(set);
+            repl_->on_invalidate(set, target);
+            ++stats_.evictions;
+        }
+        Entry& n = entries_[base + target];
+        n.full_trigger = trigger;
+        n.full_next = next;
+        n.confident = cfg_.insert_confident;
+        n.valid = true;
+        if (cfg_.compressed_tags) {
+            n.trigger_ctag = comp_.compress(trig_tag);
+            n.next_ctag = comp_.compress(comp_.tag_of(next));
+            n.next_set = comp_.set_of(next);
+        }
+        repl_->on_insert(set, target, trigger, pc);
+        ++stats_.inserts;
+    }
+
+    void
+    resize(std::uint64_t bytes)
+    {
+        if (bytes == capacity_bytes_)
+            return;
+        std::vector<Entry> survivors;
+        for (const Entry& e : entries_) {
+            if (e.valid)
+                survivors.push_back(e);
+        }
+        build(bytes);
+        if (sets_ == 0)
+            return;
+        for (const Entry& e : survivors) {
+            const std::uint32_t set = set_of(e.full_trigger);
+            const std::size_t base = std::size_t{set} * cfg_.line_entries;
+            for (std::uint32_t w = 0; w < cfg_.line_entries; ++w) {
+                if (!entries_[base + w].valid) {
+                    entries_[base + w] = e;
+                    repl_->on_insert(set, w, e.full_trigger, 0);
+                    break;
+                }
+            }
+        }
+    }
+
+    std::uint64_t
+    valid_entries() const
+    {
+        std::uint64_t n = 0;
+        for (const Entry& e : entries_)
+            n += e.valid ? 1 : 0;
+        return n;
+    }
+
+    const MetadataStoreStats& stats() const { return stats_; }
+    const MetaReplStats& repl_stats() const { return repl_stats_; }
+    std::uint64_t recycles() const { return comp_.recycles(); }
+
+  private:
+    struct Entry {
+        std::uint16_t trigger_ctag = 0;
+        std::uint16_t next_ctag = 0;
+        std::uint32_t next_set = 0;
+        bool confident = false;
+        bool valid = false;
+        sim::Addr full_trigger = 0;
+        sim::Addr full_next = 0;
+    };
+    static_assert(sizeof(Entry) == 32);
+    static constexpr std::uint32_t NO_WAY = ~std::uint32_t{0};
+
+    static std::uint64_t
+    key(std::uint32_t trig_set, std::uint16_t ctag)
+    {
+        return (std::uint64_t{trig_set} << 16) | ctag;
+    }
+
+    std::uint32_t
+    set_of(sim::Addr trigger) const
+    {
+        return static_cast<std::uint32_t>(util::mix64(trigger)) &
+               (sets_ - 1);
+    }
+
+    std::uint32_t
+    find_way(std::uint32_t set, std::uint64_t k) const
+    {
+        const std::size_t base = std::size_t{set} * cfg_.line_entries;
+        for (std::uint32_t w = 0; w < cfg_.line_entries; ++w) {
+            const Entry& e = entries_[base + w];
+            if (!e.valid)
+                continue;
+            const std::uint64_t ek =
+                cfg_.compressed_tags
+                    ? key(comp_.set_of(e.full_trigger), e.trigger_ctag)
+                    : e.full_trigger;
+            if (ek == k)
+                return w;
+        }
+        return NO_WAY;
+    }
+
+    void
+    build(std::uint64_t bytes)
+    {
+        capacity_bytes_ = bytes;
+        const std::uint64_t n_sets =
+            bytes / cfg_.entry_bytes / cfg_.line_entries;
+        sets_ = n_sets == 0
+                    ? 0
+                    : static_cast<std::uint32_t>(util::floor_pow2(n_sets));
+        entries_.assign(std::size_t{sets_} * cfg_.line_entries, Entry{});
+        repl_.reset();
+        if (sets_ == 0)
+            return;
+        repl_ = make_meta_repl(cfg_.repl, sets_, cfg_.line_entries);
+        repl_->bind_stats(&repl_stats_);
+    }
+
+    MetadataStoreConfig cfg_;
+    std::uint64_t capacity_bytes_ = 0;
+    std::uint32_t sets_ = 0;
+    std::vector<Entry> entries_;
+    std::unique_ptr<MetaRepl> repl_;
+    TagCompressor comp_;
+    MetadataStoreStats stats_;
+    MetaReplStats repl_stats_;
+};
+
+auto
+fields(const MetadataStoreStats& s)
+{
+    return std::make_tuple(s.lookups, s.hits, s.updates, s.inserts,
+                           s.evictions, s.confidence_flips,
+                           s.tag_alias_drops);
+}
+
+auto
+fields(const MetaReplStats& s)
+{
+    return std::make_tuple(s.visible_events, s.hidden_events,
+                           s.optgen_hits, s.optgen_misses,
+                           s.friendly_inserts, s.averse_inserts,
+                           s.victim_demotions);
+}
+
+auto
+fields(const MetaLookup& lk)
+{
+    return std::make_tuple(lk.hit, lk.confident, lk.next, lk.set, lk.way);
+}
+
+/** Every store check a test can run, as a list of reports. */
+std::vector<std::string>
+self_check_reports(const MetadataStore& s)
+{
+    std::vector<std::string> out;
+    s.self_check([&out](const std::string& r) { out.push_back(r); });
+    return out;
+}
+
+} // namespace
+
+TEST(MetadataStore, MatchesReferenceLayoutUnderRandomizedOps)
+{
+    // Cold triggers carry 2^11 tags (against 2^10 compressed ids) over
+    // only 2 low-bit set ids, so ids recycle and compressed keys alias;
+    // 64 PCs reuse predictor slots; resizes grow, shrink, empty and
+    // regrow the table with live entries in it.
+    const std::uint64_t sizes[] = {8 * 1024, 16 * 1024, 0, 4096,
+                                   64 * 1024, 2048, 32 * 1024};
+    for (bool compressed : {true, false}) {
+        for (MetaReplKind kind : {MetaReplKind::Hawkeye, MetaReplKind::Lru}) {
+            SCOPED_TRACE(std::string(compressed ? "compressed " : "nocompress ") +
+                         (kind == MetaReplKind::Hawkeye ? "hawkeye" : "lru"));
+            MetadataStoreConfig cfg = small_store(kind, 8 * 1024);
+            cfg.compressed_tags = compressed;
+            MetadataStore s(cfg);
+            ReferenceStore ref(cfg);
+            util::Rng rng(compressed ? 21 : 22);
+            for (std::uint32_t i = 0; i < 60000; ++i) {
+                // A small hot set keeps confidence and Hawkeye
+                // training busy beside the wide cold range.
+                auto cold = [&rng] {
+                    return (sim::Addr{rng.next_below(1u << 11)} << 11) |
+                           rng.next_below(2);
+                };
+                const sim::Addr trig = rng.next_below(4) == 0
+                                           ? rng.next_below(512) + 1
+                                           : cold();
+                const sim::Addr next =
+                    rng.next_below(3) == 0 ? trig + 1 : cold();
+                const sim::Pc pc = 0x400 + 4 * rng.next_below(64);
+                const std::uint32_t op = rng.next_below(1000);
+                if (op < 450) {
+                    const MetaLookup got = s.probe(trig);
+                    const MetaLookup want = ref.probe(trig);
+                    ASSERT_EQ(fields(got), fields(want)) << "op " << i;
+                    const bool visible = rng.next_below(4) != 0;
+                    s.commit_access(trig, got, pc, visible);
+                    ref.commit_access(trig, want, pc, visible);
+                } else if (op < 998) {
+                    s.update(trig, next, pc);
+                    ref.update(trig, next, pc);
+                } else {
+                    const std::uint64_t bytes =
+                        sizes[rng.next_below(std::size(sizes))];
+                    s.resize(bytes);
+                    ref.resize(bytes);
+                }
+                ASSERT_EQ(fields(s.stats()), fields(ref.stats())) << "op " << i;
+                ASSERT_EQ(fields(s.repl_stats()), fields(ref.repl_stats()))
+                    << "op " << i;
+                ASSERT_EQ(s.valid_entries(), ref.valid_entries()) << "op " << i;
+            }
+            EXPECT_EQ(s.compressor().recycles(), ref.recycles());
+            EXPECT_TRUE(self_check_reports(s).empty());
+            // The mix must reach every path it claims to cover.
+            EXPECT_GT(s.stats().evictions, 0u);
+            EXPECT_GT(s.stats().confidence_flips, 0u);
+            if (compressed) {
+                EXPECT_GT(s.stats().tag_alias_drops, 0u);
+                EXPECT_GT(s.compressor().recycles(), 0u);
+            }
+            if (kind == MetaReplKind::Hawkeye)
+                EXPECT_GT(s.repl_stats().victim_demotions, 0u);
+        }
+    }
+}
+
+TEST(MetadataStore, CheckpointAfterShrinkResavesIdentically)
+{
+    // Save a store whose geometry came from a shrinking resize and load
+    // it into one built at the configured (larger) size: the load must
+    // rebuild the smaller geometry, reproduce the same lookups, pass
+    // the self-check and resave to the same bytes.
+    for (MetaReplKind kind : {MetaReplKind::Hawkeye, MetaReplKind::Lru}) {
+        const MetadataStoreConfig cfg = small_store(kind, 64 * 1024);
+        MetadataStore s(cfg);
+        util::Rng rng(31);
+        for (int i = 0; i < 30000; ++i) {
+            const sim::Addr trig = rng.next_below(1u << 16);
+            const MetaLookup lk = s.probe(trig);
+            s.commit_access(trig, lk, 0x400 + rng.next_below(16), true);
+            s.update(trig, rng.next_below(1u << 16), 0x400 + rng.next_below(16));
+        }
+        s.resize(8 * 1024);
+        ASSERT_GT(s.valid_entries(), 0u);
+
+        sim::Snapshot save;
+        s.checkpoint(save);
+        const sim::SnapshotBlob blob = save.seal(1, "store");
+
+        MetadataStore restored(cfg);
+        sim::Snapshot load;
+        ASSERT_TRUE(sim::Snapshot::open(blob, 1, "store", load));
+        restored.checkpoint(load);
+        EXPECT_TRUE(load.exhausted());
+        EXPECT_EQ(restored.capacity_bytes(), 8u * 1024);
+        EXPECT_EQ(restored.valid_entries(), s.valid_entries());
+        EXPECT_TRUE(self_check_reports(restored).empty());
+
+        sim::Snapshot resave;
+        restored.checkpoint(resave);
+        EXPECT_EQ(resave.seal(1, "store"), blob);
+
+        for (sim::Addr trig = 0; trig < 4096; ++trig)
+            ASSERT_EQ(fields(restored.probe(trig)), fields(s.probe(trig)));
+    }
+}
+
+TEST(MetadataStore, HawkeyePredictorTrainsSameTableThroughSlots)
+{
+    // MetaHawkeye keeps each entry's predictor slot instead of its PC;
+    // training a slot must move exactly the counter the PC would. The
+    // plain model pins the PC hash: 3-bit counters from 4, indexed by
+    // mix64(pc) mod the table size.
+    replacement::HawkeyePredictor by_pc;
+    replacement::HawkeyePredictor by_slot;
+    std::vector<int> model(by_pc.entries(), 4);
+    util::Rng rng(41);
+    std::vector<sim::Pc> pcs;
+    for (int i = 0; i < 20000; ++i)
+        pcs.push_back(rng.next_u64() >> rng.next_below(64));
+    for (int i = 0; i < 200000; ++i) {
+        const sim::Pc pc = pcs[rng.next_below(pcs.size())];
+        const std::uint32_t slot = by_slot.slot_of(pc);
+        int& m = model[util::mix64(pc) % model.size()];
+        if (rng.next_below(2) == 0) {
+            by_pc.train_positive(pc);
+            by_slot.train_positive_slot(slot);
+            m = std::min(m + 1, 7);
+        } else {
+            by_pc.train_negative(pc);
+            by_slot.train_negative_slot(slot);
+            m = std::max(m - 1, 0);
+        }
+    }
+    for (sim::Pc pc : pcs) {
+        ASSERT_EQ(by_pc.counter(pc), model[util::mix64(pc) % model.size()]);
+        ASSERT_EQ(by_slot.counter(pc), by_pc.counter(pc));
+        ASSERT_EQ(by_slot.predict(pc), by_pc.predict(pc));
+    }
+    sim::Snapshot a;
+    by_pc.checkpoint(a);
+    sim::Snapshot b;
+    by_slot.checkpoint(b);
+    EXPECT_EQ(a.seal(1, "p"), b.seal(1, "p"));
 }
 
 // ---------------------------------------------------------------------
