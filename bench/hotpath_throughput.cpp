@@ -84,12 +84,12 @@ struct Result {
     bool has_hw_rates = false;
 };
 
-/** End-to-end sweep wall clock, cold vs checkpoint-forked + threaded. */
+/** End-to-end sweep wall clock, cold vs checkpoint-forked warmups. */
 struct SweepWallclock {
     std::string sweep = "fig17-smoke";
     unsigned jobs = 0;         ///< jobs per sweep pass
     double cold_seconds = 0.0; ///< serial lab, cold warmups, Legacy
-    double ckpt_seconds = 0.0; ///< checkpoint forking + in-run threads
+    double ckpt_seconds = 0.0; ///< serial lab, forked warmups, Legacy
     double speedup = 0.0;      ///< cold_seconds / ckpt_seconds
 };
 
@@ -197,11 +197,10 @@ measure(const Job& job, const std::string& config,
 }
 
 /**
- * Wall-clock the fig17-shaped smoke sweep twice: once the pre-PR-7 way
- * (serial lab, every job pays its own warmup, Legacy execution), once
- * the resumable-epoch way (jobs sharing a (config, workload, warmup)
- * prefix fork from one memoized warm checkpoint, and mixes measure in
- * Sharded mode with one worker thread per core). The three measurement
+ * Wall-clock the fig17-shaped smoke sweep twice through the same
+ * serial Lab in Legacy execution: once with every job paying its own
+ * warmup, once with jobs sharing a (config, workload, warmup) prefix
+ * forking from one memoized warm checkpoint. The three measurement
  * windows per (mix, prefetcher) pair are what a scaling study actually
  * runs — and exactly the shape whose warmups the checkpoint store
  * collapses from three to one.
@@ -215,7 +214,7 @@ measure_sweep(bool smoke)
     const std::uint64_t warm = smoke ? 60000 : 400000;
     const std::uint64_t base = smoke ? 2000 : 5000;
 
-    auto jobs_for = [&](bool ckpt) {
+    auto jobs_for = [&] {
         std::vector<Job> out;
         for (unsigned cores : {2u, 4u}) {
             const auto mixes = triage::workloads::make_mixes(
@@ -241,7 +240,7 @@ measure_sweep(bool smoke)
         opt.warm_checkpoints = ckpt;
         auto t0 = std::chrono::steady_clock::now();
         triage::exec::Lab lab(opt);
-        for (auto& j : jobs_for(ckpt))
+        for (auto& j : jobs_for())
             lab.submit(std::move(j));
         lab.wait_all();
         auto t1 = std::chrono::steady_clock::now();
@@ -255,7 +254,7 @@ measure_sweep(bool smoke)
     };
 
     SweepWallclock s;
-    s.jobs = static_cast<unsigned>(jobs_for(false).size());
+    s.jobs = static_cast<unsigned>(jobs_for().size());
     s.cold_seconds = timed_pass(false);
     s.ckpt_seconds = timed_pass(true);
     s.speedup = s.ckpt_seconds > 0.0 ? s.cold_seconds / s.ckpt_seconds

@@ -16,8 +16,6 @@
 
 namespace triage::cache {
 
-namespace {
-
 std::unique_ptr<ReplacementPolicy>
 make_policy(sim::ReplPolicy kind, std::uint32_t sets, std::uint32_t assoc)
 {
@@ -35,6 +33,8 @@ make_policy(sim::ReplPolicy kind, std::uint32_t sets, std::uint32_t assoc)
     }
     util::panic("unknown ReplPolicy");
 }
+
+namespace {
 
 std::unique_ptr<SetAssocCache>
 make_cache(const std::string& name, const sim::CacheConfig& cc,

@@ -7,7 +7,9 @@
 #define TRIAGE_CACHE_REPLACEMENT_HPP
 
 #include <cstdint>
+#include <memory>
 
+#include "sim/config.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/types.hpp"
 
@@ -32,6 +34,29 @@ struct ReplAccess {
     sim::Addr tag = 0; ///< block address (or metadata key)
     sim::Pc pc = 0;    ///< PC of the triggering access (Hawkeye training)
     bool is_prefetch = false;
+    /**
+     * Let on_hit() train history-based policies (Hawkeye's sampler)
+     * before it predicts. Triage's metadata store passes false and,
+     * for an access its filter lets through, trains afterwards with
+     * on_miss() (paper Section 3, "Metadata Replacement").
+     */
+    bool train = true;
+};
+
+/**
+ * Replacement counters a host owns and binds into its policy with
+ * ReplacementPolicy::bind_stats(), so they survive a policy rebuild.
+ * Triage's metadata store counts the visible/hidden split of its
+ * filtered training stream itself; Hawkeye bumps the rest.
+ */
+struct ReplStats {
+    std::uint64_t visible_events = 0; ///< accesses that trained OPTgen
+    std::uint64_t hidden_events = 0;  ///< filtered out (redundant pf)
+    std::uint64_t optgen_hits = 0;    ///< sampled accesses OPT would hit
+    std::uint64_t optgen_misses = 0;
+    std::uint64_t friendly_inserts = 0; ///< predictor said cache-friendly
+    std::uint64_t averse_inserts = 0;   ///< inserted at distant RRPV
+    std::uint64_t victim_demotions = 0; ///< victim without a distant entry
 };
 
 /**
@@ -68,6 +93,12 @@ class ReplacementPolicy
     virtual const char* name() const = 0;
 
     /**
+     * Wall-clock-only hint: pull the policy's per-set rows toward the
+     * host cache ahead of an access to @p set. No simulated effect.
+     */
+    virtual void prefetch_hint(std::uint32_t set) const { (void)set; }
+
+    /**
      * Fill @p out with a direct view of this policy's state if it is a
      * plain LRU whose callbacks a host may replay inline (the LRU
      * callbacks are pure stamp updates, so running them in the host
@@ -87,7 +118,17 @@ class ReplacementPolicy
      * interface has no state of its own.
      */
     virtual void checkpoint(sim::Snapshot& s) = 0;
+
+    /** Attach (or detach, with null) host-owned counters. */
+    void bind_stats(ReplStats* stats) { stats_ = stats; }
+
+  protected:
+    ReplStats* stats_ = nullptr;
 };
+
+/** Build the @p kind policy for a @p sets x @p assoc structure. */
+std::unique_ptr<ReplacementPolicy>
+make_policy(sim::ReplPolicy kind, std::uint32_t sets, std::uint32_t assoc);
 
 } // namespace triage::cache
 

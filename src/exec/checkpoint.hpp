@@ -62,10 +62,13 @@ struct CheckpointOptions {
  * 4: util::Rng saves only its PCG state (the zipf envelope cache moved
  * into util::ZipfDist), shrinking the DRRIP and random-policy sections.
  * 5: Triage's metadata store saves 16-byte entries (confidence in the
- * successor's top bit) plus a successor-ctag array, and MetaHawkeye a
+ * successor's top bit) plus a successor-ctag array, and its Hawkeye a
  * 16-bit predictor slot per entry instead of the PC.
+ * 6: the metadata store runs on cache::ReplacementPolicy (sections
+ * repl.lru / repl.hawkeye), and every Hawkeye saves a 16-bit predictor
+ * slot per line instead of the PC, with no per-sampler prune stamp.
  */
-inline constexpr std::uint32_t CKPT_VERSION = 5;
+inline constexpr std::uint32_t CKPT_VERSION = 6;
 
 /**
  * Two-tier (memory LRU + disk) cache of sealed snapshot blobs.

@@ -50,8 +50,10 @@ struct LabOptions {
     /**
      * On-disk checkpoint cache directory; "" = the TRIAGE_CKPT_DIR
      * environment variable (no disk tier when that is unset too).
+     * (The empty initializer keeps `LabOptions{.jobs = 1}` free of
+     * -Wmissing-field-initializers.)
      */
-    std::string ckpt_dir;
+    std::string ckpt_dir{};
 };
 
 /**

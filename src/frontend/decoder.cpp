@@ -93,13 +93,14 @@ class TriaDecoder final : public TraceDecoder
     fast_skip(ByteSource& src, std::uint64_t n,
               std::uint64_t& skipped) override
     {
-        skipped = std::min(n, count_ - pos_);
+        const std::uint64_t take = std::min(n, count_ - pos_);
         const std::uint64_t target =
             workloads::TRACE_HEADER_BYTES +
-            (pos_ + skipped) * workloads::TRACE_RECORD_BYTES;
+            (pos_ + take) * workloads::TRACE_RECORD_BYTES;
         if (!src.seek(target))
             return false;
-        pos_ += skipped;
+        pos_ += take;
+        skipped = take;
         return true;
     }
 

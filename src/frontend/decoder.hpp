@@ -79,7 +79,8 @@ class TraceDecoder
      * Advance up to @p n records without decoding them, when the
      * format + byte source allow random access (raw .tria files).
      * @return true with @p skipped set (may be < n at end-of-trace);
-     *         false when unsupported — caller falls back to next().
+     *         false, with @p skipped untouched, when unsupported —
+     *         caller falls back to next().
      */
     virtual bool
     fast_skip(ByteSource& src, std::uint64_t n, std::uint64_t& skipped)

@@ -1,7 +1,5 @@
 #include "frontend/stream_workload.hpp"
 
-#include <algorithm>
-
 #include "util/log.hpp"
 
 namespace triage::frontend {
@@ -40,7 +38,6 @@ StreamWorkload::StreamWorkload(std::string path, TraceFormat format,
     : path_(std::move(path)), name_(display_name(path_)),
       format_(format), src_(std::move(src)), dec_(std::move(dec))
 {
-    chunk_.reserve(kChunkRecords);
 }
 
 std::unique_ptr<StreamWorkload>
@@ -61,8 +58,7 @@ StreamWorkload::open(const std::string& path, TraceFormat format)
 void
 StreamWorkload::reset()
 {
-    chunk_.clear();
-    chunk_pos_ = 0;
+    read_any_ = false;
     at_end_ = false;
     // The byte source was validated at open; losing it mid-run (file
     // deleted, pipe tool gone) cannot be papered over — an empty
@@ -76,64 +72,36 @@ StreamWorkload::reset()
 }
 
 bool
-StreamWorkload::refill()
+StreamWorkload::next(sim::TraceRecord& out)
 {
-    chunk_.clear();
-    chunk_pos_ = 0;
-    sim::TraceRecord r;
-    while (chunk_.size() < kChunkRecords && dec_->next(*src_, r)) {
-        r.addr += addr_offset_;
-        r.pc += pc_offset_;
-        chunk_.push_back(r);
-    }
-    if (chunk_.empty()) {
+    read_any_ = true;
+    // A failed stream does not resume: once the decoder stops, so do we.
+    if (at_end_ || !dec_->next(*src_, out)) {
         at_end_ = true;
         return false;
     }
-    if (chunk_.size() < kChunkRecords)
-        at_end_ = true; // decoder hit EOF; drain what it produced
-    return true;
-}
-
-bool
-StreamWorkload::next(sim::TraceRecord& out)
-{
-    if (chunk_pos_ >= chunk_.size()) {
-        if (at_end_ || !refill())
-            return false;
-    }
-    out = chunk_[chunk_pos_++];
+    out.addr += addr_offset_;
+    out.pc += pc_offset_;
     return true;
 }
 
 std::uint64_t
 StreamWorkload::skip(std::uint64_t n)
 {
+    read_any_ = true;
+    if (at_end_ || n == 0)
+        return 0;
+    // The decoder may seek instead of decode (raw .tria): checkpoint
+    // restore of a deep stream position becomes one lseek instead of a
+    // re-decode of the prefix.
     std::uint64_t done = 0;
-    while (done < n) {
-        if (chunk_pos_ < chunk_.size()) {
-            const std::uint64_t take = std::min<std::uint64_t>(
-                n - done, chunk_.size() - chunk_pos_);
-            chunk_pos_ += take;
-            done += take;
-            continue;
-        }
-        if (at_end_)
-            break;
-        // Between chunks the decoder may seek instead of decode
-        // (raw .tria): checkpoint restore of a deep stream position
-        // becomes one lseek instead of a re-decode of the prefix.
-        const std::uint64_t want = n - done;
-        std::uint64_t skipped = 0;
-        if (dec_->fast_skip(*src_, want, skipped)) {
-            done += skipped;
-            if (skipped < want)
-                at_end_ = true;
-            continue;
-        }
-        if (!refill())
-            break;
+    if (!dec_->fast_skip(*src_, n, done)) {
+        sim::TraceRecord r;
+        while (done < n && dec_->next(*src_, r))
+            ++done;
     }
+    if (done < n)
+        at_end_ = true;
     return done;
 }
 
@@ -150,8 +118,7 @@ StreamWorkload::clone() const
 void
 StreamWorkload::set_instance(unsigned instance_id)
 {
-    TRIAGE_ASSERT(chunk_.empty() && chunk_pos_ == 0,
-                  "set_instance before the first read");
+    TRIAGE_ASSERT(!read_any_, "set_instance before the first read");
     instance_ = instance_id;
     addr_offset_ = static_cast<sim::Addr>(instance_id) << 44;
     pc_offset_ = static_cast<sim::Pc>(instance_id) << 48;

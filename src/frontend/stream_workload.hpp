@@ -3,21 +3,22 @@
  * StreamWorkload: replay an on-disk trace through the sim::Workload
  * interface with bounded memory.
  *
- * Records are decoded in fixed-size chunks (kChunkRecords at a time),
- * so a multi-million-record trace costs the same resident memory as a
- * toy one: one chunk buffer plus the byte layer's decompression
- * window. reset() re-opens the byte source and a fresh decoder, which
- * is what makes the workload restartable (multi-programmed mixes wrap
- * early finishers) and checkpoint-resumable — CoreModel restores a
- * workload cursor by deterministic replay from reset(), and skip()
- * turns that replay into a seek on raw .tria files.
+ * next() decodes one record at a time straight from the decoder, so a
+ * multi-million-record trace costs the same resident memory as a toy
+ * one: the byte layer's decompression window. exec::run_job buffers
+ * the stream in sim::ReadAheadWorkload's ring, the one record buffer
+ * above the decoder. reset() re-opens the byte source and a fresh
+ * decoder, which is what makes the workload restartable
+ * (multi-programmed mixes wrap early finishers) and
+ * checkpoint-resumable — CoreModel restores a workload cursor by
+ * deterministic replay from reset(), and skip() turns that replay
+ * into a seek on raw .tria files.
  */
 #ifndef TRIAGE_FRONTEND_STREAM_WORKLOAD_HPP
 #define TRIAGE_FRONTEND_STREAM_WORKLOAD_HPP
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "frontend/byte_source.hpp"
 #include "frontend/decoder.hpp"
@@ -28,9 +29,6 @@ namespace triage::frontend {
 class StreamWorkload final : public sim::Workload
 {
   public:
-    /** Records decoded per refill; the whole-run memory bound. */
-    static constexpr std::size_t kChunkRecords = 4096;
-
     /**
      * Open @p path as a streamed workload. @p format must be concrete
      * (resolve Auto via detect_format first — see frontend.hpp's
@@ -67,16 +65,14 @@ class StreamWorkload final : public sim::Workload
                    std::unique_ptr<ByteSource> src,
                    std::unique_ptr<TraceDecoder> dec);
 
-    bool refill();
-
     std::string path_;
     std::string name_;
     TraceFormat format_;
     std::unique_ptr<ByteSource> src_;
     std::unique_ptr<TraceDecoder> dec_;
 
-    std::vector<sim::TraceRecord> chunk_;
-    std::size_t chunk_pos_ = 0;
+    /** next() or skip() ran since open/reset (set_instance's guard). */
+    bool read_any_ = false;
     bool at_end_ = false;
 
     unsigned instance_ = 0;

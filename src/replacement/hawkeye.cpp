@@ -1,5 +1,7 @@
 #include "replacement/hawkeye.hpp"
 
+#include <algorithm>
+
 #include "util/bitops.hpp"
 #include "util/log.hpp"
 
@@ -43,24 +45,22 @@ HawkeyePredictor::counter(sim::Pc pc) const
     return table_[slot_of(pc)];
 }
 
-Hawkeye::Hawkeye(std::uint32_t sets, std::uint32_t assoc, HawkeyeConfig cfg)
-    : sets_(sets), assoc_(assoc), cfg_(cfg),
-      predictor_(cfg.predictor_entries),
-      rrpv_(static_cast<std::size_t>(sets) * assoc, cfg.max_rrpv),
-      line_pcs_(static_cast<std::size_t>(sets) * assoc, 0)
+Hawkeye::Hawkeye(std::uint32_t sets, std::uint32_t assoc)
+    : sets_(sets), assoc_(assoc),
+      rrpv_(static_cast<std::size_t>(sets) * assoc, MAX_RRPV)
 {
     TRIAGE_ASSERT(util::is_pow2(sets_));
-    std::uint32_t n_sampled = cfg_.sampled_sets;
-    if (n_sampled > sets_)
-        n_sampled = sets_;
-    TRIAGE_ASSERT(util::is_pow2(n_sampled));
+    TRIAGE_ASSERT(predictor_.entries() <= 65536,
+                  "predictor slots are stored in 16 bits");
+    slots_.assign(static_cast<std::size_t>(sets) * assoc, slot_of(0));
+    const std::uint32_t n_sampled = std::min(SAMPLED_SETS, sets_);
     // A set is sampled iff its low log2(sets/n_sampled) bits are zero;
     // sampler index is the remaining high bits.
     sample_shift_ = util::log2_exact(sets_ / n_sampled);
     sample_mask_ = (1u << sample_shift_) - 1;
     samplers_.reserve(n_sampled);
     for (std::uint32_t i = 0; i < n_sampled; ++i)
-        samplers_.emplace_back(assoc_, cfg_.history_factor);
+        samplers_.emplace_back(assoc_);
 }
 
 bool
@@ -69,30 +69,32 @@ Hawkeye::is_sampled(std::uint32_t set) const
     return (set & sample_mask_) == 0;
 }
 
-Hawkeye::SampledSet&
-Hawkeye::sampler_for(std::uint32_t set)
-{
-    return samplers_[set >> sample_shift_];
-}
-
 std::uint8_t&
 Hawkeye::rrpv(std::uint32_t set, std::uint32_t way)
 {
     return rrpv_[static_cast<std::size_t>(set) * assoc_ + way];
 }
 
-sim::Pc&
-Hawkeye::line_pc(std::uint32_t set, std::uint32_t way)
+std::uint16_t&
+Hawkeye::slot(std::uint32_t set, std::uint32_t way)
 {
-    return line_pcs_[static_cast<std::size_t>(set) * assoc_ + way];
+    return slots_[static_cast<std::size_t>(set) * assoc_ + way];
+}
+
+std::uint16_t
+Hawkeye::slot_of(sim::Pc pc) const
+{
+    return static_cast<std::uint16_t>(predictor_.slot_of(pc));
 }
 
 void
 Hawkeye::sample_access(std::uint32_t set, sim::Addr tag, sim::Pc pc)
 {
-    SampledSet& s = sampler_for(set);
+    SampledSet& s = samplers_[set >> sample_shift_];
     sim::Pc* it = s.last_pc.find(tag);
     bool opt_hit = s.optgen.access(tag);
+    if (stats_ != nullptr)
+        ++(opt_hit ? stats_->optgen_hits : stats_->optgen_misses);
     if (it != nullptr) {
         // OPT's verdict trains the PC that last touched this line: that
         // load decided whether keeping the line would have paid off.
@@ -106,7 +108,7 @@ Hawkeye::sample_access(std::uint32_t set, sim::Addr tag, sim::Pc pc)
     }
     // Bound the last-PC map (entries older than the OPTgen window are
     // dead weight; a size cap keeps memory honest without timestamps).
-    if (s.last_pc.size() > 16ULL * assoc_ * cfg_.history_factor) {
+    if (s.last_pc.size() > 16ULL * assoc_ * HISTORY_FACTOR) {
         s.last_pc.clear();
     }
 }
@@ -114,10 +116,10 @@ Hawkeye::sample_access(std::uint32_t set, sim::Addr tag, sim::Pc pc)
 void
 Hawkeye::on_hit(const cache::ReplAccess& a)
 {
-    if (is_sampled(a.set))
+    if (a.train && is_sampled(a.set))
         sample_access(a.set, a.tag, a.pc);
-    line_pc(a.set, a.way) = a.pc;
-    rrpv(a.set, a.way) = predictor_.predict(a.pc) ? 0 : cfg_.max_rrpv;
+    slot(a.set, a.way) = slot_of(a.pc);
+    rrpv(a.set, a.way) = predictor_.predict(a.pc) ? 0 : MAX_RRPV;
 }
 
 void
@@ -130,8 +132,10 @@ Hawkeye::on_miss(std::uint32_t set, sim::Addr tag, sim::Pc pc)
 void
 Hawkeye::on_insert(const cache::ReplAccess& a)
 {
-    line_pc(a.set, a.way) = a.pc;
+    slot(a.set, a.way) = slot_of(a.pc);
     bool friendly = predictor_.predict(a.pc);
+    if (stats_ != nullptr)
+        ++(friendly ? stats_->friendly_inserts : stats_->averse_inserts);
     if (friendly) {
         // Age everyone else so older friendly lines become victims
         // before fresher ones.
@@ -139,20 +143,20 @@ Hawkeye::on_insert(const cache::ReplAccess& a)
             if (w == a.way)
                 continue;
             auto& r = rrpv(a.set, w);
-            if (r < cfg_.max_rrpv - 1)
+            if (r < MAX_RRPV - 1)
                 ++r;
         }
         rrpv(a.set, a.way) = 0;
     } else {
-        rrpv(a.set, a.way) = cfg_.max_rrpv;
+        rrpv(a.set, a.way) = MAX_RRPV;
     }
 }
 
 void
 Hawkeye::on_invalidate(std::uint32_t set, std::uint32_t way)
 {
-    rrpv(set, way) = cfg_.max_rrpv;
-    line_pc(set, way) = 0;
+    rrpv(set, way) = MAX_RRPV;
+    slot(set, way) = slot_of(0);
 }
 
 std::uint32_t
@@ -162,7 +166,7 @@ Hawkeye::victim(std::uint32_t set, std::uint32_t way_begin,
     TRIAGE_ASSERT(way_begin < way_end);
     // Prefer a predicted-averse line (RRPV == max).
     for (std::uint32_t w = way_begin; w < way_end; ++w) {
-        if (rrpv(set, w) == cfg_.max_rrpv)
+        if (rrpv(set, w) == MAX_RRPV)
             return w;
     }
     // All friendly: evict the oldest and detrain its PC — the predictor
@@ -175,21 +179,10 @@ Hawkeye::victim(std::uint32_t set, std::uint32_t way_begin,
             best = w;
         }
     }
-    predictor_.train_negative(line_pc(set, best));
+    if (stats_ != nullptr)
+        ++stats_->victim_demotions;
+    predictor_.train_negative_slot(slot(set, best));
     return best;
-}
-
-double
-Hawkeye::sampled_opt_hit_rate() const
-{
-    std::uint64_t acc = 0;
-    std::uint64_t hits = 0;
-    for (const auto& s : samplers_) {
-        acc += s.optgen.accesses();
-        hits += s.optgen.hits();
-    }
-    return acc == 0 ? 0.0
-                    : static_cast<double>(hits) / static_cast<double>(acc);
 }
 
 } // namespace triage::replacement

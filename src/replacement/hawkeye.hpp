@@ -7,8 +7,10 @@
  * Triage modifies Hawkeye for its metadata store (Section 3): training
  * events are filtered so only metadata reuse that produced a
  * *non-redundant* prefetch trains positively. That filtering lives in
- * triage::MetadataStore; this class implements the policy itself and is
- * also usable as a drop-in data-cache policy.
+ * triage::MetadataStore, which hits with ReplAccess::train false and
+ * trains through on_miss() only what its filter lets through; this
+ * class implements the policy itself and serves as a data-cache policy
+ * too.
  */
 #ifndef TRIAGE_REPLACEMENT_HAWKEYE_HPP
 #define TRIAGE_REPLACEMENT_HAWKEYE_HPP
@@ -22,22 +24,9 @@
 
 namespace triage::replacement {
 
-/** Tuning knobs for Hawkeye. */
-struct HawkeyeConfig {
-    /** Number of sampled sets feeding OPTgen (power of two). */
-    std::uint32_t sampled_sets = 64;
-    /** Predictor table entries (3-bit counters), power of two. */
-    std::uint32_t predictor_entries = 8192;
-    /** History window as a multiple of associativity. */
-    std::uint32_t history_factor = 8;
-    /** Max RRPV (7 in the paper). */
-    std::uint8_t max_rrpv = 7;
-};
-
 /**
- * PC-indexed 3-bit confidence predictor shared by Hawkeye instances.
- * Exposed separately so Triage's metadata policy can train it under its
- * own filtering rules.
+ * PC-indexed 3-bit confidence predictor behind Hawkeye's insertion and
+ * eviction decisions.
  */
 class HawkeyePredictor
 {
@@ -74,8 +63,14 @@ class HawkeyePredictor
 class Hawkeye final : public cache::ReplacementPolicy
 {
   public:
-    Hawkeye(std::uint32_t sets, std::uint32_t assoc,
-            HawkeyeConfig cfg = {});
+    /** Sets feeding OPTgen (all of them in a smaller structure). */
+    static constexpr std::uint32_t SAMPLED_SETS = 64;
+    /** OPTgen history window as a multiple of associativity. */
+    static constexpr std::uint32_t HISTORY_FACTOR = 8;
+    /** Max RRPV (7 in the paper). */
+    static constexpr std::uint8_t MAX_RRPV = 7;
+
+    Hawkeye(std::uint32_t sets, std::uint32_t assoc);
 
     void on_hit(const cache::ReplAccess& a) override;
     void on_insert(const cache::ReplAccess& a) override;
@@ -85,10 +80,17 @@ class Hawkeye final : public cache::ReplacementPolicy
                          std::uint32_t way_end) override;
     const char* name() const override { return "hawkeye"; }
 
-    const HawkeyePredictor& predictor() const { return predictor_; }
+    void
+    prefetch_hint(std::uint32_t set) const override
+    {
+        // Every callback reads this set's RRPV row and most write its
+        // predictor-slot row; in a large structure indexed by a hashed
+        // set (Triage's metadata store) both are rarely host-resident.
+        __builtin_prefetch(rrpv_.data() + std::size_t{set} * assoc_, 1);
+        __builtin_prefetch(slots_.data() + std::size_t{set} * assoc_, 1);
+    }
 
-    /** Fraction of sampled accesses OPT would have hit (diagnostics). */
-    double sampled_opt_hit_rate() const;
+    const HawkeyePredictor& predictor() const { return predictor_; }
 
     void
     checkpoint(sim::Snapshot& s) override
@@ -98,10 +100,9 @@ class Hawkeye final : public cache::ReplacementPolicy
         for (auto& sampled : samplers_) {
             sampled.optgen.checkpoint(s);
             s.io_flat_map(sampled.last_pc);
-            s.io(sampled.last_prune);
         }
         s.io_pod_vec(rrpv_);
-        s.io_pod_vec(line_pcs_);
+        s.io_pod_vec(slots_);
     }
 
   private:
@@ -109,28 +110,32 @@ class Hawkeye final : public cache::ReplacementPolicy
         OptGen optgen;
         /** addr -> PC of the most recent access (the training target). */
         util::FlatMap<std::uint64_t, sim::Pc> last_pc;
-        std::uint64_t last_prune = 0;
 
-        explicit SampledSet(std::uint32_t assoc, std::uint32_t factor)
-            : optgen(assoc, factor)
+        explicit SampledSet(std::uint32_t assoc)
+            : optgen(assoc, HISTORY_FACTOR)
         {}
     };
 
     bool is_sampled(std::uint32_t set) const;
-    SampledSet& sampler_for(std::uint32_t set);
     void sample_access(std::uint32_t set, sim::Addr tag, sim::Pc pc);
     std::uint8_t& rrpv(std::uint32_t set, std::uint32_t way);
-    sim::Pc& line_pc(std::uint32_t set, std::uint32_t way);
+    /** Predictor slot of the PC that last touched (set, way). */
+    std::uint16_t& slot(std::uint32_t set, std::uint32_t way);
+    std::uint16_t slot_of(sim::Pc pc) const;
 
     std::uint32_t sets_;
     std::uint32_t assoc_;
-    HawkeyeConfig cfg_;
     std::uint32_t sample_shift_; ///< sampled iff low bits pattern matches
     std::uint32_t sample_mask_;
     HawkeyePredictor predictor_;
     std::vector<SampledSet> samplers_;
     std::vector<std::uint8_t> rrpv_;
-    std::vector<sim::Pc> line_pcs_;
+    /**
+     * Per line, predictor_.slot_of() of its last PC rather than the
+     * 8-byte PC: victim()'s detraining is the only reader, and it
+     * needs nothing else.
+     */
+    std::vector<std::uint16_t> slots_;
 };
 
 } // namespace triage::replacement

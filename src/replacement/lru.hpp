@@ -26,6 +26,12 @@ class Lru final : public cache::ReplacementPolicy
                          std::uint32_t way_end) override;
     const char* name() const override { return "lru"; }
 
+    void
+    prefetch_hint(std::uint32_t set) const override
+    {
+        __builtin_prefetch(stamps_.data() + std::size_t{set} * assoc_, 1);
+    }
+
     /** LRU state is just stamps + a clock; hosts may drive it inline. */
     bool
     lru_fast_view(cache::LruFastView* out) override

@@ -94,7 +94,7 @@ make_one(const std::string& spec, std::uint32_t degree)
         }
         for (std::size_t i = 1; i < toks.size(); ++i) {
             if (toks[i] == "lru")
-                cfg.repl = core::MetaReplKind::Lru;
+                cfg.repl = sim::ReplPolicy::Lru;
             else if (toks[i] == "free")
                 cfg.charge_llc_capacity = false;
             else if (toks[i] == "nocompress")

@@ -36,7 +36,7 @@ MetadataStore::build(std::uint64_t bytes)
     next_ctags_ = std::vector<std::uint16_t>(n, 0);
     if (sets_ == 0)
         return;
-    repl_ = make_meta_repl(cfg_.repl, sets_, cfg_.line_entries);
+    repl_ = cache::make_policy(cfg_.repl, sets_, cfg_.line_entries);
     // Counters live in the store so the policy rebuild keeps them.
     repl_->bind_stats(&repl_stats_);
 }
@@ -141,10 +141,17 @@ MetadataStore::commit_access(sim::Addr trigger, const MetaLookup& lk,
 {
     if (repl_ == nullptr)
         return;
-    if (lk.hit)
-        repl_->on_hit(lk.set, lk.way, trigger, pc, visible);
-    else
-        repl_->on_miss(set_of(trigger), trigger, pc, visible);
+    ++(visible ? repl_stats_.visible_events : repl_stats_.hidden_events);
+    // Predict, then train: a hit's RRPV comes from the predictor as it
+    // stood before this access, and only a visible access (one whose
+    // prefetch went to memory) reaches OPTgen and the predictor.
+    if (lk.hit) {
+        repl_->on_hit(
+            {.set = lk.set, .way = lk.way, .tag = trigger, .pc = pc,
+             .train = false});
+    }
+    if (visible)
+        repl_->on_miss(set_of(trigger), trigger, pc);
 }
 
 void
@@ -189,14 +196,16 @@ MetadataStore::update(sim::Addr trigger, sim::Addr next, sim::Pc pc)
         }
         // A metadata write refreshes recency but is invisible to the
         // filtered Hawkeye training (only prefetch-producing reads are).
-        repl_->on_hit(set, way, trigger, pc, false);
+        ++repl_stats_.hidden_events;
+        repl_->on_hit({.set = set, .way = way, .tag = trigger, .pc = pc,
+                       .train = false});
         return;
     }
 
     // Install a fresh correlation, preferring the first empty way.
     std::uint32_t target = find_way(base, INVALID_KEY);
     if (target == NO_WAY) {
-        target = repl_->victim(set);
+        target = repl_->victim(set, 0, cfg_.line_entries);
         TRIAGE_ASSERT(target < cfg_.line_entries);
         repl_->on_invalidate(set, target);
         ++stats_.evictions;
@@ -214,7 +223,7 @@ MetadataStore::update(sim::Addr trigger, sim::Addr next, sim::Pc pc)
     }
     keys_[base + target] = key_of(trigger, trig_ctag);
     ++live_entries_;
-    repl_->on_insert(set, target, trigger, pc);
+    repl_->on_insert({.set = set, .way = target, .tag = trigger, .pc = pc});
     ++stats_.inserts;
     if (trace_ != nullptr)
         trace_->emit(obs::EventKind::MetaInsert, trigger, next);
@@ -254,7 +263,7 @@ MetadataStore::resize(std::uint64_t bytes)
         keys_[base + w] = old_keys[i];
         next_ctags_[base + w] = old_ctags[i];
         ++live_entries_;
-        repl_->on_insert(set, w, trigger, 0);
+        repl_->on_insert({.set = set, .way = w, .tag = trigger});
     }
 }
 

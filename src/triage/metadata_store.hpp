@@ -19,8 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "cache/replacement.hpp"
+#include "sim/config.hpp"
 #include "sim/types.hpp"
-#include "triage/meta_repl.hpp"
 #include "triage/tag_compressor.hpp"
 
 namespace triage::obs {
@@ -35,7 +36,8 @@ struct MetadataStoreConfig {
     std::uint32_t entry_bytes = 4;
     /** Entries per LLC line (the store's associativity). */
     std::uint32_t line_entries = 16;
-    MetaReplKind repl = MetaReplKind::Hawkeye;
+    /** Replacement policy (Triage's specs pick Lru or Hawkeye). */
+    sim::ReplPolicy repl = sim::ReplPolicy::Hawkeye;
     /** Model the compressed-tag table (false stores full addresses). */
     bool compressed_tags = true;
     /**
@@ -121,9 +123,9 @@ class MetadataStore
     const MetadataStoreStats& stats() const { return stats_; }
     /** Replacement-training counters; owned here so they survive the
      *  policy rebuild a resize() performs. */
-    const MetaReplStats& repl_stats() const { return repl_stats_; }
+    const cache::ReplStats& repl_stats() const { return repl_stats_; }
     const TagCompressor& compressor() const { return compressor_; }
-    MetaRepl* repl() { return repl_.get(); }
+    cache::ReplacementPolicy* repl() { return repl_.get(); }
 
     /** Attach (or detach, with null) the event trace. */
     void set_trace(obs::EventTrace* trace) { trace_ = trace; }
@@ -169,7 +171,7 @@ class MetadataStore
      * Host layout of one simulated 4-byte entry, 29 bytes in all
      * (docs/performance.md §11): this 16-byte pair of block addresses,
      * the 8-byte search key, a 2-byte successor ctag in next_ctags_
-     * and MetaHawkeye's 3 bytes of RRPV and predictor slot. The full
+     * and Hawkeye's 3 bytes of RRPV and predictor slot. The full
      * addresses drive the uncompressed mode, alias detection and
      * rehash-on-resize; everything else an entry models is derived:
      * valid is keys_[i] != INVALID_KEY, the trigger ctag is the
@@ -213,10 +215,10 @@ class MetadataStore
     /** Successor ctag per way (0 when empty or uncompressed). */
     std::vector<std::uint16_t> next_ctags_;
     std::uint64_t live_entries_ = 0;
-    std::unique_ptr<MetaRepl> repl_;
+    std::unique_ptr<cache::ReplacementPolicy> repl_;
     TagCompressor compressor_;
     MetadataStoreStats stats_;
-    MetaReplStats repl_stats_;
+    cache::ReplStats repl_stats_;
     obs::EventTrace* trace_ = nullptr;
 };
 

@@ -228,7 +228,7 @@ Triage::register_stats(obs::Registry& reg, const std::string& prefix) const
     // Filtered-Hawkeye training stream (owned by the store, so these
     // pointers survive resizes rebuilding the policy object).
     obs::Scope rp(reg, prefix + ".store.repl");
-    const MetaReplStats* rs = &store_.repl_stats();
+    const cache::ReplStats* rs = &store_.repl_stats();
     rp.bind_counter("visible_events", &rs->visible_events);
     rp.bind_counter("hidden_events", &rs->hidden_events);
     rp.bind_counter("optgen_hits", &rs->optgen_hits);

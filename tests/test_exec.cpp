@@ -245,7 +245,8 @@ TEST(Lab, StaleCheckpointVersionOnDiskReadsAsMiss)
     // matches a checkpoint-free run, and replaces the stale file. Every
     // earlier layout is checked (2: flat MISB tables, 3: Rng snapshots
     // with the zipf cache, 4: 32-byte metadata-store entries and
-    // MetaHawkeye PCs).
+    // per-entry PCs, 5: the store's own policy sections and the data
+    // cache's per-line Hawkeye PCs).
     const std::string dir =
         (std::filesystem::temp_directory_path() /
          ("triage_ckpt_stale_" + std::to_string(::getpid())))

@@ -22,6 +22,7 @@
 #include "exec/checkpoint.hpp"
 #include "exec/job.hpp"
 #include "frontend/frontend.hpp"
+#include "sim/read_ahead.hpp"
 #include "sim/system.hpp"
 #include "stats/experiment.hpp"
 #include "workloads/spec.hpp"
@@ -85,8 +86,8 @@ generator_prefix(std::uint64_t records, double scale = 0.01)
 
 TEST(StreamWorkload, MatchesInMemoryLoadExactly)
 {
-    // Enough records to cross several refill chunks.
-    const std::uint64_t N = 3 * frontend::StreamWorkload::kChunkRecords + 17;
+    // Enough records to cross several of the read-ahead ring's chunks.
+    const std::uint64_t N = 3 * sim::ReadAheadWorkload::kChunkRecords + 17;
     auto path = make_tria("triage_fe_identity.tria", N);
     auto stream = frontend::open_trace(path);
     ASSERT_NE(stream, nullptr);
@@ -134,24 +135,27 @@ TEST(StreamWorkload, CloneStartsFreshAndIsIndependent)
     std::remove(path.c_str());
 }
 
-TEST(StreamWorkload, SkipMatchesDrainingNext)
+/**
+ * skip() on the @p n_records trace @p path must land where draining
+ * next() does, for a short skip, a long one (the fast_skip seek on raw
+ * .tria, a decode loop otherwise) and one past the end.
+ */
+void
+expect_skip_matches_draining(const std::string& path,
+                             std::uint64_t n_records)
 {
-    const std::uint64_t N = 2 * frontend::StreamWorkload::kChunkRecords + 9;
-    auto path = make_tria("triage_fe_skip.tria", N);
-    // Skip distances that stay inside a chunk, cross chunks (the
-    // fast_skip seek path on raw .tria), and run past the end.
     for (std::uint64_t dist :
-         {std::uint64_t{7}, frontend::StreamWorkload::kChunkRecords + 123,
-          N + 50}) {
+         {std::uint64_t{7}, sim::ReadAheadWorkload::kChunkRecords + 123,
+          n_records + 50}) {
         auto skipper = frontend::open_trace(path);
         auto drainer = frontend::open_trace(path);
         ASSERT_NE(skipper, nullptr);
         ASSERT_NE(drainer, nullptr);
-        // Partially consume first so skip() starts mid-chunk.
+        // Partially consume first so skip() starts mid-stream.
         sim::TraceRecord r;
         ASSERT_TRUE(skipper->next(r));
         ASSERT_TRUE(drainer->next(r));
-        const std::uint64_t want = std::min(dist, N - 1);
+        const std::uint64_t want = std::min(dist, n_records - 1);
         EXPECT_EQ(skipper->skip(dist), want) << "dist " << dist;
         std::uint64_t drained = 0;
         while (drained < dist && drainer->next(r))
@@ -159,11 +163,18 @@ TEST(StreamWorkload, SkipMatchesDrainingNext)
         EXPECT_EQ(drained, want);
         sim::TraceRecord a, b;
         EXPECT_EQ(skipper->next(a), drainer->next(b));
-        if (want < N - 1) {
+        if (want < n_records - 1) {
             EXPECT_EQ(a.pc, b.pc);
             EXPECT_EQ(a.addr, b.addr);
         }
     }
+}
+
+TEST(StreamWorkload, SkipMatchesDrainingNext)
+{
+    const std::uint64_t N = 2 * sim::ReadAheadWorkload::kChunkRecords + 9;
+    auto path = make_tria("triage_fe_skip.tria", N);
+    expect_skip_matches_draining(path, N);
     std::remove(path.c_str());
 }
 
@@ -414,6 +425,17 @@ TEST(Compression, GzRoundTripMatchesRaw)
     auto path = make_tria("triage_fe_gz.tria", 6000);
     auto gz = gzip_file(path);
     expect_round_trip(path, gz);
+    std::remove(gz.c_str());
+    std::remove(path.c_str());
+}
+
+TEST(Compression, GzSkipMatchesDrainingNext)
+{
+    // A forward-only decompressor cannot seek: skip() decodes.
+    const std::uint64_t N = 2 * sim::ReadAheadWorkload::kChunkRecords + 9;
+    auto path = make_tria("triage_fe_gz_skip.tria", N);
+    auto gz = gzip_file(path);
+    expect_skip_matches_draining(gz, N);
     std::remove(gz.c_str());
     std::remove(path.c_str());
 }

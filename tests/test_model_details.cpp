@@ -9,9 +9,9 @@
 #include "cache/hierarchy.hpp"
 #include "prefetch/hybrid.hpp"
 #include "prefetch/next_line.hpp"
+#include "replacement/hawkeye.hpp"
 #include "sim/cpu.hpp"
 #include "sim/system.hpp"
-#include "triage/meta_repl.hpp"
 #include "workloads/synthetic.hpp"
 
 using namespace triage;
@@ -72,20 +72,28 @@ TEST(CoreClocks, RunUntilReportsPassEnd)
 
 TEST(MetaHawkeyeFiltering, InvisibleAccessesDoNotTrainPredictor)
 {
-    core::MetaHawkeye repl(64, 16);
+    // The metadata store trains Hawkeye through on_miss() for a
+    // visible access only; an invisible one reaches the policy as an
+    // on_hit() with train off, which must update the entry but never
+    // the sampler or predictor.
+    replacement::Hawkeye repl(64, 16);
     // Visible reuse by PC A trains positively; invisible reuse by PC B
     // must leave its counter untouched.
     for (int i = 0; i < 50; ++i) {
-        repl.on_miss(0, 1000 + i, 0xA, true);
-        repl.on_miss(0, 1000 + i, 0xB, false);
+        repl.on_miss(0, 1000 + i, 0xA);
+        repl.on_hit({.set = 0, .way = 0, .tag = 1000u + i, .pc = 0xB,
+                     .train = false});
     }
     // Re-access the same keys: visible ones feed OPTgen.
     for (int i = 0; i < 50; ++i) {
-        repl.on_miss(0, 1000 + i, 0xA, true);
-        repl.on_miss(0, 1000 + i, 0xB, false);
+        repl.on_miss(0, 1000 + i, 0xA);
+        repl.on_hit({.set = 0, .way = 0, .tag = 1000u + i, .pc = 0xB,
+                     .train = false});
     }
-    // PC 0xB was never sampled: its counter stays at the initial value.
+    // PC 0xB was never sampled: its counter stays at the initial value,
+    // while PC 0xA's did train (down: 50 live keys overflow 16 ways).
     EXPECT_EQ(repl.predictor().counter(0xB), 4);
+    EXPECT_NE(repl.predictor().counter(0xA), 4);
 }
 
 // ---------------------------------------------------------------------

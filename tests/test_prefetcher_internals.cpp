@@ -12,7 +12,7 @@
 #include "prefetch/ghb_temporal.hpp"
 #include "prefetch/sms.hpp"
 #include "prefetch/stride.hpp"
-#include "triage/meta_repl.hpp"
+#include "replacement/hawkeye.hpp"
 #include "util/rng.hpp"
 
 using namespace triage;
@@ -175,36 +175,37 @@ TEST(GhbInternals, HistoryLengthCounts)
 }
 
 // ---------------------------------------------------------------------
-// Metadata Hawkeye aging and victims
+// Metadata Hawkeye aging and victims (the policy Triage's metadata
+// store runs, driven as the store drives it)
 // ---------------------------------------------------------------------
 
 TEST(MetaHawkeyeInternals, AversePcEvictedFirst)
 {
-    core::MetaHawkeye repl(64, 4, /*sampled_sets=*/64);
+    replacement::Hawkeye repl(64, 4);
     // Train PC 0xGOOD positively and 0xBAD negatively via sampling:
     // GOOD's keys recur inside the OPTgen window (hits), BAD's recur
     // far beyond it (misses train the predictor down).
     for (int i = 0; i < 400; ++i) {
-        repl.on_miss(0, 500 + (i % 2), 0xd00d, true);
-        repl.on_miss(0, 20000 + (i % 40), 0xbad, true);
+        repl.on_miss(0, 500 + (i % 2), 0xd00d);
+        repl.on_miss(0, 20000 + (i % 40), 0xbad);
     }
     // Fill a set: three GOOD entries, one BAD entry.
-    repl.on_insert(1, 0, 1, 0xd00d);
-    repl.on_insert(1, 1, 2, 0xbad);
-    repl.on_insert(1, 2, 3, 0xd00d);
-    repl.on_insert(1, 3, 4, 0xd00d);
-    EXPECT_EQ(repl.victim(1), 1u); // the averse-PC way
+    repl.on_insert({.set = 1, .way = 0, .tag = 1, .pc = 0xd00d});
+    repl.on_insert({.set = 1, .way = 1, .tag = 2, .pc = 0xbad});
+    repl.on_insert({.set = 1, .way = 2, .tag = 3, .pc = 0xd00d});
+    repl.on_insert({.set = 1, .way = 3, .tag = 4, .pc = 0xd00d});
+    EXPECT_EQ(repl.victim(1, 0, 4), 1u); // the averse-PC way
 }
 
 TEST(MetaHawkeyeInternals, VictimAmongFriendlyDetrains)
 {
-    core::MetaHawkeye repl(64, 2, 64);
+    replacement::Hawkeye repl(64, 2);
     for (int i = 0; i < 100; ++i)
-        repl.on_miss(0, 600 + (i % 2), 0xaaaa, true);
+        repl.on_miss(0, 600 + (i % 2), 0xaaaa);
     auto before = repl.predictor().counter(0xaaaa);
-    repl.on_insert(1, 0, 1, 0xaaaa);
-    repl.on_insert(1, 1, 2, 0xaaaa);
-    repl.victim(1); // all friendly: eviction must detrain the PC
+    repl.on_insert({.set = 1, .way = 0, .tag = 1, .pc = 0xaaaa});
+    repl.on_insert({.set = 1, .way = 1, .tag = 2, .pc = 0xaaaa});
+    repl.victim(1, 0, 2); // all friendly: eviction must detrain the PC
     EXPECT_LT(repl.predictor().counter(0xaaaa), before);
 }
 

@@ -102,7 +102,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, LruStack,
 
 class StoreCapacity
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, // bytes
-                                                 core::MetaReplKind>>
+                                                 sim::ReplPolicy>>
 {};
 
 TEST_P(StoreCapacity, ValidEntriesBounded)
@@ -132,8 +132,8 @@ TEST_P(StoreCapacity, ValidEntriesBounded)
 INSTANTIATE_TEST_SUITE_P(
     Sweep, StoreCapacity,
     ::testing::Combine(::testing::Values(4096u, 65536u, 262144u),
-                       ::testing::Values(core::MetaReplKind::Lru,
-                                         core::MetaReplKind::Hawkeye)));
+                       ::testing::Values(sim::ReplPolicy::Lru,
+                                         sim::ReplPolicy::Hawkeye)));
 
 // ---------------------------------------------------------------------
 // Property: Triage degree-k issues at most k chained prefetches and

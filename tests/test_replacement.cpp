@@ -144,10 +144,7 @@ TEST(Hawkeye, BeatsLruOnThrashingPattern)
         300);
     auto hawkeye_hits = cyclic_hits(
         [](std::uint32_t sets, std::uint32_t assoc) {
-            replacement::HawkeyeConfig cfg;
-            cfg.sampled_sets = 64;
-            return std::make_unique<replacement::Hawkeye>(sets, assoc,
-                                                          cfg);
+            return std::make_unique<replacement::Hawkeye>(sets, assoc);
         },
         300);
     EXPECT_EQ(lru_hits, 0u);

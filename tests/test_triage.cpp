@@ -15,12 +15,16 @@
 #include <vector>
 
 #include "obs/lifecycle.hpp"
+#include "replacement/hawkeye.hpp"
+#include "replacement/optgen.hpp"
 #include "triage/metadata_store.hpp"
 #include "triage/partition.hpp"
 #include "triage/tag_compressor.hpp"
 #include "triage/training_unit.hpp"
 #include "triage/triage.hpp"
 #include "util/bitops.hpp"
+#include "util/flat_map.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 
 using namespace triage;
@@ -118,7 +122,7 @@ TEST(TagCompressor, SplitAndCombine)
 namespace {
 
 MetadataStoreConfig
-small_store(MetaReplKind repl = MetaReplKind::Lru,
+small_store(sim::ReplPolicy repl = sim::ReplPolicy::Lru,
             std::uint64_t bytes = 64 * 1024)
 {
     MetadataStoreConfig cfg;
@@ -185,7 +189,7 @@ TEST(MetadataStore, InsertConfidentModeKeepsOldBehaviour)
 
 TEST(MetadataStore, ZeroCapacityHoldsNothing)
 {
-    MetadataStore s(small_store(MetaReplKind::Lru, 0));
+    MetadataStore s(small_store(sim::ReplPolicy::Lru, 0));
     s.update(1, 2, 0x1);
     EXPECT_FALSE(s.probe(1).hit);
     EXPECT_EQ(s.capacity_entries(), 0u);
@@ -193,7 +197,7 @@ TEST(MetadataStore, ZeroCapacityHoldsNothing)
 
 TEST(MetadataStore, CapacityBoundsEntries)
 {
-    MetadataStore s(small_store(MetaReplKind::Lru, 4096)); // 1024 entries
+    MetadataStore s(small_store(sim::ReplPolicy::Lru, 4096)); // 1024 entries
     for (std::uint64_t t = 0; t < 5000; ++t)
         s.update(t * 7 + 1, t * 13 + 2, 0x1);
     EXPECT_LE(s.valid_entries(), s.capacity_entries());
@@ -202,7 +206,7 @@ TEST(MetadataStore, CapacityBoundsEntries)
 
 TEST(MetadataStore, ResizeKeepsFittingEntries)
 {
-    MetadataStore s(small_store(MetaReplKind::Lru, 64 * 1024));
+    MetadataStore s(small_store(sim::ReplPolicy::Lru, 64 * 1024));
     for (std::uint64_t t = 1; t <= 100; ++t)
         s.update(t, t + 1, 0x1);
     s.resize(128 * 1024);
@@ -222,7 +226,7 @@ TEST(MetadataStore, CompressedTagAliasDetectedOnProbeAndUpdate)
     // matches the id's new owner.
     MetadataStoreConfig cfg;
     cfg.capacity_bytes = 64;
-    cfg.repl = MetaReplKind::Lru;
+    cfg.repl = sim::ReplPolicy::Lru;
     MetadataStore s(cfg);
     const TagCompressor& comp = s.compressor();
 
@@ -263,7 +267,8 @@ TEST(MetadataStore, CompressedTagAliasDetectedOnProbeAndUpdate)
 
 TEST(MetadataStore, ValidEntriesCounterMatchesScanUnderRandomizedOps)
 {
-    for (MetaReplKind kind : {MetaReplKind::Lru, MetaReplKind::Hawkeye}) {
+    for (sim::ReplPolicy kind :
+         {sim::ReplPolicy::Lru, sim::ReplPolicy::Hawkeye}) {
         MetadataStore s(small_store(kind, 16 * 1024));
         std::mt19937_64 rng(11);
         // Shrink forces rehash-with-overflow, 0 empties the table, and
@@ -298,7 +303,7 @@ TEST(MetadataStore, HawkeyeKeepsHotEntriesUnderThrash)
 {
     // Hot set: 64 triggers reused constantly. Cold stream: one-shot
     // triggers that thrash an LRU-managed store.
-    auto run = [](MetaReplKind kind) {
+    auto run = [](sim::ReplPolicy kind) {
         MetadataStoreConfig cfg;
         cfg.capacity_bytes = 8192; // 2048 entries -> 128 sets x 16
         cfg.repl = kind;
@@ -323,14 +328,14 @@ TEST(MetadataStore, HawkeyeKeepsHotEntriesUnderThrash)
         }
         return hot_hits;
     };
-    auto lru = run(MetaReplKind::Lru);
-    auto hawkeye = run(MetaReplKind::Hawkeye);
+    auto lru = run(sim::ReplPolicy::Lru);
+    auto hawkeye = run(sim::ReplPolicy::Hawkeye);
     EXPECT_GE(hawkeye, lru);
 }
 
 TEST(MetadataStore, ReplStatsCountEventsAndSurviveResize)
 {
-    MetadataStore s(small_store(MetaReplKind::Hawkeye, 4096));
+    MetadataStore s(small_store(sim::ReplPolicy::Hawkeye, 4096));
     // update() trains the policy as hidden; demand-path probes commit
     // as visible, per the filtered-training rule.
     for (std::uint64_t t = 0; t < 2000; ++t) {
@@ -338,7 +343,7 @@ TEST(MetadataStore, ReplStatsCountEventsAndSurviveResize)
         auto look = s.probe(t % 600 + 1);
         s.commit_access(t % 600 + 1, look, 0x1, /*visible=*/true);
     }
-    const MetaReplStats& r = s.repl_stats();
+    const cache::ReplStats& r = s.repl_stats();
     EXPECT_GT(r.visible_events, 0u);
     EXPECT_GT(r.hidden_events, 0u);
     EXPECT_GT(r.friendly_inserts + r.averse_inserts, 0u);
@@ -364,15 +369,430 @@ TEST(MetadataStore, ReplStatsCountEventsAndSurviveResize)
     EXPECT_GT(s.repl_stats().hidden_events, hid);
 }
 
+TEST(MetadataStore, VisibleHitPredictsBeforeSamplerTrains)
+{
+    // A 64-byte store is one 16-way set, and Hawkeye samples it. The
+    // visible hit on `hot` below is the access on which OPTgen first
+    // sees hot's reuse, too far back to keep, so the sampler trains
+    // hot's PC from friendly (counter 4) to averse (3). The store must
+    // predict the entry's RRPV before that training, keeping it
+    // friendly; training first would mark it averse and make it the
+    // next victim.
+    MetadataStore s(small_store(sim::ReplPolicy::Hawkeye, 64));
+    const sim::Pc hot_pc = 0x500;
+    const sim::Pc cold_pc = 0x900;
+    const sim::Addr hot = 7;
+    s.update(hot, hot + 1, hot_pc); // way 0
+    for (sim::Addr f = 1; f < 16; ++f)
+        s.update(1000 + f, 2000 + f, cold_pc); // fill ways 1..15
+    ASSERT_EQ(s.valid_entries(), 16u);
+
+    auto visible_access = [&s](sim::Addr trig, sim::Pc pc) {
+        const MetaLookup lk = s.probe(trig);
+        s.commit_access(trig, lk, pc, /*visible=*/true);
+        return lk.hit;
+    };
+    ASSERT_TRUE(visible_access(hot, hot_pc)); // sampler notes hot_pc
+    for (sim::Addr c = 0; c < 200; ++c)       // past the OPTgen window
+        ASSERT_FALSE(visible_access(50000 + c, cold_pc));
+    ASSERT_TRUE(visible_access(hot, hot_pc));
+
+    const auto* hawkeye =
+        dynamic_cast<const replacement::Hawkeye*>(s.repl());
+    ASSERT_NE(hawkeye, nullptr);
+    ASSERT_EQ(hawkeye->predictor().counter(hot_pc), 3) << "setup";
+
+    s.update(90000, 90001, cold_pc); // full set: evicts one entry
+    EXPECT_TRUE(s.probe(hot).hit);
+}
+
 namespace {
 
+// ---------------------------------------------------------------------
+// Reference metadata policies: the store's former policy stack, kept
+// verbatim (MetaRepl with MetaLru and MetaHawkeye, visible flag and
+// all) so the differential test below can pin the store's calls into
+// cache::ReplacementPolicy to the exact decisions and counters of the
+// interface it replaced.
+// ---------------------------------------------------------------------
+
+struct MetaReplStats {
+    std::uint64_t visible_events = 0; ///< accesses that trained OPTgen
+    std::uint64_t hidden_events = 0;  ///< filtered out (redundant pf)
+    std::uint64_t optgen_hits = 0;    ///< sampled accesses OPT would hit
+    std::uint64_t optgen_misses = 0;
+    std::uint64_t friendly_inserts = 0; ///< predictor said cache-friendly
+    std::uint64_t averse_inserts = 0;   ///< inserted at distant RRPV
+    std::uint64_t victim_demotions = 0; ///< victim without a distant entry
+};
+
+/** Replacement policy over a sets x ways metadata store. */
+class MetaRepl
+{
+  public:
+    virtual ~MetaRepl() = default;
+
+    /**
+     * A resident entry was accessed.
+     * @p visible gates OPTgen / predictor training (false for accesses
+     * that produced a redundant prefetch); per-entry state always
+     * updates.
+     */
+    virtual void on_hit(std::uint32_t set, std::uint32_t way,
+                        std::uint64_t key, sim::Pc pc, bool visible) = 0;
+
+    /** An access found no entry (trains history-based policies). */
+    virtual void on_miss(std::uint32_t set, std::uint64_t key, sim::Pc pc,
+                         bool visible) = 0;
+
+    /** A new entry was installed at @p way. */
+    virtual void on_insert(std::uint32_t set, std::uint32_t way,
+                           std::uint64_t key, sim::Pc pc) = 0;
+
+    virtual void on_invalidate(std::uint32_t set, std::uint32_t way) = 0;
+
+    /** Choose a victim among [0, ways). */
+    virtual std::uint32_t victim(std::uint32_t set) = 0;
+
+    virtual const char* name() const = 0;
+
+    /**
+     * Wall-clock-only hint: pull the policy's per-set rows toward the
+     * host cache ahead of an access to @p set (the metadata-store
+     * prefetch hint fans out here). No simulated effect.
+     */
+    virtual void prefetch_hint(std::uint32_t set) const { (void)set; }
+
+    /**
+     * Save/restore the policy's mutable state (stamps / RRIP +
+     * predictor + samplers). The bound MetaReplStats block is owned and
+     * serialized by the MetadataStore, not here.
+     */
+    virtual void checkpoint(sim::Snapshot& s) = 0;
+
+    /** Attach (or detach, with null) externally-owned counters. */
+    void bind_stats(MetaReplStats* stats) { stats_ = stats; }
+
+  protected:
+    MetaReplStats* stats_ = nullptr;
+};
+
+/** LRU metadata replacement (the Figure 9 baseline). */
+class MetaLru final : public MetaRepl
+{
+  public:
+    MetaLru(std::uint32_t sets, std::uint32_t ways);
+
+    void on_hit(std::uint32_t set, std::uint32_t way, std::uint64_t key,
+                sim::Pc pc, bool visible) override;
+    void on_miss(std::uint32_t set, std::uint64_t key, sim::Pc pc,
+                 bool visible) override;
+    void on_insert(std::uint32_t set, std::uint32_t way, std::uint64_t key,
+                   sim::Pc pc) override;
+    void on_invalidate(std::uint32_t set, std::uint32_t way) override;
+    std::uint32_t victim(std::uint32_t set) override;
+    const char* name() const override { return "lru"; }
+
+    void
+    prefetch_hint(std::uint32_t set) const override
+    {
+        __builtin_prefetch(stamps_.data() + std::size_t{set} * ways_, 1);
+    }
+
+    void
+    checkpoint(sim::Snapshot& s) override
+    {
+        s.section("meta_repl.lru");
+        s.io(clock_);
+        s.io_pod_vec(stamps_);
+    }
+
+  private:
+    std::uint32_t ways_;
+    std::uint64_t clock_ = 0;
+    std::vector<std::uint64_t> stamps_;
+};
+
+/** Triage's filtered-training Hawkeye for metadata. */
+class MetaHawkeye final : public MetaRepl
+{
+  public:
+    /**
+     * @param sampled_sets how many sets feed OPTgen.
+     * @param history_factor OPTgen window as a multiple of ways.
+     */
+    MetaHawkeye(std::uint32_t sets, std::uint32_t ways,
+                std::uint32_t sampled_sets = 64,
+                std::uint32_t history_factor = 8);
+
+    void on_hit(std::uint32_t set, std::uint32_t way, std::uint64_t key,
+                sim::Pc pc, bool visible) override;
+    void on_miss(std::uint32_t set, std::uint64_t key, sim::Pc pc,
+                 bool visible) override;
+    void on_insert(std::uint32_t set, std::uint32_t way, std::uint64_t key,
+                   sim::Pc pc) override;
+    void on_invalidate(std::uint32_t set, std::uint32_t way) override;
+    std::uint32_t victim(std::uint32_t set) override;
+    const char* name() const override { return "hawkeye"; }
+
+    void
+    prefetch_hint(std::uint32_t set) const override
+    {
+        // Every on_hit/on_miss/on_insert reads this set's RRPV row and
+        // most write the predictor-slot row; both live in large arrays
+        // indexed by a hashed set, so they are rarely host-resident.
+        __builtin_prefetch(rrpv_.data() + std::size_t{set} * ways_, 1);
+        __builtin_prefetch(pc_slots_.data() + std::size_t{set} * ways_, 1);
+    }
+
+    const replacement::HawkeyePredictor& predictor() const
+    {
+        return predictor_;
+    }
+
+    void
+    checkpoint(sim::Snapshot& s) override
+    {
+        s.section("meta_repl.hawkeye");
+        predictor_.checkpoint(s);
+        for (auto& sampled : samplers_) {
+            sampled.optgen.checkpoint(s);
+            s.io_flat_map(sampled.last_pc);
+        }
+        s.io_pod_vec(rrpv_);
+        s.io_pod_vec(pc_slots_);
+    }
+
+  private:
+    static constexpr std::uint8_t MAX_RRPV = 7;
+
+    struct SampledSet {
+        replacement::OptGen optgen;
+        util::FlatMap<std::uint64_t, sim::Pc> last_pc;
+
+        SampledSet(std::uint32_t ways, std::uint32_t factor)
+            : optgen(ways, factor)
+        {}
+    };
+
+    bool is_sampled(std::uint32_t set) const;
+    void sample(std::uint32_t set, std::uint64_t key, sim::Pc pc);
+    std::uint8_t& rrpv(std::uint32_t set, std::uint32_t way);
+    /** Predictor slot of the PC that last touched (set, way). */
+    std::uint16_t& pc_slot(std::uint32_t set, std::uint32_t way);
+
+    std::uint32_t sets_;
+    std::uint32_t ways_;
+    std::uint32_t sample_shift_;
+    std::uint32_t sample_mask_;
+    std::uint32_t history_factor_;
+    replacement::HawkeyePredictor predictor_;
+    std::vector<SampledSet> samplers_;
+    std::vector<std::uint8_t> rrpv_;
+    /**
+     * Per entry, predictor_.slot_of() of its last PC rather than the
+     * 8-byte PC: victim()'s train_negative is the only reader, and it
+     * needs nothing else.
+     */
+    std::vector<std::uint16_t> pc_slots_;
+};
+
+MetaLru::MetaLru(std::uint32_t sets, std::uint32_t ways)
+    : ways_(ways), stamps_(static_cast<std::size_t>(sets) * ways, 0)
+{
+}
+
+void
+MetaLru::on_hit(std::uint32_t set, std::uint32_t way, std::uint64_t,
+                sim::Pc, bool visible)
+{
+    stamps_[static_cast<std::size_t>(set) * ways_ + way] = ++clock_;
+    if (stats_ != nullptr)
+        ++(visible ? stats_->visible_events : stats_->hidden_events);
+}
+
+void
+MetaLru::on_miss(std::uint32_t, std::uint64_t, sim::Pc, bool visible)
+{
+    if (stats_ != nullptr)
+        ++(visible ? stats_->visible_events : stats_->hidden_events);
+}
+
+void
+MetaLru::on_insert(std::uint32_t set, std::uint32_t way, std::uint64_t,
+                   sim::Pc)
+{
+    stamps_[static_cast<std::size_t>(set) * ways_ + way] = ++clock_;
+}
+
+void
+MetaLru::on_invalidate(std::uint32_t set, std::uint32_t way)
+{
+    stamps_[static_cast<std::size_t>(set) * ways_ + way] = 0;
+}
+
+std::uint32_t
+MetaLru::victim(std::uint32_t set)
+{
+    std::uint32_t best = 0;
+    std::uint64_t best_stamp =
+        stamps_[static_cast<std::size_t>(set) * ways_];
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+        std::uint64_t s = stamps_[static_cast<std::size_t>(set) * ways_ + w];
+        if (s < best_stamp) {
+            best_stamp = s;
+            best = w;
+        }
+    }
+    return best;
+}
+
+MetaHawkeye::MetaHawkeye(std::uint32_t sets, std::uint32_t ways,
+                         std::uint32_t sampled_sets,
+                         std::uint32_t history_factor)
+    : sets_(sets), ways_(ways), history_factor_(history_factor),
+      rrpv_(static_cast<std::size_t>(sets) * ways, MAX_RRPV)
+{
+    TRIAGE_ASSERT(util::is_pow2(sets_));
+    TRIAGE_ASSERT(predictor_.entries() <= 65536,
+                  "predictor slots are stored in 16 bits");
+    pc_slots_.assign(static_cast<std::size_t>(sets) * ways,
+                     static_cast<std::uint16_t>(predictor_.slot_of(0)));
+    // floor_pow2, not a decrement loop: with sampled_sets == 0 the old
+    // `while (!is_pow2(n)) --n;` underflowed to 0xFFFFFFFF and spun
+    // ~2^31 iterations before producing a bogus shift.
+    TRIAGE_ASSERT(sampled_sets > 0,
+                  "MetaHawkeye needs at least one sampled set");
+    auto n = static_cast<std::uint32_t>(
+        util::floor_pow2(std::min(sampled_sets, sets_)));
+    sample_shift_ = util::log2_exact(sets_ / n);
+    sample_mask_ = (1u << sample_shift_) - 1;
+    samplers_.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        samplers_.emplace_back(ways_, history_factor_);
+}
+
+bool
+MetaHawkeye::is_sampled(std::uint32_t set) const
+{
+    return (set & sample_mask_) == 0;
+}
+
+std::uint8_t&
+MetaHawkeye::rrpv(std::uint32_t set, std::uint32_t way)
+{
+    return rrpv_[static_cast<std::size_t>(set) * ways_ + way];
+}
+
+std::uint16_t&
+MetaHawkeye::pc_slot(std::uint32_t set, std::uint32_t way)
+{
+    return pc_slots_[static_cast<std::size_t>(set) * ways_ + way];
+}
+
+void
+MetaHawkeye::sample(std::uint32_t set, std::uint64_t key, sim::Pc pc)
+{
+    SampledSet& s = samplers_[set >> sample_shift_];
+    bool opt_hit = s.optgen.access(key);
+    if (stats_ != nullptr)
+        ++(opt_hit ? stats_->optgen_hits : stats_->optgen_misses);
+    sim::Pc* it = s.last_pc.find(key);
+    if (it != nullptr) {
+        if (opt_hit)
+            predictor_.train_positive(*it);
+        else
+            predictor_.train_negative(*it);
+        *it = pc;
+    } else {
+        s.last_pc.ref(key) = pc;
+    }
+    if (s.last_pc.size() > 16ULL * ways_ * history_factor_)
+        s.last_pc.clear();
+}
+
+void
+MetaHawkeye::on_hit(std::uint32_t set, std::uint32_t way,
+                    std::uint64_t key, sim::Pc pc, bool visible)
+{
+    // Per-entry state always reflects the latest access...
+    rrpv(set, way) = predictor_.predict(pc) ? 0 : MAX_RRPV;
+    pc_slot(set, way) = static_cast<std::uint16_t>(predictor_.slot_of(pc));
+    if (stats_ != nullptr)
+        ++(visible ? stats_->visible_events : stats_->hidden_events);
+    // ...but OPTgen and the predictor only see useful reuse.
+    if (visible && is_sampled(set))
+        sample(set, key, pc);
+}
+
+void
+MetaHawkeye::on_miss(std::uint32_t set, std::uint64_t key, sim::Pc pc,
+                     bool visible)
+{
+    if (stats_ != nullptr)
+        ++(visible ? stats_->visible_events : stats_->hidden_events);
+    if (visible && is_sampled(set))
+        sample(set, key, pc);
+}
+
+void
+MetaHawkeye::on_insert(std::uint32_t set, std::uint32_t way,
+                       std::uint64_t key, sim::Pc pc)
+{
+    (void)key;
+    pc_slot(set, way) = static_cast<std::uint16_t>(predictor_.slot_of(pc));
+    bool friendly = predictor_.predict(pc);
+    if (stats_ != nullptr)
+        ++(friendly ? stats_->friendly_inserts : stats_->averse_inserts);
+    if (friendly) {
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (w == way)
+                continue;
+            auto& r = rrpv(set, w);
+            if (r < MAX_RRPV - 1)
+                ++r;
+        }
+        rrpv(set, way) = 0;
+    } else {
+        rrpv(set, way) = MAX_RRPV;
+    }
+}
+
+void
+MetaHawkeye::on_invalidate(std::uint32_t set, std::uint32_t way)
+{
+    rrpv(set, way) = MAX_RRPV;
+    pc_slot(set, way) = static_cast<std::uint16_t>(predictor_.slot_of(0));
+}
+
+std::uint32_t
+MetaHawkeye::victim(std::uint32_t set)
+{
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        if (rrpv(set, w) == MAX_RRPV)
+            return w;
+    }
+    std::uint32_t best = 0;
+    std::uint8_t best_rrpv = rrpv(set, 0);
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+        if (rrpv(set, w) > best_rrpv) {
+            best_rrpv = rrpv(set, w);
+            best = w;
+        }
+    }
+    if (stats_ != nullptr)
+        ++stats_->victim_demotions;
+    predictor_.train_negative_slot(pc_slot(set, best));
+    return best;
+}
+
 /**
- * Reference copy of the store's earlier host layout: a 32-byte Entry
+ * Reference copy of the store's earlier design: a 32-byte Entry
  * holding every modelled field (trigger and successor ctags, successor
- * set id, confidence, valid) beside the two full-address mirrors, with
- * survivors copied out on resize. The differential test below runs it
- * in lockstep with MetadataStore. It shares MetaRepl and TagCompressor
- * with the real store; only the entry layout and resize differ.
+ * set id, confidence, valid) beside the two full-address mirrors,
+ * survivors copied out on resize, and the reference policies above in
+ * place of cache::ReplacementPolicy. The differential test below runs
+ * it in lockstep with MetadataStore; only TagCompressor is shared.
  */
 class ReferenceStore
 {
@@ -586,7 +1006,10 @@ class ReferenceStore
         repl_.reset();
         if (sets_ == 0)
             return;
-        repl_ = make_meta_repl(cfg_.repl, sets_, cfg_.line_entries);
+        if (cfg_.repl == sim::ReplPolicy::Hawkeye)
+            repl_ = std::make_unique<MetaHawkeye>(sets_, cfg_.line_entries);
+        else
+            repl_ = std::make_unique<MetaLru>(sets_, cfg_.line_entries);
         repl_->bind_stats(&repl_stats_);
     }
 
@@ -608,8 +1031,9 @@ fields(const MetadataStoreStats& s)
                            s.tag_alias_drops);
 }
 
+template <typename Stats> // cache::ReplStats or the reference's
 auto
-fields(const MetaReplStats& s)
+fields(const Stats& s)
 {
     return std::make_tuple(s.visible_events, s.hidden_events,
                            s.optgen_hits, s.optgen_misses,
@@ -643,9 +1067,11 @@ TEST(MetadataStore, MatchesReferenceLayoutUnderRandomizedOps)
     const std::uint64_t sizes[] = {8 * 1024, 16 * 1024, 0, 4096,
                                    64 * 1024, 2048, 32 * 1024};
     for (bool compressed : {true, false}) {
-        for (MetaReplKind kind : {MetaReplKind::Hawkeye, MetaReplKind::Lru}) {
+        for (sim::ReplPolicy kind :
+             {sim::ReplPolicy::Hawkeye, sim::ReplPolicy::Lru}) {
             SCOPED_TRACE(std::string(compressed ? "compressed " : "nocompress ") +
-                         (kind == MetaReplKind::Hawkeye ? "hawkeye" : "lru"));
+                         (kind == sim::ReplPolicy::Hawkeye ? "hawkeye"
+                                                           : "lru"));
             MetadataStoreConfig cfg = small_store(kind, 8 * 1024);
             cfg.compressed_tags = compressed;
             MetadataStore s(cfg);
@@ -695,7 +1121,7 @@ TEST(MetadataStore, MatchesReferenceLayoutUnderRandomizedOps)
                 EXPECT_GT(s.stats().tag_alias_drops, 0u);
                 EXPECT_GT(s.compressor().recycles(), 0u);
             }
-            if (kind == MetaReplKind::Hawkeye)
+            if (kind == sim::ReplPolicy::Hawkeye)
                 EXPECT_GT(s.repl_stats().victim_demotions, 0u);
         }
     }
@@ -707,7 +1133,8 @@ TEST(MetadataStore, CheckpointAfterShrinkResavesIdentically)
     // it into one built at the configured (larger) size: the load must
     // rebuild the smaller geometry, reproduce the same lookups, pass
     // the self-check and resave to the same bytes.
-    for (MetaReplKind kind : {MetaReplKind::Hawkeye, MetaReplKind::Lru}) {
+    for (sim::ReplPolicy kind :
+         {sim::ReplPolicy::Hawkeye, sim::ReplPolicy::Lru}) {
         const MetadataStoreConfig cfg = small_store(kind, 64 * 1024);
         MetadataStore s(cfg);
         util::Rng rng(31);
@@ -744,7 +1171,7 @@ TEST(MetadataStore, CheckpointAfterShrinkResavesIdentically)
 
 TEST(MetadataStore, HawkeyePredictorTrainsSameTableThroughSlots)
 {
-    // MetaHawkeye keeps each entry's predictor slot instead of its PC;
+    // Hawkeye keeps each entry's predictor slot instead of its PC;
     // training a slot must move exactly the counter the PC would. The
     // plain model pins the PC hash: 3-bit counters from 4, indexed by
     // mix64(pc) mod the table size.

@@ -2,9 +2,10 @@
  * @file
  * Tests for the invariant & differential-fidelity harness
  * (docs/verification.md), plus named regressions for the bugs the
- * harness flushed out: the MetaHawkeye sampled-set rounding spin, the
- * partition controller's per-epoch utility-gate window, and the
- * confirmation/cooldown interplay around level changes.
+ * harness flushed out: the metadata Hawkeye's sampled-set count (now
+ * only its clamp to a small geometry), the partition controller's
+ * per-epoch utility-gate window, and the confirmation/cooldown
+ * interplay around level changes.
  */
 #include <algorithm>
 #include <memory>
@@ -18,8 +19,8 @@
 #include "exec/job.hpp"
 #include "exec/lab.hpp"
 #include "obs/observer.hpp"
+#include "replacement/hawkeye.hpp"
 #include "replacement/lru.hpp"
-#include "triage/meta_repl.hpp"
 #include "triage/metadata_store.hpp"
 #include "triage/partition.hpp"
 #include "util/rng.hpp"
@@ -29,7 +30,6 @@
 #include "workloads/spec.hpp"
 
 using namespace triage;
-using core::MetaHawkeye;
 using core::PartitionConfig;
 using core::PartitionController;
 
@@ -70,38 +70,20 @@ collect_reports(const std::function<
 } // namespace
 
 // ---------------------------------------------------------------------
-// MetaHawkeye sampled-set rounding (regression: the old
-// `while (!is_pow2(n)) --n;` underflowed on 0 and spun ~2^31 times)
+// Hawkeye sampled sets on a small geometry
 // ---------------------------------------------------------------------
-
-TEST(MetaHawkeyeSampling, RejectsZeroSampledSets)
-{
-    EXPECT_DEATH(MetaHawkeye(256, 16, 0), "at least one sampled set");
-}
-
-TEST(MetaHawkeyeSampling, NonPow2SampledSetsRoundDownWithoutSpinning)
-{
-    // Each construction must terminate immediately (the old decrement
-    // loop made some of these take billions of iterations) and yield a
-    // usable policy.
-    for (std::uint32_t req : {1u, 3u, 33u, 100u, 255u, 257u, 4096u}) {
-        MetaHawkeye h(256, 16, req);
-        h.on_miss(0, 1, 100, true);
-        h.on_insert(0, 0, 1, 100);
-        EXPECT_LT(h.victim(0), 16u) << "sampled_sets=" << req;
-    }
-}
 
 TEST(MetaHawkeyeSampling, SampledSetsClampToGeometry)
 {
-    // Requesting more sampled sets than exist clamps to the set count;
-    // every set is then sampled and the policy still behaves.
-    MetaHawkeye h(16, 4, 1024);
+    // A structure with fewer sets than Hawkeye::SAMPLED_SETS samples
+    // every set it has, and the policy still behaves.
+    static_assert(replacement::Hawkeye::SAMPLED_SETS > 16);
+    replacement::Hawkeye h(16, 4);
     for (std::uint32_t s = 0; s < 16; ++s) {
-        h.on_miss(s, s + 1, 7, true);
-        h.on_insert(s, 0, s + 1, 7);
+        h.on_miss(s, s + 1, 7);
+        h.on_insert({.set = s, .way = 0, .tag = s + 1, .pc = 7});
     }
-    EXPECT_LT(h.victim(3), 4u);
+    EXPECT_LT(h.victim(3, 0, 4), 4u);
 }
 
 // ---------------------------------------------------------------------
