@@ -89,19 +89,6 @@ SetAssocCache::contains(sim::Addr block) const
     return find_way(base, block) != NO_WAY;
 }
 
-std::optional<LineState>
-SetAssocCache::peek(sim::Addr block) const
-{
-    const std::size_t base =
-        static_cast<std::size_t>(set_of(block)) * assoc_;
-    const std::uint32_t way = find_way(base, block);
-    if (way == NO_WAY)
-        return std::nullopt;
-    const std::uint64_t h = hot_[base + way];
-    return LineState{(h & HOT_DIRTY) != 0, (h & HOT_PREFETCHED) != 0,
-                     h & HOT_READY_MASK, owners_[base + way]};
-}
-
 bool
 SetAssocCache::mark_dirty(sim::Addr block)
 {
@@ -326,7 +313,7 @@ SetAssocCache::checkpoint(sim::Snapshot& s, const PfOwnerCodec& codec)
     std::uint64_t n = hot_.size();
     s.io(n);
     TRIAGE_ASSERT(n == hot_.size(), "cache state size mismatch");
-    // Field-for-field the same stream as the old LineState loop (bool
+    // Field-for-field the same stream as the former per-line loop (bool
     // dirty, bool prefetched, u64 ready_time, u32 owner id), so
     // snapshots written before the hot/cold split load unchanged.
     for (std::size_t i = 0; i < hot_.size(); ++i) {

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,25 +36,6 @@ class Registry;
 } // namespace triage::obs
 
 namespace triage::cache {
-
-/**
- * Per-line bookkeeping, only read or written on a hit or insert (never
- * by the tag scan). This is the *value type* handed across the cache
- * API (peek(), shard overlays); internally SetAssocCache stores the
- * frequently-touched fields packed one 64-bit word per line (see
- * `hot_`), with the rarely-read prefetch-owner pointer in a parallel
- * cold array, so a 16-way set's hot state spans two host cache lines
- * instead of six.
- */
-struct LineState {
-    bool dirty = false;
-    /** Set by prefetch fill; cleared on first demand touch. */
-    bool prefetched = false;
-    /** Fill completes at this time; before it, hits see extra latency. */
-    sim::Cycle ready_time = 0;
-    /** Prefetcher to credit when a prefetched line is first demanded. */
-    prefetch::Prefetcher* pf_owner = nullptr;
-};
 
 /** Result of a lookup. */
 struct LookupResult {
@@ -98,7 +78,7 @@ struct CacheStats {
 };
 
 /**
- * Pointer<->index codec for LineState::pf_owner across serialization.
+ * Pointer<->index codec for a line's prefetch owner across serialization.
  * The host (MemorySystem) enumerates every prefetcher that can own a
  * line, in a fixed order; snapshots store 0 for "no owner" and
  * 1 + index otherwise. Restore resolves indices against the restoring
@@ -189,9 +169,6 @@ class SetAssocCache
             __builtin_prefetch(hrow + 8, 1);
     }
 
-    /** Cold-state snapshot of a resident line (no side effects). */
-    std::optional<LineState> peek(sim::Addr block) const;
-
     /** Set the dirty bit if @p block is resident. @return resident. */
     bool mark_dirty(sim::Addr block);
 
@@ -258,9 +235,9 @@ class SetAssocCache
     // Packed hot line state, one word per way: ready_time in the low
     // 62 bits (cycle counts never approach 2^62), dirty and prefetched
     // in the top two. The pf-owner pointer lives in the parallel cold
-    // `owners_` array, mirrored field-for-field with the old LineState
-    // semantics (including stale values on invalidated ways) so
-    // snapshots stay byte-identical.
+    // `owners_` array; it keeps stale values on invalidated ways, as
+    // the pre-split per-line struct did, so snapshots stay
+    // byte-identical.
     static constexpr std::uint64_t HOT_DIRTY = std::uint64_t{1} << 62;
     static constexpr std::uint64_t HOT_PREFETCHED = std::uint64_t{1} << 63;
     static constexpr std::uint64_t HOT_READY_MASK = HOT_DIRTY - 1;

@@ -77,8 +77,6 @@ JobKey::str() const
     // the seeds derived from it) is unchanged.
     if (quantum != 0)
         os << "|q" << quantum;
-    if (sharded)
-        os << "|xs";
     return os.str();
 }
 
@@ -138,10 +136,6 @@ key_of(const Job& job)
     k.measure_records = job.scale.measure_records;
     k.workload_scale = job.scale.workload_scale;
     k.quantum = job.quantum;
-    // Single-core jobs have no quantum interleaving to shard; their
-    // exec_mode is inert and must not split the memoization space.
-    k.sharded =
-        job.exec_mode == sim::ExecMode::Sharded && !job.mix.empty();
     return k;
 }
 
@@ -150,7 +144,6 @@ warm_prefix(const JobKey& key)
 {
     JobKey warm = key;
     warm.measure_records = 0;
-    warm.sharded = false;
     return warm;
 }
 
@@ -205,7 +198,8 @@ run_job(const Job& job, CheckpointStore* ckpt)
     // reproducible stream derived from the key.
     const std::uint64_t jitter =
         job.replica == 0 ? 0 : key.derived_seed();
-    const sim::Cycle quantum = job.quantum != 0 ? job.quantum : 1000;
+    const sim::Cycle quantum =
+        job.quantum != 0 ? job.quantum : sim::DEFAULT_QUANTUM;
 
     auto make_pf = [&](unsigned core) {
         return job.prefetcher_factory
@@ -232,8 +226,7 @@ run_job(const Job& job, CheckpointStore* ckpt)
             ckpt, key,
             [&] { sys.run_warmup(job.scale.warmup_records, quantum); },
             [&](sim::Snapshot& s) { sys.checkpoint_warm(s); });
-        return sys.run_measure(job.scale.measure_records, quantum,
-                               job.exec_mode, job.threads);
+        return sys.run_measure(job.scale.measure_records, quantum);
     }
 
     sim::SingleCoreSystem sys(job.config);

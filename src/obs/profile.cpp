@@ -636,7 +636,7 @@ Profiler::write_json(std::ostream& os, int indent)
 }
 
 void
-ProfScope::begin(const char* name, bool hw)
+ProfScope::begin(const char* name)
 {
     ThreadState& ts = t_state;
     Profiler& prof = Profiler::instance();
@@ -660,15 +660,12 @@ ProfScope::begin(const char* name, bool hw)
             std::memory_order_relaxed);
     }
     name_ = name;
-    hw_ = hw;
     active_ = true;
     ts.stack.emplace_back(this, name);
     t0_ns_ = now_ns();
-    if (hw_) {
-        hw_live_ = ts.group.read_raw(hw0_);
-        if (!hw_live_)
-            hw0_[0] = tsc_now(); // software backend: cycles from TSC
-    }
+    hw_live_ = ts.group.read_raw(hw0_);
+    if (!hw_live_)
+        hw0_[0] = tsc_now(); // software backend: cycles from TSC
 }
 
 void
@@ -684,17 +681,15 @@ ProfScope::end()
     }
     HwSample hw{};
     bool has_hw = false;
-    if (hw_) {
-        if (hw_live_) {
-            std::uint64_t hw1[6];
-            if (ts.group.read_raw(hw1))
-                has_hw = scale_delta(hw0_, hw1, hw);
-        } else {
-            const std::uint64_t c1 = tsc_now();
-            if (c1 > hw0_[0] && hw0_[0] != 0) {
-                hw.cycles = c1 - hw0_[0];
-                has_hw = true;
-            }
+    if (hw_live_) {
+        std::uint64_t hw1[6];
+        if (ts.group.read_raw(hw1))
+            has_hw = scale_delta(hw0_, hw1, hw);
+    } else {
+        const std::uint64_t c1 = tsc_now();
+        if (c1 > hw0_[0] && hw0_[0] != 0) {
+            hw.cycles = c1 - hw0_[0];
+            has_hw = true;
         }
     }
     // Record while this scope is still on the stack so the path

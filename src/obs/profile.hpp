@@ -7,7 +7,7 @@
  * (docs/observability.md §10). Three pieces:
  *
  *  - **Phase timers.** `ProfScope` is an RAII scope a run harness drops
- *    around a phase (warmup, measure, epoch, weave, snapshot save /
+ *    around a phase (warmup, measure, epoch, snapshot save /
  *    restore). Scopes nest; a scope's aggregation key is the
  *    dot-joined path of the scopes active on its thread ("job.warmup",
  *    "job.measure.epoch"), so the phase table doubles as a call-tree
@@ -16,7 +16,7 @@
  *
  *  - **Hardware counters.** Each profiled thread opens one
  *    perf_event_open group (cycles, instructions, LLC misses, branch
- *    misses) and every hw-enabled scope reads it on entry and exit, so
+ *    misses) and every scope reads it on entry and exit, so
  *    phases carry cycles/instructions alongside wall time. When the
  *    syscall is unavailable (no PMU, perf_event_paranoid, containers —
  *    EPERM/ENOENT — or TRIAGE_PROF_NO_PERF is set) the profiler
@@ -150,9 +150,8 @@ class Profiler
      */
     double attributed_seconds() const;
 
-    /** Record a phase interval measured externally (e.g. the sharded
-     *  quantum barrier stall, timed inside the crew). No-op when
-     *  disarmed. */
+    /** Record a phase interval measured externally (e.g. triagesim's
+     *  startup, timed before any scope exists). No-op when disarmed. */
     void add_external(const std::string& path, std::uint64_t ns,
                       std::uint64_t count = 1);
 
@@ -210,18 +209,14 @@ class Profiler
  * Scopes must unwind in LIFO order per thread — destroying one that is
  * not the innermost active scope panics (the aggregation paths would
  * be silently wrong otherwise).
- *
- * @p hw=false skips the counter read for very fine-grained scopes
- * (e.g. the per-quantum weave) where two syscalls per entry would
- * distort what is being measured; the wall timer still runs.
  */
 class ProfScope
 {
   public:
-    explicit ProfScope(const char* name, bool hw = true)
+    explicit ProfScope(const char* name)
     {
         if (Profiler::armed())
-            begin(name, hw);
+            begin(name);
     }
     ~ProfScope()
     {
@@ -232,7 +227,7 @@ class ProfScope
     ProfScope& operator=(const ProfScope&) = delete;
 
   private:
-    void begin(const char* name, bool hw);
+    void begin(const char* name);
     void end();
 
     const char* name_ = nullptr;
@@ -240,7 +235,6 @@ class ProfScope
     /** Raw counter snapshot (group values + enabled/running times). */
     std::uint64_t hw0_[6] = {};
     bool active_ = false;
-    bool hw_ = false;
     bool hw_live_ = false;
 };
 

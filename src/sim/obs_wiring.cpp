@@ -159,15 +159,4 @@ attach_observability(obs::Observability& obs, cache::MemorySystem& mem,
         obs.verifier->attach(mem);
 }
 
-void
-detach_observability(cache::MemorySystem& mem)
-{
-    mem.set_trace(nullptr);
-    mem.set_lifecycle(nullptr);
-    for (unsigned i = 0; i < mem.num_cores(); ++i) {
-        if (prefetch::Prefetcher* pf = mem.prefetcher(i))
-            pf->set_partition_timeline(nullptr, i);
-    }
-}
-
 } // namespace triage::sim

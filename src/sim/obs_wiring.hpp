@@ -38,9 +38,6 @@ void attach_observability(obs::Observability& obs,
                           cache::MemorySystem& mem,
                           const std::vector<CoreModel*>& cores);
 
-/** Detach the trace from @p mem (leaves registry contents intact). */
-void detach_observability(cache::MemorySystem& mem);
-
 } // namespace triage::sim
 
 #endif // TRIAGE_SIM_OBS_WIRING_HPP

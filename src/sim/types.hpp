@@ -38,18 +38,11 @@ block_base(Addr block)
 }
 
 /**
- * How a multi-core measurement phase advances its cores.
- *
- * Legacy interleaves cores serially (core-major within each quantum).
- * Sharded runs each core's quantum against a frozen view of the shared
- * LLC/DRAM and replays the logged shared-state operations in a fixed
- * core-major merge order at the quantum barrier — results are
- * bit-identical for any worker-thread count (docs/parallel-runs.md).
+ * Default bound, in cycles, on how far one core may run ahead of the
+ * others in a multi-core run: cores interleave serially, each advancing
+ * to the next multiple of the quantum in turn (sim/multicore.hpp).
  */
-enum class ExecMode : std::uint8_t {
-    Legacy = 0,
-    Sharded = 1,
-};
+inline constexpr Cycle DEFAULT_QUANTUM = 1000;
 
 /** Kinds of memory traffic tracked by the DRAM model. */
 enum class TrafficClass : std::uint8_t {

@@ -13,6 +13,12 @@ MetadataStore::MetadataStore(MetadataStoreConfig cfg)
 {
     TRIAGE_ASSERT(cfg_.line_entries > 0);
     TRIAGE_ASSERT(cfg_.entry_bytes > 0);
+    if (cfg_.repl != sim::ReplPolicy::Lru &&
+        cfg_.repl != sim::ReplPolicy::Hawkeye) {
+        util::fatal("MetadataStore: replacement policy must be Lru or "
+                    "Hawkeye (SRRIP, DRRIP and SHiP are data-cache "
+                    "policies only)");
+    }
     build(cfg.capacity_bytes);
 }
 

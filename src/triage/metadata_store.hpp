@@ -36,7 +36,8 @@ struct MetadataStoreConfig {
     std::uint32_t entry_bytes = 4;
     /** Entries per LLC line (the store's associativity). */
     std::uint32_t line_entries = 16;
-    /** Replacement policy (Triage's specs pick Lru or Hawkeye). */
+    /** Replacement policy: Lru or Hawkeye (the constructor rejects the
+     *  data-cache-only SRRIP, DRRIP and SHiP). */
     sim::ReplPolicy repl = sim::ReplPolicy::Hawkeye;
     /** Model the compressed-tag table (false stores full addresses). */
     bool compressed_tags = true;

@@ -14,8 +14,8 @@
  *    contiguous block: a packed key array (EMPTY all-ones sentinel)
  *    followed by a parallel value array. No per-element allocation,
  *    ever; clear() just repaints the key array and keeps the arena,
- *    so per-quantum maps (the sharded-LLC overlay) reuse their
- *    capacity instead of rebuilding a node forest each quantum.
+ *    so a map that is cleared and refilled reuses its capacity
+ *    instead of rebuilding a node forest.
  *  - **Packed-key probes.** Linear probing over the packed key array
  *    is "first slot equal to my key or EMPTY", one
  *    find_first_eq_either row scan (util/row_scan.hpp). At the 50%

@@ -202,10 +202,18 @@ TEST(Cache, ReinsertionRefreshesInsteadOfDuplicating)
     c.insert(5, 1, 100, false, false);
     c.insert(5, 1, 50, true, false);
     EXPECT_EQ(c.valid_lines(), 1u);
-    auto line = c.peek(5);
-    ASSERT_TRUE(line.has_value());
-    EXPECT_TRUE(line->dirty);
-    EXPECT_EQ(line->ready_time, 50u);
+    // The refreshed fill time is what a demand sees.
+    auto r = c.access(5, 1, 0, false);
+    ASSERT_TRUE(r.hit);
+    EXPECT_EQ(r.ready_time, 50u);
+    // Fill the set with conflicting blocks (16 sets: 5 + 16k) until the
+    // line is evicted; the eviction carries the refreshed dirty bit.
+    cache::Eviction ev;
+    for (sim::Addr b = 5 + 16; b <= 5 + 16 * 4 && !ev.valid; b += 16)
+        ev = c.insert(b, 1, 0, false, false);
+    ASSERT_TRUE(ev.valid);
+    EXPECT_EQ(ev.block, 5u);
+    EXPECT_TRUE(ev.dirty);
 }
 
 // ---------------------------------------------------------------------

@@ -115,6 +115,28 @@ TEST(JobKey, DistinguishesEveryAxis)
     EXPECT_NE(base, exec::key_of(machine));
 }
 
+TEST(JobKey, QuantumIsPartOfTheSemantics)
+{
+    // A different quantum interleaves the cores differently, so it is a
+    // different (deterministic) result — which is why it is keyed.
+    exec::Job q1000;
+    q1000.mix = {"mcf", "omnetpp"};
+    q1000.pf_spec = "triage_dyn";
+    q1000.degree = 4;
+    q1000.scale = tiny_scale();
+    exec::Job q5000 = q1000;
+    q5000.quantum = 5000;
+
+    const exec::JobKey k1000 = exec::key_of(q1000);
+    const exec::JobKey k5000 = exec::key_of(q5000);
+    EXPECT_NE(k1000, k5000);
+    EXPECT_EQ(k1000.str().find("|q"), std::string::npos);
+    EXPECT_NE(k5000.str().find("|q5000"), std::string::npos);
+
+    EXPECT_NE(exec::run_job(q1000).per_core[0].cycles,
+              exec::run_job(q5000).per_core[0].cycles);
+}
+
 TEST(JobKey, DerivedSeedVariesByReplica)
 {
     auto a = bench_job("mcf", "triage_dyn");

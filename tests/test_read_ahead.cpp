@@ -553,33 +553,27 @@ TEST(ReadAhead, RunJobCheckpointForkMatchesPlain)
     std::remove(tria.c_str());
 }
 
-TEST(ReadAhead, ShardedRunJobMatchesPlain)
+TEST(ReadAhead, MixRunJobMatchesPlain)
 {
+    // run_job reads every mix slot ahead on its own producer; a plain
+    // MultiCoreSystem over the undecorated workloads must agree.
     exec::Job job;
     job.mix = {"mcf", "omnetpp"};
     job.pf_spec = "triage_dyn";
     job.degree = 4;
     job.scale = tiny_scale(20000);
-    job.exec_mode = sim::ExecMode::Sharded;
 
-    auto plain = [&](unsigned threads) {
-        sim::MultiCoreSystem sys(job.config, 2);
-        for (unsigned c = 0; c < 2; ++c) {
-            sys.set_prefetcher(
-                c, stats::make_prefetcher(job.pf_spec, job.degree));
-            auto wl = workloads::make_workload(
-                job.mix[c], job.scale.workload_scale, 0, c);
-            sys.bind(c, *wl);
-        }
-        sys.run_warmup(job.scale.warmup_records, 1000);
-        return sys.run_measure(job.scale.measure_records, 1000,
-                               sim::ExecMode::Sharded, threads);
-    };
-    for (const unsigned threads : {1u, 2u}) {
-        SCOPED_TRACE(std::to_string(threads) + " threads");
-        job.threads = threads;
-        expect_identical(exec::run_job(job), plain(threads));
+    sim::MultiCoreSystem sys(job.config, 2);
+    for (unsigned c = 0; c < 2; ++c) {
+        sys.set_prefetcher(c,
+                           stats::make_prefetcher(job.pf_spec, job.degree));
+        auto wl = workloads::make_workload(
+            job.mix[c], job.scale.workload_scale, 0, c);
+        sys.bind(c, *wl);
     }
+    const sim::RunResult plain = sys.run(job.scale.warmup_records,
+                                         job.scale.measure_records);
+    expect_identical(exec::run_job(job), plain);
 }
 
 } // namespace

@@ -187,6 +187,14 @@ TEST(MetadataStore, InsertConfidentModeKeepsOldBehaviour)
     EXPECT_TRUE(s.probe(100).confident);
 }
 
+TEST(MetadataStoreDeathTest, RejectsDataCacheOnlyPolicies)
+{
+    for (sim::ReplPolicy p : {sim::ReplPolicy::Srrip, sim::ReplPolicy::Drrip,
+                              sim::ReplPolicy::Ship}) {
+        EXPECT_DEATH(MetadataStore s(small_store(p)), "Lru or Hawkeye");
+    }
+}
+
 TEST(MetadataStore, ZeroCapacityHoldsNothing)
 {
     MetadataStore s(small_store(sim::ReplPolicy::Lru, 0));

@@ -325,7 +325,7 @@ TEST(FlatMap, ClearRetainsArenaCapacity)
     EXPECT_GE(cap, 2000u); // load capped at 50%
     fm.clear();
     EXPECT_EQ(fm.size(), 0u);
-    EXPECT_EQ(fm.capacity(), cap); // per-quantum overlay reuse
+    EXPECT_EQ(fm.capacity(), cap); // a refill reuses the arena
     for (std::uint64_t k = 0; k < 1000; ++k)
         EXPECT_EQ(fm.find(k), nullptr);
     fm.ref(7) = 9;

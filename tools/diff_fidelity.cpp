@@ -15,8 +15,6 @@
  *            sweep run serially;
  *   ckpt     a run forked from a memoized warm-state checkpoint vs the
  *            same run warming up cold (single-core and 2-core mix);
- *   threaded a Sharded-mode mix on N worker threads vs the same mix on
- *            one thread (sharded results are thread-count invariant);
  *   stream   a trace replayed through the streaming frontend (bounded
  *            memory, plus a gzip leg and a warm-checkpoint fork) vs
  *            the same trace fully loaded in memory.
@@ -63,7 +61,7 @@ usage(const char* argv0)
     std::printf(
         "usage: %s [options]\n"
         "  --pair=P        degree0 | mix1 | split | jobs | ckpt | "
-        "threaded | stream | all (default all)\n"
+        "stream | all (default all)\n"
         "  --benchmark=B   benchmark analog (default mcf)\n"
         "  --warmup=N      warmup records per run (default 100000)\n"
         "  --measure=N     measured records per run (default 400000)\n"
@@ -315,30 +313,6 @@ pair_ckpt(const Options& o)
     return ok;
 }
 
-/** Sharded measurement must be bit-identical for any thread count. */
-bool
-pair_threaded(const Options& o)
-{
-    exec::Job j = base_job(o);
-    j.benchmark.clear();
-    // Core counts stay powers of two so the scaled LLC keeps a pow2
-    // set count (the paper's mixes are 2/4/8/16-core for this reason).
-    j.mix = {o.benchmark, "omnetpp", "bwaves", "sphinx3"};
-    j.pf_spec = "triage_dyn";
-    j.degree = o.degree;
-    j.exec_mode = sim::ExecMode::Sharded;
-
-    j.threads = 1;
-    const sim::RunResult serial = exec::run_job(j);
-    bool ok = true;
-    for (unsigned t : {2u, 3u}) {
-        j.threads = t;
-        ok &= report("threaded[x" + std::to_string(t) + "]",
-                     verify::diff_results(serial, exec::run_job(j)));
-    }
-    return ok;
-}
-
 /**
  * A trace replayed through the streaming frontend must be
  * stat-identical to the same trace fully loaded into memory — the
@@ -424,13 +398,11 @@ main(int argc, char** argv)
         ok &= pair_jobs(o);
     if (all || o.pair == "ckpt")
         ok &= pair_ckpt(o);
-    if (all || o.pair == "threaded")
-        ok &= pair_threaded(o);
     if (all || o.pair == "stream")
         ok &= pair_stream(o);
     if (!all && o.pair != "degree0" && o.pair != "mix1" &&
         o.pair != "split" && o.pair != "jobs" && o.pair != "ckpt" &&
-        o.pair != "threaded" && o.pair != "stream") {
+        o.pair != "stream") {
         std::fprintf(stderr, "unknown pair: %s\n", o.pair.c_str());
         return 2;
     }
