@@ -67,8 +67,10 @@ struct CheckpointOptions {
  * 6: the metadata store runs on cache::ReplacementPolicy (sections
  * repl.lru / repl.hawkeye), and every Hawkeye saves a 16-bit predictor
  * slot per line instead of the PC, with no per-sampler prune stamp.
+ * 7: single-core jobs and 1-program mixes save only the hierarchy and
+ * the core at the warm point (no epoch_run section).
  */
-inline constexpr std::uint32_t CKPT_VERSION = 6;
+inline constexpr std::uint32_t CKPT_VERSION = 7;
 
 /**
  * Two-tier (memory LRU + disk) cache of sealed snapshot blobs.

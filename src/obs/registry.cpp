@@ -1,75 +1,11 @@
 #include "obs/registry.hpp"
 
-#include <bit>
 #include <cmath>
 #include <ostream>
 
 #include "util/log.hpp"
 
 namespace triage::obs {
-
-// ---------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------
-
-void
-Histogram::sample(std::uint64_t v, std::uint64_t weight)
-{
-    if (weight == 0)
-        return;
-    buckets_[std::bit_width(v)] += weight;
-    if (count_ == 0 || v < min_)
-        min_ = v;
-    if (v > max_)
-        max_ = v;
-    count_ += weight;
-    sum_ += v * weight;
-}
-
-double
-Histogram::mean() const
-{
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) /
-                             static_cast<double>(count_);
-}
-
-std::uint64_t
-Histogram::percentile(double q) const
-{
-    if (count_ == 0)
-        return 0;
-    if (q < 0.0)
-        q = 0.0;
-    if (q > 1.0)
-        q = 1.0;
-    // Rank of the q-th sample, 1-based, rounded up (q=0 -> first).
-    auto rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(count_)));
-    if (rank == 0)
-        rank = 1;
-    std::uint64_t seen = 0;
-    for (unsigned b = 0; b < BUCKETS; ++b) {
-        seen += buckets_[b];
-        if (seen >= rank) {
-            // Upper edge of bucket b, clamped into the observed range.
-            std::uint64_t edge =
-                b == 0 ? 0 : (b >= 64 ? max_ : (1ULL << b) - 1);
-            return std::min(std::max(edge, min()), max_);
-        }
-    }
-    return max_;
-}
-
-void
-Histogram::reset()
-{
-    *this = Histogram{};
-}
-
-// ---------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------
 
 namespace {
 
@@ -84,8 +20,7 @@ nests_under(const std::string& outer, const std::string& inner)
 } // namespace
 
 Registry::Stat&
-Registry::insert(const std::string& name, const std::string& desc,
-                 StatKind kind)
+Registry::insert(const std::string& name, StatKind kind)
 {
     TRIAGE_ASSERT(!name.empty(), "stat name must be non-empty");
     // A name that is both a leaf and a dot-prefix of another ("a.b"
@@ -101,7 +36,6 @@ Registry::insert(const std::string& name, const std::string& desc,
     auto [it, fresh] = stats_.try_emplace(name);
     TRIAGE_ASSERT(fresh, "duplicate stat registration: ", name);
     it->second.kind = kind;
-    it->second.desc = desc;
     return it->second;
 }
 
@@ -114,43 +48,25 @@ Registry::find(const std::string& name) const
 }
 
 void
-Registry::bind_counter(const std::string& name, const std::uint64_t* src,
-                       const std::string& desc)
+Registry::bind_counter(const std::string& name, const std::uint64_t* src)
 {
     TRIAGE_ASSERT(src != nullptr);
-    insert(name, desc, StatKind::Counter).bound_counter = src;
+    insert(name, StatKind::Counter).bound_counter = src;
 }
 
 void
-Registry::bind_value(const std::string& name, const double* src,
-                     const std::string& desc)
-{
-    TRIAGE_ASSERT(src != nullptr);
-    insert(name, desc, StatKind::Value).bound_value = src;
-}
-
-void
-Registry::add_formula(const std::string& name, std::function<double()> fn,
-                      const std::string& desc)
+Registry::add_formula(const std::string& name, std::function<double()> fn)
 {
     TRIAGE_ASSERT(fn != nullptr);
-    insert(name, desc, StatKind::Formula).formula = std::move(fn);
+    insert(name, StatKind::Formula).formula = std::move(fn);
 }
 
 Counter&
-Registry::counter(const std::string& name, const std::string& desc)
+Registry::counter(const std::string& name)
 {
-    Stat& s = insert(name, desc, StatKind::Counter);
+    Stat& s = insert(name, StatKind::Counter);
     s.owned = std::make_unique<Counter>();
     return *s.owned;
-}
-
-Histogram&
-Registry::histogram(const std::string& name, const std::string& desc)
-{
-    Stat& s = insert(name, desc, StatKind::Histogram);
-    s.hist = std::make_unique<Histogram>();
-    return *s.hist;
 }
 
 bool
@@ -168,12 +84,8 @@ Registry::read(const std::string& name) const
         return static_cast<double>(s.bound_counter != nullptr
                                        ? *s.bound_counter
                                        : s.owned->value());
-      case StatKind::Value:
-        return *s.bound_value;
       case StatKind::Formula:
         return s.formula();
-      case StatKind::Histogram:
-        return s.hist->mean();
     }
     util::panic("unreachable stat kind");
 }
@@ -182,21 +94,6 @@ StatKind
 Registry::kind(const std::string& name) const
 {
     return find(name).kind;
-}
-
-const std::string&
-Registry::description(const std::string& name) const
-{
-    return find(name).desc;
-}
-
-const Histogram*
-Registry::find_histogram(const std::string& name) const
-{
-    auto it = stats_.find(name);
-    if (it == stats_.end() || it->second.kind != StatKind::Histogram)
-        return nullptr;
-    return it->second.hist.get();
 }
 
 std::vector<std::string>
@@ -215,8 +112,6 @@ Registry::reset()
     for (auto& [name, stat] : stats_) {
         if (stat.owned != nullptr)
             stat.owned->reset();
-        if (stat.hist != nullptr)
-            stat.hist->reset();
     }
 }
 
@@ -232,19 +127,11 @@ Registry::freeze()
                 s.bound_counter = &s.frozen_counter;
             }
             break;
-          case StatKind::Value:
-            if (s.bound_value != &s.frozen_value) {
-                s.frozen_value = *s.bound_value;
-                s.bound_value = &s.frozen_value;
-            }
-            break;
           case StatKind::Formula: {
             const double v = s.formula();
             s.formula = [v] { return v; };
             break;
           }
-          case StatKind::Histogram:
-            break;
         }
     }
 }
@@ -336,23 +223,9 @@ Registry::write_json(std::ostream& os, int indent) const
             os << (stat.bound_counter != nullptr ? *stat.bound_counter
                                                  : stat.owned->value());
             break;
-          case StatKind::Value:
-            write_number(os, *stat.bound_value);
-            break;
           case StatKind::Formula:
             write_number(os, stat.formula());
             break;
-          case StatKind::Histogram: {
-            const Histogram& h = *stat.hist;
-            os << "{\"count\": " << h.count() << ", \"sum\": " << h.sum()
-               << ", \"min\": " << h.min() << ", \"max\": " << h.max()
-               << ", \"mean\": ";
-            write_number(os, h.mean());
-            os << ", \"p50\": " << h.percentile(0.50)
-               << ", \"p90\": " << h.percentile(0.90)
-               << ", \"p99\": " << h.percentile(0.99) << "}";
-            break;
-          }
         }
     }
     for (std::size_t d = open.size(); d > 0; --d) {

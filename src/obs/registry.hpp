@@ -3,16 +3,15 @@
  * Hierarchical statistics registry (gem5-style).
  *
  * Components register named stats under dot-separated hierarchical
- * names ("core0.l2.demand_misses"). Four stat kinds:
+ * names ("core0.l2.demand_misses"). Three stat flavours:
  *
- *  - bound counters/values: non-owning views of counters a component
- *    already keeps in its own stats struct (registration costs nothing
- *    on the simulation hot path — the registry reads the live field at
- *    dump time);
- *  - owned counters: registry-native scalars for components without a
- *    legacy stats struct;
- *  - formulas: lazily evaluated derived metrics (hit rates, IPC);
- *  - histograms: log2-bucketed distributions with percentile queries.
+ *  - bound counters: non-owning views of counters a component already
+ *    keeps in its own stats struct (registration costs nothing on the
+ *    simulation hot path — the registry reads the live field at dump
+ *    time);
+ *  - owned counters: registry-native scalars for numbers no component
+ *    keeps (triagesim's profile.ckpt.* mirror);
+ *  - formulas: lazily evaluated derived metrics (hit rates, IPC).
  *
  * The registry serializes itself as nested JSON keyed by the name
  * segments, which is what `triagesim --stats-json` emits.
@@ -32,10 +31,8 @@ namespace triage::obs {
 
 /** Discriminates Registry entries. */
 enum class StatKind : std::uint8_t {
-    Counter,   ///< monotonic integer (bound or owned)
-    Value,     ///< bound floating-point gauge
-    Formula,   ///< derived metric, evaluated on read
-    Histogram, ///< owned distribution
+    Counter, ///< monotonic integer (bound or owned)
+    Formula, ///< derived metric, evaluated on read
 };
 
 /** Registry-owned scalar counter. */
@@ -55,87 +52,40 @@ class Counter
     std::uint64_t v_ = 0;
 };
 
-/**
- * Log2-bucketed histogram of unsigned samples.
- *
- * Bucket b holds samples whose bit width is b (i.e. in [2^(b-1), 2^b)),
- * so percentile queries resolve to within a factor of two — plenty for
- * latency/occupancy distributions — with 65 fixed buckets and no
- * per-sample allocation.
- */
-class Histogram
-{
-  public:
-    void sample(std::uint64_t v, std::uint64_t weight = 1);
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t sum() const { return sum_; }
-    std::uint64_t min() const { return count_ == 0 ? 0 : min_; }
-    std::uint64_t max() const { return max_; }
-    double mean() const;
-
-    /**
-     * Approximate value at quantile @p q in [0, 1]: the upper edge of
-     * the bucket containing the q-th weighted sample (0 when empty).
-     */
-    std::uint64_t percentile(double q) const;
-
-    void reset();
-
-  private:
-    static constexpr unsigned BUCKETS = 65;
-    std::uint64_t buckets_[BUCKETS] = {};
-    std::uint64_t count_ = 0;
-    std::uint64_t sum_ = 0;
-    std::uint64_t min_ = 0;
-    std::uint64_t max_ = 0;
-};
-
 /** The hierarchical registry. */
 class Registry
 {
   public:
     /** Bind a live counter field; @p src must outlive the registry use. */
-    void bind_counter(const std::string& name, const std::uint64_t* src,
-                      const std::string& desc = "");
-    /** Bind a live double field. */
-    void bind_value(const std::string& name, const double* src,
-                    const std::string& desc = "");
+    void bind_counter(const std::string& name, const std::uint64_t* src);
     /** Register a derived metric evaluated at read/dump time. */
-    void add_formula(const std::string& name, std::function<double()> fn,
-                     const std::string& desc = "");
+    void add_formula(const std::string& name, std::function<double()> fn);
     /** Create (and own) a scalar counter. */
-    Counter& counter(const std::string& name, const std::string& desc = "");
-    /** Create (and own) a histogram. */
-    Histogram& histogram(const std::string& name,
-                         const std::string& desc = "");
+    Counter& counter(const std::string& name);
 
     bool contains(const std::string& name) const;
     std::size_t size() const { return stats_.size(); }
 
     /**
-     * Numeric view of any stat: counters and values read their source,
-     * formulas evaluate, histograms report their mean. Panics on an
-     * unknown name.
+     * Numeric view of any stat: counters read their source, formulas
+     * evaluate. Panics on an unknown name.
      */
     double read(const std::string& name) const;
 
     StatKind kind(const std::string& name) const;
-    const std::string& description(const std::string& name) const;
-    const Histogram* find_histogram(const std::string& name) const;
 
     /** All registered names in sorted (hierarchical) order. */
     std::vector<std::string> names() const;
 
-    /** Zero owned counters and histograms (bound stats belong to their
-     *  components, which have their own clear_stats paths). */
+    /** Zero owned counters (bound stats belong to their components,
+     *  which have their own clear_stats paths). */
     void reset();
 
     /**
-     * Snapshot every bound counter/value and formula into storage the
+     * Snapshot every bound counter and formula into storage the
      * registry owns, so reads and dumps stay valid after the components
-     * the stats were bound to are destroyed. Owned counters and
-     * histograms are untouched. Idempotent.
+     * the stats were bound to are destroyed. Owned counters are
+     * untouched. Idempotent.
      */
     void freeze();
 
@@ -145,27 +95,21 @@ class Registry
     /**
      * Serialize as nested JSON: name segments become object keys, so
      * "core0.l2.demand_misses" lands at {"core0":{"l2":{...}}}.
-     * Histograms expand to {count, sum, min, max, mean, p50, p90, p99}.
      */
     void write_json(std::ostream& os, int indent = 0) const;
 
   private:
     struct Stat {
         StatKind kind = StatKind::Counter;
-        std::string desc;
         const std::uint64_t* bound_counter = nullptr;
-        const double* bound_value = nullptr;
         std::function<double()> formula;
         std::unique_ptr<Counter> owned;
-        std::unique_ptr<Histogram> hist;
-        // freeze() targets: bound pointers are repointed here (map
-        // nodes are pointer-stable, so these addresses never move).
+        // freeze() target: a bound pointer is repointed here (map nodes
+        // are pointer-stable, so this address never moves).
         std::uint64_t frozen_counter = 0;
-        double frozen_value = 0;
     };
 
-    Stat& insert(const std::string& name, const std::string& desc,
-                 StatKind kind);
+    Stat& insert(const std::string& name, StatKind kind);
     const Stat& find(const std::string& name) const;
 
     // std::map keeps names sorted, which both groups siblings for the
@@ -191,22 +135,14 @@ class Scope
     Registry& registry() const { return reg_; }
 
     void
-    bind_counter(const std::string& leaf, const std::uint64_t* src,
-                 const std::string& desc = "") const
+    bind_counter(const std::string& leaf, const std::uint64_t* src) const
     {
-        reg_.bind_counter(name(leaf), src, desc);
+        reg_.bind_counter(name(leaf), src);
     }
     void
-    bind_value(const std::string& leaf, const double* src,
-               const std::string& desc = "") const
+    add_formula(const std::string& leaf, std::function<double()> fn) const
     {
-        reg_.bind_value(name(leaf), src, desc);
-    }
-    void
-    add_formula(const std::string& leaf, std::function<double()> fn,
-                const std::string& desc = "") const
-    {
-        reg_.add_formula(name(leaf), std::move(fn), desc);
+        reg_.add_formula(name(leaf), std::move(fn));
     }
 
   private:

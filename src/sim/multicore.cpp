@@ -19,8 +19,6 @@ MultiCoreSystem::MultiCoreSystem(const MachineConfig& cfg, unsigned n_cores)
         cores_.push_back(std::make_unique<CoreModel>(cfg, mem_, c));
 }
 
-MultiCoreSystem::~MultiCoreSystem() = default;
-
 void
 MultiCoreSystem::set_prefetcher(unsigned core,
                                 std::unique_ptr<prefetch::Prefetcher> pf)
@@ -55,17 +53,17 @@ MultiCoreSystem::run_warmup(std::uint64_t warmup_records, Cycle quantum)
     // A 1-program "mix" has no co-runners, so it must be
     // indistinguishable from the single-core system. The quantum-based
     // warmup below overshoots the warm point (it stops at a cycle
-    // boundary, not a record boundary), so delegate to the shared
-    // record-exact protocol instead (tools/diff_fidelity pins this).
+    // boundary, not a record boundary), so warm record-exactly as
+    // SingleCoreSystem does and measure with the same measure_one_core
+    // (tools/diff_fidelity pins this).
+    obs::prof::ProfScope prof("warmup");
+    warmed_ = true;
     if (n_cores_ == 1) {
-        er_ = std::make_unique<EpochRun>(mem_, *cores_[0]);
-        er_->run_warmup(warmup_records);
-        warmed_ = true;
+        cores_[0]->run_records(warmup_records);
         return;
     }
 
     // Warm until every core has executed warmup_records.
-    obs::prof::ProfScope prof("warmup");
     Cycle global = quantum;
     auto all_warm = [&] {
         for (unsigned c = 0; c < n_cores_; ++c) {
@@ -80,7 +78,6 @@ MultiCoreSystem::run_warmup(std::uint64_t warmup_records, Cycle quantum)
         global += quantum;
     }
     warm_global_ = global;
-    warmed_ = true;
 }
 
 void
@@ -95,16 +92,10 @@ MultiCoreSystem::checkpoint_warm(Snapshot& s)
     std::uint32_t n = n_cores_;
     s.io(n);
     TRIAGE_ASSERT(n == n_cores_, "core-count mismatch on restore");
-    if (n_cores_ == 1) {
-        if (s.loading() && er_ == nullptr)
-            er_ = std::make_unique<EpochRun>(mem_, *cores_[0]);
-        er_->checkpoint(s);
-    } else {
-        s.io(warm_global_);
-        mem_.checkpoint(s);
-        for (auto& c : cores_)
-            c->checkpoint(s);
-    }
+    s.io(warm_global_);
+    mem_.checkpoint(s);
+    for (auto& c : cores_)
+        c->checkpoint(s);
     if (s.loading())
         warmed_ = true;
 }
@@ -118,14 +109,8 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum)
     warmed_ = false;
     obs::prof::ProfScope prof("measure");
 
-    if (n_cores_ == 1) {
-        er_->begin_measure(measure_records, obs_);
-        while (er_->step_epoch()) {
-        }
-        RunResult r = er_->finish();
-        er_.reset();
-        return r;
-    }
+    if (n_cores_ == 1)
+        return measure_one_core(mem_, *cores_[0], measure_records, obs_);
 
     // Global measurement start.
     Cycle global = warm_global_;
@@ -210,19 +195,9 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum)
     Cycle max_end = 0;
     Cycle min_start = start_cycle[0];
     for (unsigned c = 0; c < n_cores_; ++c) {
-        RunStats& s = res.per_core[c];
-        s.instructions =
-            final_stats[c].instructions - base[c].instructions;
-        s.mem_records = final_stats[c].mem_records - base[c].mem_records;
-        s.cycles = end_cycle[c] - start_cycle[c];
-        s.l1 = mem_.l1(c).stats();
-        s.l2 = mem_.l2(c).stats();
-        if (mem_.prefetcher(c) != nullptr)
-            s.l2pf = mem_.prefetcher(c)->snapshot();
-        if (mem_.l1_stride(c) != nullptr)
-            s.l1_stride = mem_.l1_stride(c)->snapshot();
-        s.energy = mem_.metadata_energy(c);
-        s.avg_metadata_ways = mem_.avg_metadata_ways(c, end_cycle[c]);
+        res.per_core[c] =
+            core_run_stats(mem_, c, base[c], final_stats[c],
+                           start_cycle[c], end_cycle[c]);
         max_end = std::max(max_end, end_cycle[c]);
         min_start = std::min(min_start, start_cycle[c]);
     }

@@ -27,14 +27,11 @@
 
 namespace triage::sim {
 
-class EpochRun;
-
 /** N-core simulation harness. */
 class MultiCoreSystem
 {
   public:
     MultiCoreSystem(const MachineConfig& cfg, unsigned n_cores);
-    ~MultiCoreSystem();
 
     /** Install the L2 prefetcher for @p core (null = none). */
     void set_prefetcher(unsigned core,
@@ -97,9 +94,8 @@ class MultiCoreSystem
     std::vector<std::unique_ptr<CoreModel>> cores_;
     obs::Observability* obs_ = nullptr;
 
-    /** Record-exact protocol when n_cores_ == 1 (see run_one_core). */
-    std::unique_ptr<EpochRun> er_;
-    /** Global cycle target at the warm point (n_cores_ > 1). */
+    /** Global cycle target at the warm point (n_cores_ > 1; 0 for one
+     *  core, which warms record-exactly like SingleCoreSystem). */
     Cycle warm_global_ = 0;
     /** run_warmup/checkpoint_warm completed; consumed by run_measure. */
     bool warmed_ = false;

@@ -19,183 +19,104 @@ SingleCoreSystem::set_prefetcher(std::unique_ptr<prefetch::Prefetcher> pf)
     mem_.set_prefetcher(0, std::move(pf));
 }
 
-EpochRun::EpochRun(cache::MemorySystem& mem, CoreModel& core)
-    : mem_(mem), core_(core)
+RunStats
+core_run_stats(cache::MemorySystem& mem, unsigned core,
+               const CoreStats& before, const CoreStats& after,
+               Cycle start, Cycle end)
 {
-}
-
-void
-EpochRun::run_warmup(std::uint64_t warmup_records)
-{
-    TRIAGE_ASSERT(phase_ == Phase::Fresh, "EpochRun: warmup ran twice");
-    obs::prof::ProfScope prof("warmup");
-    core_.run_records(warmup_records);
-    phase_ = Phase::Warm;
-}
-
-void
-EpochRun::begin_measure(std::uint64_t measure_records,
-                        obs::Observability* obs)
-{
-    TRIAGE_ASSERT(phase_ == Phase::Warm,
-                  "EpochRun: begin_measure needs the warm state");
-    obs_ = obs;
-    measure_records_ = measure_records;
-    done_ = 0;
-
-    mem_.clear_stats(core_.now());
-    before_ = core_.stats();
-    start_ = core_.now();
-
-    if (obs_ != nullptr)
-        attach_observability(*obs_, mem_, {&core_});
-    if (obs_ != nullptr && obs_->sampler.enabled())
-        obs_->sampler.begin(0);
-    phase_ = Phase::Measuring;
-}
-
-std::uint64_t
-EpochRun::epoch_len() const
-{
-    // Epoch-chunked measurement: chunking run_records is
-    // behavior-identical to one big call, so the epoch length only
-    // decides where sampler/verifier boundaries fall, never the result.
-    if (obs_ != nullptr && obs_->sampler.enabled())
-        return obs_->sampler.epoch_len();
-    return obs::RunVerifier::DEFAULT_EPOCH_RECORDS;
-}
-
-bool
-EpochRun::step_epoch()
-{
-    TRIAGE_ASSERT(phase_ == Phase::Measuring,
-                  "EpochRun: step_epoch outside the measurement window");
-    if (done_ >= measure_records_) {
-        phase_ = Phase::Done;
-        return false;
-    }
-    obs::prof::ProfScope prof("epoch");
-    const std::uint64_t chunk =
-        std::min(epoch_len(), measure_records_ - done_);
-    core_.run_records(chunk);
-    done_ += chunk;
-    if (obs_ != nullptr && obs_->sampler.enabled())
-        obs_->sampler.sample(done_);
-    obs::RunVerifier* verifier = obs_ != nullptr ? obs_->verifier : nullptr;
-    if (verifier != nullptr)
-        verifier->on_epoch();
-    return true;
+    RunStats s;
+    s.instructions = after.instructions - before.instructions;
+    s.mem_records = after.mem_records - before.mem_records;
+    s.cycles = end - start;
+    s.l1 = mem.l1(core).stats();
+    s.l2 = mem.l2(core).stats();
+    if (mem.prefetcher(core) != nullptr)
+        s.l2pf = mem.prefetcher(core)->snapshot();
+    if (mem.l1_stride(core) != nullptr)
+        s.l1_stride = mem.l1_stride(core)->snapshot();
+    s.energy = mem.metadata_energy(core);
+    s.avg_metadata_ways = mem.avg_metadata_ways(core, end);
+    return s;
 }
 
 RunResult
-EpochRun::finish()
+measure_one_core(cache::MemorySystem& mem, CoreModel& core,
+                 std::uint64_t measure_records, obs::Observability* obs)
 {
-    TRIAGE_ASSERT(phase_ == Phase::Done,
-                  "EpochRun: finish before the window completed");
-    Cycle end = core_.drain();
-    obs::RunVerifier* verifier = obs_ != nullptr ? obs_->verifier : nullptr;
+    mem.clear_stats(core.now());
+    const CoreStats before = core.stats();
+    const Cycle start = core.now();
+
+    if (obs != nullptr)
+        attach_observability(*obs, mem, {&core});
+    const bool sampling = obs != nullptr && obs->sampler.enabled();
+    obs::RunVerifier* verifier = obs != nullptr ? obs->verifier : nullptr;
+    if (sampling)
+        obs->sampler.begin(0);
+
+    const std::uint64_t epoch_len =
+        sampling ? obs->sampler.epoch_len()
+                 : obs::RunVerifier::DEFAULT_EPOCH_RECORDS;
+    for (std::uint64_t done = 0; done < measure_records;) {
+        obs::prof::ProfScope prof("epoch");
+        const std::uint64_t chunk =
+            std::min(epoch_len, measure_records - done);
+        core.run_records(chunk);
+        done += chunk;
+        if (sampling)
+            obs->sampler.sample(done);
+        if (verifier != nullptr)
+            verifier->on_epoch();
+    }
+
+    const Cycle end = core.drain();
     if (verifier != nullptr)
         verifier->on_run_end();
 
     RunResult res;
-    RunStats s;
-    s.instructions = core_.stats().instructions - before_.instructions;
-    s.mem_records = core_.stats().mem_records - before_.mem_records;
-    s.cycles = end - start_;
-    s.l1 = mem_.l1(0).stats();
-    s.l2 = mem_.l2(0).stats();
-    if (mem_.prefetcher(0) != nullptr)
-        s.l2pf = mem_.prefetcher(0)->snapshot();
-    if (mem_.l1_stride(0) != nullptr)
-        s.l1_stride = mem_.l1_stride(0)->snapshot();
-    s.energy = mem_.metadata_energy(0);
-    s.avg_metadata_ways = mem_.avg_metadata_ways(0, end);
-    res.per_core.push_back(s);
-    res.llc = mem_.llc().stats();
-    res.traffic = mem_.dram().traffic();
-    res.span = end - start_;
+    res.per_core.push_back(
+        core_run_stats(mem, 0, before, core.stats(), start, end));
+    res.llc = mem.llc().stats();
+    res.traffic = mem.dram().traffic();
+    res.span = end - start;
 
     // The registry's bound stats and formulas point into this system,
     // and none of them change once the run is over — snapshot them now
     // so harnesses (e.g. stats::run_single callers emitting
     // --stats-json) can dump the registry after the system dies.
-    if (obs_ != nullptr)
-        obs_->freeze();
+    if (obs != nullptr)
+        obs->freeze();
     return res;
-}
-
-void
-EpochRun::checkpoint(Snapshot& s)
-{
-    if (s.saving()) {
-        TRIAGE_ASSERT(
-            phase_ == Phase::Warm ||
-                (phase_ == Phase::Measuring && obs_ == nullptr),
-            "EpochRun checkpoints are taken at the warm point, or at an "
-            "epoch boundary with no observability attached");
-    }
-    s.section("epoch_run");
-    auto ph = static_cast<std::uint8_t>(phase_);
-    s.io(ph);
-    if (s.loading()) {
-        TRIAGE_ASSERT(ph == static_cast<std::uint8_t>(Phase::Warm) ||
-                          ph == static_cast<std::uint8_t>(Phase::Measuring),
-                      "EpochRun snapshot taken at a non-resumable phase");
-        phase_ = static_cast<Phase>(ph);
-        obs_ = nullptr;
-    }
-    s.io(measure_records_);
-    s.io(done_);
-    s.io_pod(before_);
-    s.io(start_);
-    mem_.checkpoint(s);
-    core_.checkpoint(s);
-}
-
-RunResult
-run_one_core(cache::MemorySystem& mem, CoreModel& core,
-             std::uint64_t warmup_records, std::uint64_t measure_records,
-             obs::Observability* obs)
-{
-    EpochRun er(mem, core);
-    er.run_warmup(warmup_records);
-    obs::prof::ProfScope prof("measure");
-    er.begin_measure(measure_records, obs);
-    while (er.step_epoch()) {
-    }
-    return er.finish();
 }
 
 void
 SingleCoreSystem::run_warmup(std::uint64_t warmup_records)
 {
-    er_ = std::make_unique<EpochRun>(mem_, core_);
-    er_->run_warmup(warmup_records);
+    TRIAGE_ASSERT(!warm_, "run_warmup on an already-warm system");
+    obs::prof::ProfScope prof("warmup");
+    core_.run_records(warmup_records);
+    warm_ = true;
 }
 
 void
 SingleCoreSystem::checkpoint_warm(Snapshot& s)
 {
-    if (s.loading() && er_ == nullptr)
-        er_ = std::make_unique<EpochRun>(mem_, core_);
-    TRIAGE_ASSERT(er_ != nullptr,
-                  "checkpoint_warm before run_warmup (save side)");
-    er_->checkpoint(s);
+    if (s.saving())
+        TRIAGE_ASSERT(warm_, "checkpoint_warm before run_warmup");
+    mem_.checkpoint(s);
+    core_.checkpoint(s);
+    if (s.loading())
+        warm_ = true;
 }
 
 RunResult
 SingleCoreSystem::run_measure(std::uint64_t measure_records)
 {
-    TRIAGE_ASSERT(er_ != nullptr && er_->phase() == EpochRun::Phase::Warm,
-                  "run_measure needs a warm system (run_warmup or a "
-                  "restoring checkpoint_warm)");
+    TRIAGE_ASSERT(warm_, "run_measure needs a warm system (run_warmup or "
+                         "a restoring checkpoint_warm)");
+    warm_ = false;
     obs::prof::ProfScope prof("measure");
-    er_->begin_measure(measure_records, obs_);
-    while (er_->step_epoch()) {
-    }
-    RunResult r = er_->finish();
-    er_.reset();
-    return r;
+    return measure_one_core(mem_, core_, measure_records, obs_);
 }
 
 RunResult
@@ -203,8 +124,8 @@ SingleCoreSystem::run(Workload& wl, std::uint64_t warmup_records,
                       std::uint64_t measure_records)
 {
     core_.bind(&wl);
-    return run_one_core(mem_, core_, warmup_records, measure_records,
-                        obs_);
+    run_warmup(warmup_records);
+    return run_measure(measure_records);
 }
 
 } // namespace triage::sim

@@ -2,6 +2,11 @@
  * @file
  * Single-core simulation harness: wire a workload, a prefetcher and the
  * memory hierarchy together, warm up, measure, and report RunStats.
+ *
+ * A run is one warmup window followed by one measurement window
+ * (measure_one_core). The warm point between them is the only place a
+ * run checkpoints: checkpoint_warm() saves it, or restores it into a
+ * fresh system so exec::Lab can fork measurements from one warmup.
  */
 #ifndef TRIAGE_SIM_SYSTEM_HPP
 #define TRIAGE_SIM_SYSTEM_HPP
@@ -18,97 +23,32 @@
 namespace triage::sim {
 
 /**
- * The single-core measurement protocol as an explicit state machine:
- * warmup, measurement in epoch units, and epoch boundaries a run can
- * stop at, serialize, and resume from bit-identically.
+ * The single-core measurement window: clear stats, capture baselines,
+ * attach @p obs (may be null), run @p measure_records references on
+ * @p core (core 0 of @p mem) from its current (warm) state, drain, and
+ * assemble the RunResult.
  *
- * Phases advance Fresh -> Warm -> Measuring -> Done:
- *
- *   EpochRun er(mem, core);
- *   er.run_warmup(warmup_records);        // Fresh -> Warm
- *   er.begin_measure(measure, obs);       // Warm -> Measuring
- *   while (er.step_epoch()) {}            // Measuring -> Done
- *   RunResult r = er.finish();
- *
- * Chunking the window into epoch units is behavior-identical to one
- * big run_records() call, so this decomposition reproduces the legacy
- * protocol byte for byte (tools/diff_fidelity pins it). checkpoint()
- * serializes the whole run — hierarchy, core, workload cursor, and the
- * measurement bookkeeping — at the warm point or at any epoch boundary;
- * restoring into an identically constructed system resumes the run as
- * if it had never stopped.
- *
- * Shared by SingleCoreSystem and by MultiCoreSystem when it runs
- * exactly one core, which is what makes a 1-program mix bit-identical
- * to the single-core system.
+ * The window runs in epoch-sized run_records() chunks (the sampler's
+ * epoch length when sampling, otherwise the verifier's default), and
+ * the sampler and verifier observe each chunk's end. Chunking is
+ * behavior-identical to one big run_records() call, so the epoch
+ * length only decides where those boundaries fall, never the result
+ * (tools/diff_fidelity pins it). Shared by SingleCoreSystem and by
+ * MultiCoreSystem when it runs exactly one core, which is what makes a
+ * 1-program mix bit-identical to the single-core system.
  */
-class EpochRun
-{
-  public:
-    enum class Phase : std::uint8_t {
-        Fresh = 0,
-        Warm = 1,
-        Measuring = 2,
-        Done = 3,
-    };
-
-    EpochRun(cache::MemorySystem& mem, CoreModel& core);
-
-    /** Execute the warmup window (Fresh -> Warm). */
-    void run_warmup(std::uint64_t warmup_records);
-
-    /**
-     * Start the measurement window (Warm -> Measuring): clear stats,
-     * capture baselines, attach @p obs (may be null).
-     */
-    void begin_measure(std::uint64_t measure_records,
-                       obs::Observability* obs);
-
-    /**
-     * Run one epoch unit (the sampler's epoch length when sampling,
-     * otherwise the verifier's default), then close the epoch: sample,
-     * run the invariant sweep. @return false once the window is
-     * complete (Measuring -> Done).
-     */
-    bool step_epoch();
-
-    /** Drain and assemble the RunResult (requires Done). */
-    RunResult finish();
-
-    Phase phase() const { return phase_; }
-
-    /**
-     * Save/restore the run at a phase boundary: valid at Warm (warm
-     * forking — exec::Lab's checkpoint sharing) or between step_epoch()
-     * calls with no observability attached (mid-run resume; the
-     * sampler's accumulators are not serializable).
-     */
-    void checkpoint(Snapshot& s);
-
-  private:
-    std::uint64_t epoch_len() const;
-
-    cache::MemorySystem& mem_;
-    CoreModel& core_;
-    obs::Observability* obs_ = nullptr;
-    Phase phase_ = Phase::Fresh;
-    std::uint64_t measure_records_ = 0;
-    std::uint64_t done_ = 0;
-    CoreStats before_{};
-    Cycle start_ = 0;
-};
+RunResult measure_one_core(cache::MemorySystem& mem, CoreModel& core,
+                           std::uint64_t measure_records,
+                           obs::Observability* obs);
 
 /**
- * The legacy single-call protocol: warm @p core for @p warmup_records
- * references, measure the next @p measure_records, and assemble the
- * RunResult. Composed from EpochRun — one implementation of the epoch
- * protocol serves the single-core system, 1-program mixes, and the
- * checkpoint/resume paths.
+ * One core's RunStats over a measurement window: the core's counters
+ * from @p before to @p after, cycles from @p start to @p end, and its
+ * private caches, prefetchers and metadata accounting as they stand.
  */
-RunResult run_one_core(cache::MemorySystem& mem, CoreModel& core,
-                       std::uint64_t warmup_records,
-                       std::uint64_t measure_records,
-                       obs::Observability* obs);
+RunStats core_run_stats(cache::MemorySystem& mem, unsigned core,
+                        const CoreStats& before, const CoreStats& after,
+                        Cycle start, Cycle end);
 
 /** Convenience owner of one core + memory system. */
 class SingleCoreSystem
@@ -126,7 +66,7 @@ class SingleCoreSystem
     RunResult run(Workload& wl, std::uint64_t warmup_records,
                   std::uint64_t measure_records);
 
-    // --- Resumable protocol (the phases run() composes) ---------------
+    // --- Forkable protocol (the phases run() composes) ----------------
 
     /** Attach the workload without running anything. */
     void bind(Workload& wl) { core_.bind(&wl); }
@@ -161,7 +101,8 @@ class SingleCoreSystem
     cache::MemorySystem mem_;
     CoreModel core_;
     obs::Observability* obs_ = nullptr;
-    std::unique_ptr<EpochRun> er_; ///< live between run_warmup and finish
+    /** run_warmup/checkpoint_warm completed; consumed by run_measure. */
+    bool warm_ = false;
 };
 
 } // namespace triage::sim

@@ -1,6 +1,8 @@
 #include "stats/experiment.hpp"
 
+#include <charconv>
 #include <cstring>
+#include <limits>
 
 #include "prefetch/best_offset.hpp"
 #include "prefetch/ghb_pcdc.hpp"
@@ -84,11 +86,17 @@ make_one(const std::string& spec, std::uint32_t degree)
         } else if (size.size() > 2 &&
                    (size.substr(size.size() - 2) == "KB" ||
                     size.substr(size.size() - 2) == "MB")) {
-            std::uint64_t n =
-                std::stoull(size.substr(0, size.size() - 2));
-            cfg.static_bytes = size.substr(size.size() - 2) == "KB"
-                                   ? n * 1024
-                                   : n * 1024 * 1024;
+            const std::string digits = size.substr(0, size.size() - 2);
+            const std::uint64_t unit =
+                size.substr(size.size() - 2) == "KB" ? 1024 : 1024 * 1024;
+            std::uint64_t n = 0;
+            const char* end = digits.data() + digits.size();
+            const auto [stop, ec] =
+                std::from_chars(digits.data(), end, n);
+            if (ec != std::errc{} || stop != end ||
+                n > std::numeric_limits<std::uint64_t>::max() / unit)
+                util::fatal("bad triage store size: " + spec);
+            cfg.static_bytes = n * unit;
         } else {
             util::fatal("bad triage store size: " + spec);
         }

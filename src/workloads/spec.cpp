@@ -1,5 +1,6 @@
 #include "workloads/spec.hpp"
 
+#include <cmath>
 #include <functional>
 #include <unordered_map>
 
@@ -415,6 +416,10 @@ make_benchmark(const std::string& name, double scale,
     auto it = table().find(name);
     if (it == table().end())
         util::fatal("unknown benchmark analog: " + name);
+    if (!(std::isfinite(scale) && scale > 0))
+        util::fatal(util::format_msg("workload scale for '", name,
+                                     "' must be finite and > 0, got ",
+                                     scale));
     std::uint64_t seed = seed_of(name) ^ seed_jitter;
     auto length = static_cast<std::uint64_t>(
         static_cast<double>(it->second.length) * scale);

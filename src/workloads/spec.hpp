@@ -26,7 +26,7 @@ namespace triage::workloads {
  * @param seed_jitter XORed into the benchmark's canonical seed; 0 (the
  *        default) reproduces the published streams, non-zero values
  *        give reproducible independent replicas (exec::Job::replica).
- * Fatal if the name is unknown.
+ * Fatal if the name is unknown or @p scale is not finite and > 0.
  */
 std::unique_ptr<SyntheticWorkload>
 make_benchmark(const std::string& name, double scale = 1.0,

@@ -268,7 +268,8 @@ TEST(Lab, StaleCheckpointVersionOnDiskReadsAsMiss)
     // earlier layout is checked (2: flat MISB tables, 3: Rng snapshots
     // with the zipf cache, 4: 32-byte metadata-store entries and
     // per-entry PCs, 5: the store's own policy sections and the data
-    // cache's per-line Hawkeye PCs).
+    // cache's per-line Hawkeye PCs, 6: the single-core epoch_run
+    // section).
     const std::string dir =
         (std::filesystem::temp_directory_path() /
          ("triage_ckpt_stale_" + std::to_string(::getpid())))

@@ -4,8 +4,7 @@
  * stream-vs-in-memory record identity, the reset/clone/skip contracts,
  * the ChampSim and memtrace decoders, transparent .gz / .xz
  * decompression and its failure warnings, the `trace:` spec grammar and
- * JobKey identity, and mid-measure checkpoint resume on a streamed
- * workload.
+ * JobKey identity, and warm-checkpoint resume on a streamed workload.
  */
 #include <cstdio>
 #include <cstring>
@@ -586,7 +585,7 @@ TEST(TraceSpec, JobKeyCarriesFormatPathAndSize)
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: jobs, mixes, and mid-measure checkpoint resume
+// End-to-end: jobs, mixes, and warm-checkpoint resume
 // ---------------------------------------------------------------------
 
 TEST(TraceJobs, MixWithTraceSlotRuns)
@@ -633,30 +632,16 @@ TEST(TraceJobs, StreamedJobMatchesInMemoryJob)
     std::remove(path.c_str());
 }
 
-sim::RunResult
-run_epochs(sim::EpochRun& er, int max_epochs = -1)
+TEST(TraceJobs, WarmCheckpointResumeIsBitIdentical)
 {
-    int n = 0;
-    while (er.step_epoch()) {
-        if (max_epochs >= 0 && ++n >= max_epochs)
-            break;
-    }
-    return er.phase() == sim::EpochRun::Phase::Done ? er.finish()
-                                                    : sim::RunResult{};
-}
-
-TEST(TraceJobs, MidMeasureCheckpointResumeIsBitIdentical)
-{
-    // The acceptance scenario: checkpoint a streamed replay mid-trace,
-    // resume in a fresh system, and land on identical stats. The
-    // workload cursor is restored by skip()-accelerated replay.
+    // Checkpoint a streamed replay at the warm point, restore it into a
+    // fresh system, and land on identical stats. The workload cursor is
+    // restored by skip()-accelerated replay.
     auto path = make_tria("triage_fe_ckpt.tria", 60000, 0.05);
     sim::MachineConfig cfg;
-    // The measure window must span more than two 65536-record epoch
-    // units so the cut below lands mid-measure; it also wraps the
-    // 60000-record trace past EOF twice, so the resumed cursor replay
-    // has to cross pass boundaries.
-    const std::uint64_t warm = 10000, measure = 150000;
+    // The warmup wraps the 60000-record trace past EOF twice, so the
+    // restored cursor replay has to cross pass boundaries.
+    const std::uint64_t warm = 130000, measure = 40000;
 
     auto build = [&](sim::SingleCoreSystem& sys,
                      std::unique_ptr<sim::Workload>& wl) {
@@ -670,33 +655,26 @@ TEST(TraceJobs, MidMeasureCheckpointResumeIsBitIdentical)
     sim::SingleCoreSystem ref(cfg);
     std::unique_ptr<sim::Workload> wl_ref;
     build(ref, wl_ref);
-    sim::EpochRun er_ref(ref.memory(), ref.core());
-    er_ref.run_warmup(warm);
-    er_ref.begin_measure(measure, nullptr);
-    const sim::RunResult want = run_epochs(er_ref);
+    ref.run_warmup(warm);
+    const sim::RunResult want = ref.run_measure(measure);
 
     sim::SingleCoreSystem cut(cfg);
     std::unique_ptr<sim::Workload> wl_cut;
     build(cut, wl_cut);
-    sim::EpochRun er_cut(cut.memory(), cut.core());
-    er_cut.run_warmup(warm);
-    er_cut.begin_measure(measure, nullptr);
-    run_epochs(er_cut, 2);
-    ASSERT_EQ(er_cut.phase(), sim::EpochRun::Phase::Measuring);
+    cut.run_warmup(warm);
     sim::Snapshot save;
-    er_cut.checkpoint(save);
+    cut.checkpoint_warm(save);
     const sim::SnapshotBlob blob =
-        save.seal(exec::CKPT_VERSION, "fe-mid");
+        save.seal(exec::CKPT_VERSION, "fe-warm");
 
     sim::SingleCoreSystem res(cfg);
     std::unique_ptr<sim::Workload> wl_res;
     build(res, wl_res);
-    sim::EpochRun er_res(res.memory(), res.core());
     sim::Snapshot load =
-        sim::Snapshot::open_or_die(blob, exec::CKPT_VERSION, "fe-mid");
-    er_res.checkpoint(load);
+        sim::Snapshot::open_or_die(blob, exec::CKPT_VERSION, "fe-warm");
+    res.checkpoint_warm(load);
     EXPECT_TRUE(load.exhausted());
-    const sim::RunResult got = run_epochs(er_res);
+    const sim::RunResult got = res.run_measure(measure);
 
     ASSERT_EQ(want.per_core.size(), got.per_core.size());
     EXPECT_EQ(want.per_core[0].instructions,

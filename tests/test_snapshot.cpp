@@ -3,8 +3,7 @@
  * Tests for the warm-state snapshot layer (docs/parallel-runs.md
  * §checkpointing): the archive primitives, sealed-frame validation,
  * byte-equal resave of warm systems across every prefetcher family,
- * mid-measure epoch resume, the warm-prefix sharing contract, and the
- * two-tier CheckpointStore.
+ * the warm-prefix sharing contract, and the two-tier CheckpointStore.
  */
 #include <unistd.h>
 
@@ -249,95 +248,6 @@ INSTANTIATE_TEST_SUITE_P(AllPrefetchers, WarmResave,
                          });
 
 // ---------------------------------------------------------------------
-// Mid-measure resume: stopping at an epoch boundary, serializing, and
-// resuming in a fresh process-equivalent system must be bit-identical
-// to never having stopped.
-
-sim::RunResult
-run_epochs(sim::EpochRun& er, int max_epochs = -1)
-{
-    int n = 0;
-    while (er.step_epoch()) {
-        if (max_epochs >= 0 && ++n >= max_epochs)
-            break;
-    }
-    return er.phase() == sim::EpochRun::Phase::Done ? er.finish()
-                                                    : sim::RunResult{};
-}
-
-void
-expect_identical(const sim::RunResult& x, const sim::RunResult& y)
-{
-    ASSERT_EQ(x.per_core.size(), y.per_core.size());
-    for (std::size_t c = 0; c < x.per_core.size(); ++c) {
-        const auto& a = x.per_core[c];
-        const auto& b = y.per_core[c];
-        EXPECT_EQ(a.instructions, b.instructions);
-        EXPECT_EQ(a.mem_records, b.mem_records);
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.l1.demand_hits, b.l1.demand_hits);
-        EXPECT_EQ(a.l2.demand_hits, b.l2.demand_hits);
-        EXPECT_EQ(a.l2.demand_misses, b.l2.demand_misses);
-        EXPECT_EQ(a.l2pf.issued(), b.l2pf.issued());
-        EXPECT_EQ(a.l2pf.useful, b.l2pf.useful);
-        EXPECT_EQ(a.energy.onchip_accesses, b.energy.onchip_accesses);
-        EXPECT_EQ(a.energy.offchip_accesses, b.energy.offchip_accesses);
-        EXPECT_EQ(a.avg_metadata_ways, b.avg_metadata_ways);
-    }
-    EXPECT_EQ(x.llc.demand_hits, y.llc.demand_hits);
-    EXPECT_EQ(x.llc.demand_misses, y.llc.demand_misses);
-    EXPECT_EQ(x.traffic.total(), y.traffic.total());
-    EXPECT_EQ(x.span, y.span);
-}
-
-TEST(EpochResume, MidMeasureCheckpointIsBitIdentical)
-{
-    sim::MachineConfig cfg;
-    const std::uint64_t warm = 20000, measure = 120000;
-
-    // Reference: one uninterrupted run.
-    auto wl_ref = workloads::make_benchmark("mcf");
-    wl_ref->reset();
-    sim::SingleCoreSystem ref(cfg);
-    ref.set_prefetcher(stats::make_prefetcher("triage_dyn", 4));
-    ref.bind(*wl_ref);
-    sim::EpochRun er_ref(ref.memory(), ref.core());
-    er_ref.run_warmup(warm);
-    er_ref.begin_measure(measure, nullptr);
-    const sim::RunResult want = run_epochs(er_ref);
-
-    // Stop after two epoch units and serialize.
-    auto wl_cut = workloads::make_benchmark("mcf");
-    wl_cut->reset();
-    sim::SingleCoreSystem cut(cfg);
-    cut.set_prefetcher(stats::make_prefetcher("triage_dyn", 4));
-    cut.bind(*wl_cut);
-    sim::EpochRun er_cut(cut.memory(), cut.core());
-    er_cut.run_warmup(warm);
-    er_cut.begin_measure(measure, nullptr);
-    run_epochs(er_cut, 2);
-    ASSERT_EQ(er_cut.phase(), sim::EpochRun::Phase::Measuring);
-    sim::Snapshot save;
-    er_cut.checkpoint(save);
-    const sim::SnapshotBlob blob = save.seal(exec::CKPT_VERSION, "mid");
-
-    // Resume in a fresh system and finish the window.
-    auto wl_res = workloads::make_benchmark("mcf");
-    wl_res->reset();
-    sim::SingleCoreSystem res(cfg);
-    res.set_prefetcher(stats::make_prefetcher("triage_dyn", 4));
-    res.bind(*wl_res);
-    sim::EpochRun er_res(res.memory(), res.core());
-    sim::Snapshot load =
-        sim::Snapshot::open_or_die(blob, exec::CKPT_VERSION, "mid");
-    er_res.checkpoint(load);
-    EXPECT_TRUE(load.exhausted());
-    const sim::RunResult got = run_epochs(er_res);
-
-    expect_identical(want, got);
-}
-
-// ---------------------------------------------------------------------
 // Warm-prefix sharing (the Lab contract): memoization keys the FULL
 // JobKey, but jobs differing only in measurement length share one warm
 // checkpoint.
@@ -388,7 +298,7 @@ TEST(WarmPrefix, WarmStateIsBitIdenticalAcrossMeasureLengths)
     sim::SnapshotBlob blobs[2];
     int i = 0;
     for (std::uint64_t measure : {40000ULL, 80000ULL}) {
-        (void)measure; // the window is irrelevant before begin_measure
+        (void)measure; // the window is irrelevant before run_measure
         auto wl = workloads::make_benchmark("mcf");
         wl->reset();
         sim::SingleCoreSystem sys(cfg);

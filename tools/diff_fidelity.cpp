@@ -14,7 +14,8 @@
  *   jobs     a sweep executed on a parallel lab (--jobs=N) vs the same
  *            sweep run serially;
  *   ckpt     a run forked from a memoized warm-state checkpoint vs the
- *            same run warming up cold (single-core and 2-core mix);
+ *            same run warming up cold (single-core, 1-program mix and
+ *            2-core mix);
  *   stream   a trace replayed through the streaming frontend (bounded
  *            memory, plus a gzip leg and a warm-checkpoint fork) vs
  *            the same trace fully loaded in memory.
@@ -262,11 +263,13 @@ pair_jobs(const Options& o)
 /**
  * A measurement forked from a memoized warm checkpoint must be
  * bit-identical to one that warmed up cold in the same process.
- * Covers both system kinds (a single-core run and a 2-core mix) and
- * MISB's off-chip tables (a 2-core MISB mix). Each sub-pair runs
- * three times — cold (no store), producing (cold warmup + snapshot
- * publish), and forked (restore from the published blob) — and both
- * store-backed runs must match the cold one.
+ * Covers both system kinds (a single-core run and a 2-core mix), the
+ * multi-core system's 1-core path (a 1-program mix, which warms and
+ * measures like the single-core system but checkpoints through
+ * MultiCoreSystem) and MISB's off-chip tables (a 2-core MISB mix).
+ * Each sub-pair runs three times — cold (no store), producing (cold
+ * warmup + snapshot publish), and forked (restore from the published
+ * blob) — and both store-backed runs must match the cold one.
  */
 bool
 pair_ckpt(const Options& o)
@@ -296,6 +299,11 @@ pair_ckpt(const Options& o)
     single.pf_spec = "triage_dyn";
     single.degree = o.degree;
     check("single", single);
+
+    exec::Job mix1 = single;
+    mix1.benchmark.clear();
+    mix1.mix = {o.benchmark};
+    check("mix1", mix1);
 
     exec::Job mix = base_job(o);
     mix.benchmark.clear();

@@ -18,12 +18,16 @@
  *   triagesim --list
  */
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "exec/lab.hpp"
@@ -149,6 +153,40 @@ usage()
         "  --list                 list available benchmark analogs\n";
 }
 
+/**
+ * Parse the value @p v of --@p flag into @p out. An integer flag takes
+ * only a whole unsigned decimal string in T's range; --scale takes a
+ * whole decimal number that is finite and greater than 0. @return
+ * false, after a one-line error naming the flag, otherwise.
+ */
+template <typename T>
+bool
+parse_number(const char* flag, const std::string& v, T& out)
+{
+    T x{};
+    const char* end = v.data() + v.size();
+    const auto [stop, ec] = std::from_chars(v.data(), end, x);
+    bool ok = !v.empty() && ec == std::errc{} && stop == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(x) && x > 0;
+    if (!ok) {
+        std::cerr << "triagesim: --" << flag << "=" << v << ": expected "
+                  << (std::is_floating_point_v<T>
+                          ? std::string("a finite number > 0")
+                          : "an unsigned integer <= " +
+                                std::to_string(
+                                    std::numeric_limits<T>::max()))
+                  << "\n";
+        return false;
+    }
+    out = x;
+    return true;
+}
+
+/**
+ * Fill @p o from the command line. @return false after an error line
+ * (and the usage text, for an unknown option).
+ */
 bool
 parse(int argc, char** argv, Options& o)
 {
@@ -199,14 +237,18 @@ parse(int argc, char** argv, Options& o)
         } else if (auto v = val("prefetcher")) {
             o.prefetcher = *v;
         } else if (auto v = val("degree")) {
-            o.degree = static_cast<std::uint32_t>(std::stoul(*v));
+            if (!parse_number("degree", *v, o.degree))
+                return false;
         } else if (auto v = val("warmup")) {
-            o.warmup = std::stoull(*v);
+            if (!parse_number("warmup", *v, o.warmup))
+                return false;
         } else if (auto v = val("measure")) {
-            o.measure = std::stoull(*v);
+            if (!parse_number("measure", *v, o.measure))
+                return false;
             o.measure_set = true;
         } else if (auto v = val("records")) {
-            o.records = std::stoull(*v);
+            if (!parse_number("records", *v, o.records))
+                return false;
             o.records_set = true;
         } else if (auto v = val("stats-json")) {
             o.stats_json_path = *v;
@@ -215,19 +257,25 @@ parse(int argc, char** argv, Options& o)
         } else if (auto v = val("trace-perfetto")) {
             o.trace_perfetto_path = *v;
         } else if (auto v = val("trace-capacity")) {
-            o.trace_capacity = std::stoull(*v);
+            if (!parse_number("trace-capacity", *v, o.trace_capacity))
+                return false;
         } else if (auto v = val("epoch")) {
-            o.epoch = std::stoull(*v);
+            if (!parse_number("epoch", *v, o.epoch))
+                return false;
         } else if (auto v = val("jobs")) {
-            o.jobs = static_cast<unsigned>(std::stoul(*v));
+            if (!parse_number("jobs", *v, o.jobs))
+                return false;
         } else if (auto v = val("scale")) {
-            o.scale = std::stod(*v);
+            if (!parse_number("scale", *v, o.scale))
+                return false;
         } else if (auto v = val("mshrs")) {
-            o.mshrs = static_cast<std::uint32_t>(std::stoul(*v));
+            if (!parse_number("mshrs", *v, o.mshrs))
+                return false;
         } else if (auto v = val("llc-repl")) {
             o.llc_repl = *v;
         } else {
             std::cerr << "unknown option: " << a << "\n";
+            usage();
             return false;
         }
     }
@@ -312,29 +360,22 @@ finish_profile(const Options& o, obs::Observability& obs,
         exec::CheckpointStore* ckpt = lab.checkpoints();
         if (ckpt != nullptr) {
             const exec::CheckpointStore::Stats s = ckpt->stats();
-            auto put = [&](const char* leaf, std::uint64_t v,
-                           const char* desc) {
-                obs.registry
-                    .counter(std::string("profile.ckpt.") + leaf, desc)
+            auto put = [&](const char* leaf, std::uint64_t v) {
+                obs.registry.counter(std::string("profile.ckpt.") + leaf)
                     .add(v);
             };
-            put("mem_hits", s.mem_hits, "warm forks from the memory tier");
-            put("disk_hits", s.disk_hits, "warm forks from the disk tier");
-            put("misses", s.misses, "acquires that became producers");
-            put("produces", s.produces, "warm snapshots published");
-            put("skipped", s.skipped,
-                "producer leases declined: nothing could fork them");
-            put("waits", s.waits, "acquires blocked on a producer");
-            put("evictions", s.evictions, "memory-tier LRU evictions");
-            put("lease_wait_ns", s.lease_wait_ns,
-                "total ns blocked on producer leases");
-            put("bytes_published", s.bytes_published,
-                "bytes of published warm snapshots");
-            put("bytes_mem", s.bytes_mem, "memory tier bytes, at exit");
-            put("bytes_disk_read", s.bytes_disk_read,
-                "bytes loaded from the disk tier");
-            put("bytes_disk_written", s.bytes_disk_written,
-                "bytes written to the disk tier");
+            put("mem_hits", s.mem_hits);
+            put("disk_hits", s.disk_hits);
+            put("misses", s.misses);
+            put("produces", s.produces);
+            put("skipped", s.skipped);
+            put("waits", s.waits);
+            put("evictions", s.evictions);
+            put("lease_wait_ns", s.lease_wait_ns);
+            put("bytes_published", s.bytes_published);
+            put("bytes_mem", s.bytes_mem);
+            put("bytes_disk_read", s.bytes_disk_read);
+            put("bytes_disk_written", s.bytes_disk_written);
         }
     }
     if (!o.json) {
@@ -416,10 +457,8 @@ int
 main(int argc, char** argv)
 {
     Options o;
-    if (!parse(argc, argv, o)) {
-        usage();
+    if (!parse(argc, argv, o))
         return 1;
-    }
     if (o.help) {
         usage();
         return 0;
