@@ -47,6 +47,7 @@
 #include "obs/profile.hpp"
 #include "sim/config.hpp"
 #include "stats/table.hpp"
+#include "util/parse_number.hpp"
 #include "workloads/mixes.hpp"
 #include "workloads/spec.hpp"
 
@@ -105,7 +106,9 @@ parse_args(int argc, char** argv, Options& o)
         if (a == "--smoke") {
             o.smoke = true;
         } else if (std::string v = val("reps"); !v.empty()) {
-            o.reps = static_cast<unsigned>(std::stoul(v));
+            if (!triage::util::parse_number("hotpath_throughput", "reps", v,
+                                    o.reps))
+                return false;
         } else if (std::string v = val("label"); !v.empty()) {
             o.label = v;
         } else if (std::string v = val("out"); !v.empty()) {

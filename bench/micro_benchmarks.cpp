@@ -83,8 +83,8 @@ BM_MetadataStoreLookupUpdate(benchmark::State& state)
 {
     core::MetadataStoreConfig cfg;
     cfg.capacity_bytes = 1024 * 1024;
-    cfg.repl = state.range(0) == 0 ? sim::ReplPolicy::Lru
-                                   : sim::ReplPolicy::Hawkeye;
+    cfg.repl = state.range(0) == 0 ? core::StoreRepl::Lru
+                                   : core::StoreRepl::Hawkeye;
     core::MetadataStore s(cfg);
     util::Rng rng(4);
     for (auto _ : state) {

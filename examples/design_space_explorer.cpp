@@ -66,19 +66,19 @@ main(int argc, char** argv)
 
     struct Point {
         std::uint64_t kb;
-        sim::ReplPolicy repl;
+        core::StoreRepl repl;
         exec::Lab::JobId id;
     };
     std::vector<Point> grid;
     for (std::uint64_t kb : {128, 256, 512, 1024}) {
         for (auto repl :
-             {sim::ReplPolicy::Lru, sim::ReplPolicy::Hawkeye}) {
+             {core::StoreRepl::Lru, core::StoreRepl::Hawkeye}) {
             core::TriageConfig tcfg;
             tcfg.static_bytes = kb * 1024;
             tcfg.repl = repl;
             std::string variant =
                 "triage@" + std::to_string(kb) + "KB/" +
-                (repl == sim::ReplPolicy::Lru ? "lru" : "hawkeye");
+                (repl == core::StoreRepl::Lru ? "lru" : "hawkeye");
             grid.push_back({kb, repl, submit(variant, tcfg)});
         }
     }
@@ -93,7 +93,7 @@ main(int argc, char** argv)
     for (const auto& p : grid) {
         const auto& r = lab.result(p.id);
         t.row({std::to_string(p.kb) + "KB",
-               p.repl == sim::ReplPolicy::Lru ? "lru" : "hawkeye",
+               p.repl == core::StoreRepl::Lru ? "lru" : "hawkeye",
                stats::fmt_x(stats::speedup(r, base)),
                stats::fmt_pct(stats::avg_coverage(r)),
                std::to_string(p.kb * 1024 / 4)});

@@ -69,8 +69,10 @@ struct CheckpointOptions {
  * slot per line instead of the PC, with no per-sampler prune stamp.
  * 7: single-core jobs and 1-program mixes save only the hierarchy and
  * the core at the warm point (no epoch_run section).
+ * 8: Triage's metadata store saves 4-byte search keys (a 32-bit fold
+ * of the trigger in uncompressed mode).
  */
-inline constexpr std::uint32_t CKPT_VERSION = 7;
+inline constexpr std::uint32_t CKPT_VERSION = 8;
 
 /**
  * Two-tier (memory LRU + disk) cache of sealed snapshot blobs.

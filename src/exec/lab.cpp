@@ -5,6 +5,7 @@
 #include <string>
 
 #include "util/log.hpp"
+#include "util/parse_number.hpp"
 
 namespace triage::exec {
 
@@ -268,7 +269,10 @@ Lab::jobs_from_args(int argc, char** argv)
 {
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            auto n = static_cast<unsigned>(std::stoul(argv[i] + 7));
+            unsigned n = 0;
+            if (!util::parse_number(util::prog_name(argv[0]), "jobs",
+                                    argv[i] + 7, n))
+                std::exit(1);
             if (n != 0)
                 return n;
             break;

@@ -143,7 +143,8 @@ class Lab
     /**
      * Parse `--jobs=N` from a CLI argument list. Returns the effective
      * worker count: N when given, hardware_concurrency (min 1) when
-     * the flag is absent or N=0.
+     * the flag is absent or N=0. A malformed N exits 1 after one error
+     * line (util::parse_number).
      */
     static unsigned jobs_from_args(int argc, char** argv);
 

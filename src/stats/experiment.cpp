@@ -1,6 +1,7 @@
 #include "stats/experiment.hpp"
 
 #include <charconv>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -14,6 +15,7 @@
 #include "prefetch/sms.hpp"
 #include "triage/triage.hpp"
 #include "util/log.hpp"
+#include "util/parse_number.hpp"
 
 namespace triage::stats {
 
@@ -102,7 +104,7 @@ make_one(const std::string& spec, std::uint32_t degree)
         }
         for (std::size_t i = 1; i < toks.size(); ++i) {
             if (toks[i] == "lru")
-                cfg.repl = sim::ReplPolicy::Lru;
+                cfg.repl = core::StoreRepl::Lru;
             else if (toks[i] == "free")
                 cfg.charge_llc_capacity = false;
             else if (toks[i] == "nocompress")
@@ -143,6 +145,20 @@ make_prefetcher(const std::string& spec, std::uint32_t degree)
     return std::make_unique<prefetch::Hybrid>(std::move(children));
 }
 
+namespace {
+
+/** Parse --@p flag's value @p v into @p out, or exit 1 after the
+ *  parser's error line. */
+template <typename T>
+void
+number_or_exit(const char* argv0, const char* flag, const char* v, T& out)
+{
+    if (!util::parse_number(util::prog_name(argv0), flag, v, out))
+        std::exit(1);
+}
+
+} // namespace
+
 RunScale
 RunScale::from_args(int argc, char** argv)
 {
@@ -150,13 +166,13 @@ RunScale::from_args(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         const char* a = argv[i];
         if (std::strncmp(a, "--scale=", 8) == 0) {
-            s.workload_scale = std::stod(a + 8);
+            number_or_exit(argv[0], "scale", a + 8, s.workload_scale);
             s.scale_set = true;
         } else if (std::strncmp(a, "--warmup=", 9) == 0) {
-            s.warmup_records = std::stoull(a + 9);
+            number_or_exit(argv[0], "warmup", a + 9, s.warmup_records);
             s.warmup_set = true;
         } else if (std::strncmp(a, "--measure=", 10) == 0) {
-            s.measure_records = std::stoull(a + 10);
+            number_or_exit(argv[0], "measure", a + 10, s.measure_records);
             s.measure_set = true;
         }
     }
@@ -167,8 +183,11 @@ unsigned
 RunScale::mixes_from_args(int argc, char** argv, unsigned def)
 {
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--mixes=", 8) == 0)
-            return static_cast<unsigned>(std::stoul(argv[i] + 8));
+        if (std::strncmp(argv[i], "--mixes=", 8) == 0) {
+            unsigned n = 0;
+            number_or_exit(argv[0], "mixes", argv[i] + 8, n);
+            return n;
+        }
     }
     return def;
 }

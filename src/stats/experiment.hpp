@@ -39,9 +39,10 @@ struct RunScale {
     bool measure_set = false;
     bool scale_set = false;
 
-    /** Parse --scale=F / --warmup=N / --measure=N / --mixes=N args. */
+    /** Parse --scale=F / --warmup=N / --measure=N args; a malformed
+     *  value exits 1 after one error line (util::parse_number). */
     static RunScale from_args(int argc, char** argv);
-    /** --mixes=N when present (default @p def). */
+    /** --mixes=N when present (default @p def); checked the same way. */
     static unsigned mixes_from_args(int argc, char** argv, unsigned def);
 };
 

@@ -13,36 +13,42 @@ MetadataStore::MetadataStore(MetadataStoreConfig cfg)
 {
     TRIAGE_ASSERT(cfg_.line_entries > 0);
     TRIAGE_ASSERT(cfg_.entry_bytes > 0);
-    if (cfg_.repl != sim::ReplPolicy::Lru &&
-        cfg_.repl != sim::ReplPolicy::Hawkeye) {
-        util::fatal("MetadataStore: replacement policy must be Lru or "
-                    "Hawkeye (SRRIP, DRRIP and SHiP are data-cache "
-                    "policies only)");
-    }
-    build(cfg.capacity_bytes);
+    set_geometry(cfg.capacity_bytes);
+    rebuild_policy();
+}
+
+std::uint32_t
+MetadataStore::sets_for(std::uint64_t bytes) const
+{
+    const std::uint64_t n_sets = bytes / cfg_.entry_bytes / cfg_.line_entries;
+    // Round down to a power of two for cheap indexing.
+    return n_sets == 0 ? 0
+                       : static_cast<std::uint32_t>(util::floor_pow2(n_sets));
 }
 
 void
-MetadataStore::build(std::uint64_t bytes)
+MetadataStore::set_geometry(std::uint64_t bytes)
 {
     capacity_bytes_ = bytes;
-    std::uint64_t n_entries = bytes / cfg_.entry_bytes;
-    std::uint64_t n_sets = n_entries / cfg_.line_entries;
-    live_entries_ = 0;
-    // Fresh exact-size arrays, so a shrink hands its pages back (an
-    // assign() would keep the old capacity).
-    repl_.reset();
-    // Round down to a power of two for cheap indexing.
-    sets_ = n_sets == 0
-                ? 0
-                : static_cast<std::uint32_t>(util::floor_pow2(n_sets));
+    sets_ = sets_for(bytes);
+    // resize() keeps the capacity on a shrink and fills only the new
+    // tail with empty slots on a grow.
     const std::size_t n = static_cast<std::size_t>(sets_) * cfg_.line_entries;
-    entries_ = std::vector<Entry>(n);
-    keys_ = std::vector<std::uint64_t>(n, INVALID_KEY);
-    next_ctags_ = std::vector<std::uint16_t>(n, 0);
+    entries_.resize(n);
+    keys_.resize(n, INVALID_KEY);
+    next_ctags_.resize(n, 0);
+}
+
+void
+MetadataStore::rebuild_policy()
+{
+    // Release the old policy before building the new one, so its
+    // arrays can be reused for the new geometry's.
+    repl_.reset();
     if (sets_ == 0)
         return;
-    repl_ = cache::make_policy(cfg_.repl, sets_, cfg_.line_entries);
+    repl_ = cache::make_policy(static_cast<sim::ReplPolicy>(cfg_.repl),
+                               sets_, cfg_.line_entries);
     // Counters live in the store so the policy rebuild keeps them.
     repl_->bind_stats(&repl_stats_);
 }
@@ -54,20 +60,39 @@ MetadataStore::set_of(sim::Addr trigger) const
 }
 
 std::uint32_t
-MetadataStore::find_way(std::size_t base, std::uint64_t key) const
+MetadataStore::find_way(std::size_t base, sim::Addr trigger,
+                        std::uint32_t key) const
 {
     // Scan of the packed key row (NPOS and NO_WAY are both all-ones),
     // matching the cache tag scan.
-    return util::find_first_eq(keys_.data() + base, cfg_.line_entries,
-                               key);
+    const std::uint32_t* row = keys_.data() + base;
+    std::uint32_t way = util::find_first_eq(row, cfg_.line_entries, key);
+    if (cfg_.compressed_tags)
+        return way;
+    // A folded key can be shared: skip to the next match until the
+    // entry holds the trigger itself.
+    while (way != NO_WAY && entries_[base + way].full_trigger != trigger) {
+        const std::uint32_t rest = util::find_first_eq(
+            row + way + 1, cfg_.line_entries - way - 1, key);
+        way = rest == util::NPOS ? NO_WAY : way + 1 + rest;
+    }
+    return way;
 }
 
-std::uint64_t
+std::uint32_t
+MetadataStore::find_empty(std::size_t base) const
+{
+    return util::find_first_eq(keys_.data() + base, cfg_.line_entries,
+                               INVALID_KEY);
+}
+
+std::uint32_t
 MetadataStore::key_of(sim::Addr trigger, std::uint16_t ctag) const
 {
     if (cfg_.compressed_tags)
-        return (std::uint64_t{compressor_.set_of(trigger)} << 16) | ctag;
-    return trigger;
+        return (std::uint32_t{compressor_.set_of(trigger)} << 16) | ctag;
+    const auto fold = static_cast<std::uint32_t>(trigger ^ (trigger >> 32));
+    return fold == INVALID_KEY ? INVALID_KEY - 1 : fold;
 }
 
 void
@@ -78,10 +103,11 @@ MetadataStore::prefetch_hint(sim::Addr trigger) const
     const std::uint32_t set = set_of(trigger);
     const std::size_t base =
         static_cast<std::size_t>(set) * cfg_.line_entries;
-    const std::uint64_t* row = keys_.data() + base;
+    // A 16-entry key row is 64 bytes, which straddles two host lines
+    // unless 64-byte aligned: pull both ends.
+    const std::uint32_t* row = keys_.data() + base;
     __builtin_prefetch(row);
-    if (cfg_.line_entries > 8) // a 16-entry key row spans two 64 B lines
-        __builtin_prefetch(row + 8);
+    __builtin_prefetch(row + cfg_.line_entries - 1);
     // A probe hit or update dereferences the matching Entry; the way is
     // unknown until the key scan, so pull the front of the entry row
     // (16-byte entries: the first two lines cover ways 0-7).
@@ -107,7 +133,7 @@ MetadataStore::probe(sim::Addr trigger)
     const std::uint32_t set = set_of(trigger);
     const std::size_t base =
         static_cast<std::size_t>(set) * cfg_.line_entries;
-    std::uint64_t key;
+    std::uint16_t ctag = 0;
     if (cfg_.compressed_tags) {
         // Sub-tag match: compressed tag plus the trigger's set id
         // (implicit in a real set-associative layout, explicit here
@@ -115,11 +141,9 @@ MetadataStore::probe(sim::Addr trigger)
         auto id = compressor_.find(compressor_.tag_of(trigger));
         if (!id.has_value())
             return lk;
-        key = key_of(trigger, *id);
-    } else {
-        key = trigger;
+        ctag = *id;
     }
-    const std::uint32_t way = find_way(base, key);
+    const std::uint32_t way = find_way(base, trigger, key_of(trigger, ctag));
     if (way == NO_WAY)
         return lk;
     const Entry& e = entries_[base + way];
@@ -177,9 +201,9 @@ MetadataStore::update(sim::Addr trigger, sim::Addr next, sim::Pc pc)
         trig_tag = compressor_.tag_of(trigger);
         auto id = compressor_.find(trig_tag);
         if (id.has_value())
-            way = find_way(base, key_of(trigger, *id));
+            way = find_way(base, trigger, key_of(trigger, *id));
     } else {
-        way = find_way(base, trigger);
+        way = find_way(base, trigger, key_of(trigger, 0));
     }
     if (way != NO_WAY) {
         Entry& e = entries_[base + way];
@@ -209,7 +233,7 @@ MetadataStore::update(sim::Addr trigger, sim::Addr next, sim::Pc pc)
     }
 
     // Install a fresh correlation, preferring the first empty way.
-    std::uint32_t target = find_way(base, INVALID_KEY);
+    std::uint32_t target = find_empty(base);
     if (target == NO_WAY) {
         target = repl_->victim(set, 0, cfg_.line_entries);
         TRIAGE_ASSERT(target < cfg_.line_entries);
@@ -245,31 +269,59 @@ MetadataStore::resize(std::uint64_t bytes)
     TRIAGE_LOG_DEBUG("metadata store: resize ", capacity_bytes_ >> 10,
                      " KB -> ", bytes >> 10, " KB (", valid_entries(),
                      " live entries)");
-    const std::vector<Entry> old_entries = std::move(entries_);
-    const std::vector<std::uint64_t> old_keys = std::move(keys_);
-    const std::vector<std::uint16_t> old_ctags = std::move(next_ctags_);
-    build(bytes);
-    if (sets_ == 0)
-        return;
-    // Rehash live entries, in old slot order, into the new geometry;
+    const std::uint32_t old_sets = sets_;
+    const std::uint32_t new_sets = sets_for(bytes);
+    const std::size_t ways = cfg_.line_entries;
+    // Grow the arrays before the rehash and shrink them after it, so
+    // the slots of both geometries exist while entries move.
+    if (new_sets > old_sets)
+        set_geometry(bytes);
+    sets_ = new_sets;
+    // Rehash in place, in old slot order, into the new geometry;
     // overflow is discarded (the paper invalidates repartitioned lines
-    // — we are slightly kinder and keep whatever still fits). A search
-    // key does not depend on the store geometry, so it moves as is.
-    for (std::size_t i = 0; i < old_keys.size(); ++i) {
-        if (old_keys[i] == INVALID_KEY)
+    // — we are slightly kinder and keep whatever still fits). Both set
+    // counts are powers of two, so an old set s feeds only new sets
+    // congruent to s modulo the smaller count. New set s's row, for s
+    // below both counts, is old set s's own row: it takes entries from
+    // old set s and, on a shrink, from old sets past new_sets, visited
+    // later. Every other new row lies past old_sets (a grow) and is
+    // never a source. So the first empty way an entry finds never
+    // holds an entry still to be moved. A search key does not depend
+    // on the store geometry, so it moves as is.
+    const std::size_t old_slots = static_cast<std::size_t>(old_sets) * ways;
+    if (new_sets == 0)
+        live_entries_ = 0;
+    for (std::size_t i = 0; new_sets != 0 && i < old_slots; ++i) {
+        if (keys_[i] == INVALID_KEY)
             continue;
-        const sim::Addr trigger = old_entries[i].full_trigger;
-        const std::uint32_t set = set_of(trigger);
+        const Entry e = entries_[i];
+        const std::uint32_t key = keys_[i];
+        const std::uint16_t ctag = next_ctags_[i];
+        entries_[i] = {};
+        keys_[i] = INVALID_KEY;
+        next_ctags_[i] = 0;
         const std::size_t base =
-            static_cast<std::size_t>(set) * cfg_.line_entries;
-        const std::uint32_t w = find_way(base, INVALID_KEY);
-        if (w == NO_WAY)
+            static_cast<std::size_t>(set_of(e.full_trigger)) * ways;
+        const std::uint32_t to = find_empty(base);
+        if (to == NO_WAY) {
+            --live_entries_;
             continue;
-        entries_[base + w] = old_entries[i];
-        keys_[base + w] = old_keys[i];
-        next_ctags_[base + w] = old_ctags[i];
-        ++live_entries_;
-        repl_->on_insert({.set = set, .way = w, .tag = trigger});
+        }
+        entries_[base + to] = e;
+        keys_[base + to] = key;
+        next_ctags_[base + to] = ctag;
+    }
+    set_geometry(bytes);
+    rebuild_policy();
+    // Replay the survivors' inserts in slot order, which is each new
+    // set's insertion order.
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+        if (keys_[i] == INVALID_KEY)
+            continue;
+        repl_->on_insert(
+            {.set = static_cast<std::uint32_t>(i / ways),
+             .way = static_cast<std::uint32_t>(i % ways),
+             .tag = entries_[i].full_trigger});
     }
 }
 
@@ -283,7 +335,7 @@ std::uint64_t
 MetadataStore::count_valid_entries_slow() const
 {
     std::uint64_t n = 0;
-    for (std::uint64_t k : keys_)
+    for (std::uint32_t k : keys_)
         n += k != INVALID_KEY ? 1 : 0;
     return n;
 }
@@ -310,7 +362,7 @@ MetadataStore::self_check(
     }
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         const Entry& e = entries_[i];
-        const std::uint64_t key = keys_[i];
+        const std::uint32_t key = keys_[i];
         if (key == INVALID_KEY) {
             if (e.full_trigger != 0 || e.full_next != 0 ||
                 next_ctags_[i] != 0) {
@@ -319,7 +371,7 @@ MetadataStore::self_check(
             }
             continue;
         }
-        const std::uint64_t expect =
+        const std::uint32_t expect =
             key_of(e.full_trigger, static_cast<std::uint16_t>(key));
         if (key != expect) {
             report("metadata store: slot " + std::to_string(i) +

@@ -30,15 +30,24 @@ class EventTrace;
 
 namespace triage::core {
 
+/**
+ * The store's replacement policies: LRU (Figure 9's baseline) and
+ * Triage's filtered-training Hawkeye. The data-cache-only SRRIP,
+ * DRRIP and SHiP have no value here. Each enumerator carries its
+ * sim::ReplPolicy value, so cache::make_policy takes it by a cast.
+ */
+enum class StoreRepl : std::uint8_t {
+    Lru = static_cast<std::uint8_t>(sim::ReplPolicy::Lru),
+    Hawkeye = static_cast<std::uint8_t>(sim::ReplPolicy::Hawkeye),
+};
+
 /** Store construction parameters. */
 struct MetadataStoreConfig {
     std::uint64_t capacity_bytes = 1024 * 1024;
     std::uint32_t entry_bytes = 4;
     /** Entries per LLC line (the store's associativity). */
     std::uint32_t line_entries = 16;
-    /** Replacement policy: Lru or Hawkeye (the constructor rejects the
-     *  data-cache-only SRRIP, DRRIP and SHiP). */
-    sim::ReplPolicy repl = sim::ReplPolicy::Hawkeye;
+    StoreRepl repl = StoreRepl::Hawkeye;
     /** Model the compressed-tag table (false stores full addresses). */
     bool compressed_tags = true;
     /**
@@ -110,7 +119,9 @@ class MetadataStore
 
     /**
      * Resize to @p bytes, rehashing surviving entries into the new
-     * geometry and discarding overflow (repartition semantics).
+     * geometry and discarding overflow (repartition semantics). The
+     * rehash runs in place: a shrink keeps the arrays' capacity and a
+     * grow reallocates only past it (docs/performance.md §13).
      */
     void resize(std::uint64_t bytes);
 
@@ -127,6 +138,9 @@ class MetadataStore
     const cache::ReplStats& repl_stats() const { return repl_stats_; }
     const TagCompressor& compressor() const { return compressor_; }
     cache::ReplacementPolicy* repl() { return repl_.get(); }
+    /** Address of the entry array, which resize() keeps while the new
+     *  geometry fits the capacity the store has held. */
+    const void* entries_data() const { return entries_.data(); }
 
     /** Attach (or detach, with null) the event trace. */
     void set_trace(obs::EventTrace* trace) { trace_ = trace; }
@@ -144,8 +158,8 @@ class MetadataStore
 
     /**
      * Save/restore the full store: current capacity (restore rebuilds
-     * the geometry and policy through build() before loading into
-     * them), entries, search keys, successor ctags, replacement +
+     * the geometry and policy through set_geometry() before loading
+     * into them), entries, search keys, successor ctags, replacement +
      * compressor state and both counter blocks.
      */
     void
@@ -154,8 +168,10 @@ class MetadataStore
         s.section("triage.store");
         std::uint64_t cap = capacity_bytes_;
         s.io(cap);
-        if (s.loading() && cap != capacity_bytes_)
-            build(cap);
+        if (s.loading() && cap != capacity_bytes_) {
+            set_geometry(cap);
+            rebuild_policy();
+        }
         s.io_pod_vec(entries_);
         s.io_pod_vec(keys_);
         s.io_pod_vec(next_ctags_);
@@ -169,14 +185,14 @@ class MetadataStore
 
   private:
     /**
-     * Host layout of one simulated 4-byte entry, 29 bytes in all
-     * (docs/performance.md §11): this 16-byte pair of block addresses,
-     * the 8-byte search key, a 2-byte successor ctag in next_ctags_
-     * and Hawkeye's 3 bytes of RRPV and predictor slot. The full
-     * addresses drive the uncompressed mode, alias detection and
-     * rehash-on-resize; everything else an entry models is derived:
-     * valid is keys_[i] != INVALID_KEY, the trigger ctag is the
-     * compressed key's low 16 bits, and the successor's set id is
+     * Host layout of one simulated 4-byte entry, 25 bytes in all
+     * (docs/performance.md §11, §13): this 16-byte pair of block
+     * addresses, the 4-byte search key, a 2-byte successor ctag in
+     * next_ctags_ and Hawkeye's 3 bytes of RRPV and predictor slot.
+     * The full addresses drive the uncompressed mode, alias detection
+     * and rehash-on-resize; everything else an entry models is
+     * derived: valid is keys_[i] != INVALID_KEY, the trigger ctag is
+     * the compressed key's low 16 bits, and the successor's set id is
      * compressor_.set_of(full_next). An empty slot is all zero.
      */
     struct Entry {
@@ -190,29 +206,45 @@ class MetadataStore
     static constexpr sim::Addr BLOCK_LIMIT = sim::Addr{1} << 58;
 
     /**
-     * Per-way search key, scanned by the hot lookup loop instead of
-     * the Entry row (docs/performance.md). Compressed mode packs
-     * (trigger set id << 16) | trigger_ctag; uncompressed mode stores
-     * the full trigger. INVALID_KEY marks an empty way (block
-     * addresses and packed ctag keys never reach all-ones).
+     * Per-way 32-bit search key, scanned by the hot lookup loop
+     * instead of the Entry row (docs/performance.md). Compressed mode
+     * packs (trigger set id << 16) | trigger_ctag, 27 bits. The
+     * uncompressed mode stores a 32-bit fold of the full trigger, so
+     * two triggers can share a key; find_way() then confirms a match
+     * against the entry's full_trigger. INVALID_KEY marks an empty
+     * way; neither kind of key takes that value.
      */
-    static constexpr std::uint64_t INVALID_KEY = ~std::uint64_t{0};
+    static constexpr std::uint32_t INVALID_KEY = ~std::uint32_t{0};
     /** find_way() result meaning "no matching way". */
     static constexpr std::uint32_t NO_WAY = ~std::uint32_t{0};
 
     std::uint32_t set_of(sim::Addr trigger) const;
-    /** Scan the set at @p base for @p key; first match wins. */
-    std::uint32_t find_way(std::size_t base, std::uint64_t key) const;
+    /**
+     * Way of @p trigger, whose search key is @p key, in the set at
+     * @p base; first match wins. The compressed mode takes the first
+     * key match (ctag aliases included); the uncompressed mode the
+     * first whose entry holds @p trigger itself.
+     */
+    std::uint32_t find_way(std::size_t base, sim::Addr trigger,
+                           std::uint32_t key) const;
+    /** First empty way of the set at @p base, or NO_WAY. */
+    std::uint32_t find_empty(std::size_t base) const;
     /** Search key of @p trigger whose tag compressed to @p ctag
      *  (the ctag is ignored in uncompressed mode). */
-    std::uint64_t key_of(sim::Addr trigger, std::uint16_t ctag) const;
-    void build(std::uint64_t bytes);
+    std::uint32_t key_of(sim::Addr trigger, std::uint16_t ctag) const;
+    /** Power-of-two set count of a @p bytes store (0 when empty). */
+    std::uint32_t sets_for(std::uint64_t bytes) const;
+    /** Set capacity_bytes_ and sets_ for @p bytes, and size the slot
+     *  arrays to match (growing past capacity only if it must). */
+    void set_geometry(std::uint64_t bytes);
+    /** A fresh policy for the current geometry (none when empty). */
+    void rebuild_policy();
 
     MetadataStoreConfig cfg_;
     std::uint64_t capacity_bytes_;
     std::uint32_t sets_ = 0;
     std::vector<Entry> entries_;
-    std::vector<std::uint64_t> keys_; ///< parallel to entries_
+    std::vector<std::uint32_t> keys_; ///< parallel to entries_
     /** Successor ctag per way (0 when empty or uncompressed). */
     std::vector<std::uint16_t> next_ctags_;
     std::uint64_t live_entries_ = 0;

@@ -38,7 +38,7 @@ struct TriageConfig {
     bool dynamic = false;
     /** Store size for the static configuration. */
     std::uint64_t static_bytes = 1024 * 1024;
-    sim::ReplPolicy repl = sim::ReplPolicy::Hawkeye; ///< Lru or Hawkeye
+    StoreRepl repl = StoreRepl::Hawkeye;
     /**
      * Unlimited metadata ("Perfect" in Figure 9): an idealized
      * PC-localized temporal prefetcher with no capacity or LLC cost.

@@ -1,25 +1,29 @@
 /**
  * @file
- * Row scans over the packed 64-bit word arrays on the hot path: cache
- * tag rows (`SetAssocCache::tags_`), metadata search keys
- * (`MetadataStore::keys_`), training-unit PCs and LRU stamps, the
- * tag-compressor probe table and FlatMap's key array. Each holds an
- * all-ones "empty" sentinel, so one compare per word decides a probe.
+ * Row scans over the packed unsigned word arrays on the hot path: cache
+ * tag rows (`SetAssocCache::tags_`), training-unit PCs and LRU stamps,
+ * the tag-compressor probe table and FlatMap's key array (64-bit
+ * words), and the metadata store's search keys
+ * (`MetadataStore::keys_`, 32-bit words). Each holds an all-ones
+ * "empty" sentinel, so one compare per word decides a probe.
  *
  *  - find_first_eq       : index of the first word equal to a key
  *  - find_first_eq_either: first word equal to either of two keys
  *                          (linear-probe loops: key-or-empty)
  *  - min_index           : index of the first minimum (LRU victim scans)
  *
- * Plain inline loops: the rows are short or exit early, so the
- * compiler's code beats any out-of-line vector kernel here
- * (docs/performance.md §8). Every scan returns the *first* match,
- * which is what the simulated decisions depend on.
+ * Each scan is templated on the word type W and deduces it from the
+ * row alone, so a key of another integer type converts to W. Plain
+ * inline loops: the rows are short or exit early, so the compiler's
+ * code beats any out-of-line vector kernel here (docs/performance.md
+ * §8). Every scan returns the *first* match, which is what the
+ * simulated decisions depend on.
  */
 #ifndef TRIAGE_UTIL_ROW_SCAN_HPP
 #define TRIAGE_UTIL_ROW_SCAN_HPP
 
 #include <cstdint>
+#include <type_traits>
 
 namespace triage::util {
 
@@ -27,9 +31,11 @@ namespace triage::util {
 inline constexpr std::uint32_t NPOS = ~std::uint32_t{0};
 
 /** Index of the first element of row[0..n) equal to @p key, or NPOS. */
+template <typename W>
 inline std::uint32_t
-find_first_eq(const std::uint64_t* row, std::uint32_t n, std::uint64_t key)
+find_first_eq(const W* row, std::uint32_t n, std::type_identity_t<W> key)
 {
+    static_assert(std::is_unsigned_v<W>);
     for (std::uint32_t i = 0; i < n; ++i) {
         if (row[i] == key)
             return i;
@@ -43,10 +49,13 @@ find_first_eq(const std::uint64_t* row, std::uint32_t n, std::uint64_t key)
  * linear-probe loops use this as "my tag or an empty slot, whichever
  * comes first".
  */
+template <typename W>
 inline std::uint32_t
-find_first_eq_either(const std::uint64_t* row, std::uint32_t n,
-                     std::uint64_t key_a, std::uint64_t key_b)
+find_first_eq_either(const W* row, std::uint32_t n,
+                     std::type_identity_t<W> key_a,
+                     std::type_identity_t<W> key_b)
 {
+    static_assert(std::is_unsigned_v<W>);
     for (std::uint32_t i = 0; i < n; ++i) {
         if (row[i] == key_a || row[i] == key_b)
             return i;
@@ -59,9 +68,11 @@ find_first_eq_either(const std::uint64_t* row, std::uint32_t n,
  * earliest minimum wins, as in an LRU victim scan.
  * @pre n >= 1.
  */
+template <typename W>
 inline std::uint32_t
-min_index(const std::uint64_t* row, std::uint32_t n)
+min_index(const W* row, std::uint32_t n)
 {
+    static_assert(std::is_unsigned_v<W>);
     std::uint32_t best = 0;
     for (std::uint32_t i = 1; i < n; ++i) {
         if (row[i] < row[best])

@@ -102,7 +102,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, LruStack,
 
 class StoreCapacity
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, // bytes
-                                                 sim::ReplPolicy>>
+                                                 core::StoreRepl>>
 {};
 
 TEST_P(StoreCapacity, ValidEntriesBounded)
@@ -132,8 +132,8 @@ TEST_P(StoreCapacity, ValidEntriesBounded)
 INSTANTIATE_TEST_SUITE_P(
     Sweep, StoreCapacity,
     ::testing::Combine(::testing::Values(4096u, 65536u, 262144u),
-                       ::testing::Values(sim::ReplPolicy::Lru,
-                                         sim::ReplPolicy::Hawkeye)));
+                       ::testing::Values(core::StoreRepl::Lru,
+                                         core::StoreRepl::Hawkeye)));
 
 // ---------------------------------------------------------------------
 // Property: Triage degree-k issues at most k chained prefetches and

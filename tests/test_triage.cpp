@@ -10,6 +10,7 @@
 #include <iterator>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -122,7 +123,7 @@ TEST(TagCompressor, SplitAndCombine)
 namespace {
 
 MetadataStoreConfig
-small_store(sim::ReplPolicy repl = sim::ReplPolicy::Lru,
+small_store(StoreRepl repl = StoreRepl::Lru,
             std::uint64_t bytes = 64 * 1024)
 {
     MetadataStoreConfig cfg;
@@ -187,17 +188,9 @@ TEST(MetadataStore, InsertConfidentModeKeepsOldBehaviour)
     EXPECT_TRUE(s.probe(100).confident);
 }
 
-TEST(MetadataStoreDeathTest, RejectsDataCacheOnlyPolicies)
-{
-    for (sim::ReplPolicy p : {sim::ReplPolicy::Srrip, sim::ReplPolicy::Drrip,
-                              sim::ReplPolicy::Ship}) {
-        EXPECT_DEATH(MetadataStore s(small_store(p)), "Lru or Hawkeye");
-    }
-}
-
 TEST(MetadataStore, ZeroCapacityHoldsNothing)
 {
-    MetadataStore s(small_store(sim::ReplPolicy::Lru, 0));
+    MetadataStore s(small_store(StoreRepl::Lru, 0));
     s.update(1, 2, 0x1);
     EXPECT_FALSE(s.probe(1).hit);
     EXPECT_EQ(s.capacity_entries(), 0u);
@@ -205,7 +198,7 @@ TEST(MetadataStore, ZeroCapacityHoldsNothing)
 
 TEST(MetadataStore, CapacityBoundsEntries)
 {
-    MetadataStore s(small_store(sim::ReplPolicy::Lru, 4096)); // 1024 entries
+    MetadataStore s(small_store(StoreRepl::Lru, 4096)); // 1024 entries
     for (std::uint64_t t = 0; t < 5000; ++t)
         s.update(t * 7 + 1, t * 13 + 2, 0x1);
     EXPECT_LE(s.valid_entries(), s.capacity_entries());
@@ -214,7 +207,7 @@ TEST(MetadataStore, CapacityBoundsEntries)
 
 TEST(MetadataStore, ResizeKeepsFittingEntries)
 {
-    MetadataStore s(small_store(sim::ReplPolicy::Lru, 64 * 1024));
+    MetadataStore s(small_store(StoreRepl::Lru, 64 * 1024));
     for (std::uint64_t t = 1; t <= 100; ++t)
         s.update(t, t + 1, 0x1);
     s.resize(128 * 1024);
@@ -234,7 +227,7 @@ TEST(MetadataStore, CompressedTagAliasDetectedOnProbeAndUpdate)
     // matches the id's new owner.
     MetadataStoreConfig cfg;
     cfg.capacity_bytes = 64;
-    cfg.repl = sim::ReplPolicy::Lru;
+    cfg.repl = StoreRepl::Lru;
     MetadataStore s(cfg);
     const TagCompressor& comp = s.compressor();
 
@@ -275,8 +268,7 @@ TEST(MetadataStore, CompressedTagAliasDetectedOnProbeAndUpdate)
 
 TEST(MetadataStore, ValidEntriesCounterMatchesScanUnderRandomizedOps)
 {
-    for (sim::ReplPolicy kind :
-         {sim::ReplPolicy::Lru, sim::ReplPolicy::Hawkeye}) {
+    for (StoreRepl kind : {StoreRepl::Lru, StoreRepl::Hawkeye}) {
         MetadataStore s(small_store(kind, 16 * 1024));
         std::mt19937_64 rng(11);
         // Shrink forces rehash-with-overflow, 0 empties the table, and
@@ -311,7 +303,7 @@ TEST(MetadataStore, HawkeyeKeepsHotEntriesUnderThrash)
 {
     // Hot set: 64 triggers reused constantly. Cold stream: one-shot
     // triggers that thrash an LRU-managed store.
-    auto run = [](sim::ReplPolicy kind) {
+    auto run = [](StoreRepl kind) {
         MetadataStoreConfig cfg;
         cfg.capacity_bytes = 8192; // 2048 entries -> 128 sets x 16
         cfg.repl = kind;
@@ -336,14 +328,14 @@ TEST(MetadataStore, HawkeyeKeepsHotEntriesUnderThrash)
         }
         return hot_hits;
     };
-    auto lru = run(sim::ReplPolicy::Lru);
-    auto hawkeye = run(sim::ReplPolicy::Hawkeye);
+    auto lru = run(StoreRepl::Lru);
+    auto hawkeye = run(StoreRepl::Hawkeye);
     EXPECT_GE(hawkeye, lru);
 }
 
 TEST(MetadataStore, ReplStatsCountEventsAndSurviveResize)
 {
-    MetadataStore s(small_store(sim::ReplPolicy::Hawkeye, 4096));
+    MetadataStore s(small_store(StoreRepl::Hawkeye, 4096));
     // update() trains the policy as hidden; demand-path probes commit
     // as visible, per the filtered-training rule.
     for (std::uint64_t t = 0; t < 2000; ++t) {
@@ -386,7 +378,7 @@ TEST(MetadataStore, VisibleHitPredictsBeforeSamplerTrains)
     // predict the entry's RRPV before that training, keeping it
     // friendly; training first would mark it averse and make it the
     // next victim.
-    MetadataStore s(small_store(sim::ReplPolicy::Hawkeye, 64));
+    MetadataStore s(small_store(StoreRepl::Hawkeye, 64));
     const sim::Pc hot_pc = 0x500;
     const sim::Pc cold_pc = 0x900;
     const sim::Addr hot = 7;
@@ -1014,7 +1006,7 @@ class ReferenceStore
         repl_.reset();
         if (sets_ == 0)
             return;
-        if (cfg_.repl == sim::ReplPolicy::Hawkeye)
+        if (cfg_.repl == StoreRepl::Hawkeye)
             repl_ = std::make_unique<MetaHawkeye>(sets_, cfg_.line_entries);
         else
             repl_ = std::make_unique<MetaLru>(sets_, cfg_.line_entries);
@@ -1064,62 +1056,77 @@ self_check_reports(const MetadataStore& s)
     return out;
 }
 
+/**
+ * Run @p ops random operations on @p s and @p ref in lockstep and
+ * compare every result and counter after each. Cold triggers carry
+ * 2^11 tags (against 2^10 compressed ids) over only 2 low-bit set ids,
+ * so ids recycle and compressed keys alias; 64 PCs reuse predictor
+ * slots. With @p sizes non-empty, 2 ops in 1000 resize both stores to
+ * a size drawn from it.
+ */
+void
+run_lockstep(MetadataStore& s, ReferenceStore& ref, util::Rng& rng,
+             std::uint32_t ops, std::span<const std::uint64_t> sizes)
+{
+    for (std::uint32_t i = 0; i < ops; ++i) {
+        // A small hot set keeps confidence and Hawkeye training busy
+        // beside the wide cold range.
+        auto cold = [&rng] {
+            return (sim::Addr{rng.next_below(1u << 11)} << 11) |
+                   rng.next_below(2);
+        };
+        const sim::Addr trig =
+            rng.next_below(4) == 0 ? rng.next_below(512) + 1 : cold();
+        const sim::Addr next = rng.next_below(3) == 0 ? trig + 1 : cold();
+        const sim::Pc pc = 0x400 + 4 * rng.next_below(64);
+        const std::uint32_t op = rng.next_below(1000);
+        if (op < 450) {
+            const MetaLookup got = s.probe(trig);
+            const MetaLookup want = ref.probe(trig);
+            ASSERT_EQ(fields(got), fields(want)) << "op " << i;
+            const bool visible = rng.next_below(4) != 0;
+            s.commit_access(trig, got, pc, visible);
+            ref.commit_access(trig, want, pc, visible);
+        } else if (op < 998 || sizes.empty()) {
+            s.update(trig, next, pc);
+            ref.update(trig, next, pc);
+        } else {
+            const std::uint64_t bytes =
+                sizes[rng.next_below(sizes.size())];
+            s.resize(bytes);
+            ref.resize(bytes);
+        }
+        ASSERT_EQ(fields(s.stats()), fields(ref.stats())) << "op " << i;
+        ASSERT_EQ(fields(s.repl_stats()), fields(ref.repl_stats()))
+            << "op " << i;
+        ASSERT_EQ(s.valid_entries(), ref.valid_entries()) << "op " << i;
+    }
+}
+
+std::string
+variant_name(bool compressed, StoreRepl kind)
+{
+    return std::string(compressed ? "compressed " : "nocompress ") +
+           (kind == StoreRepl::Hawkeye ? "hawkeye" : "lru");
+}
+
 } // namespace
 
 TEST(MetadataStore, MatchesReferenceLayoutUnderRandomizedOps)
 {
-    // Cold triggers carry 2^11 tags (against 2^10 compressed ids) over
-    // only 2 low-bit set ids, so ids recycle and compressed keys alias;
-    // 64 PCs reuse predictor slots; resizes grow, shrink, empty and
-    // regrow the table with live entries in it.
+    // Resizes grow, shrink, empty and regrow the table with live
+    // entries in it.
     const std::uint64_t sizes[] = {8 * 1024, 16 * 1024, 0, 4096,
                                    64 * 1024, 2048, 32 * 1024};
     for (bool compressed : {true, false}) {
-        for (sim::ReplPolicy kind :
-             {sim::ReplPolicy::Hawkeye, sim::ReplPolicy::Lru}) {
-            SCOPED_TRACE(std::string(compressed ? "compressed " : "nocompress ") +
-                         (kind == sim::ReplPolicy::Hawkeye ? "hawkeye"
-                                                           : "lru"));
+        for (StoreRepl kind : {StoreRepl::Hawkeye, StoreRepl::Lru}) {
+            SCOPED_TRACE(variant_name(compressed, kind));
             MetadataStoreConfig cfg = small_store(kind, 8 * 1024);
             cfg.compressed_tags = compressed;
             MetadataStore s(cfg);
             ReferenceStore ref(cfg);
             util::Rng rng(compressed ? 21 : 22);
-            for (std::uint32_t i = 0; i < 60000; ++i) {
-                // A small hot set keeps confidence and Hawkeye
-                // training busy beside the wide cold range.
-                auto cold = [&rng] {
-                    return (sim::Addr{rng.next_below(1u << 11)} << 11) |
-                           rng.next_below(2);
-                };
-                const sim::Addr trig = rng.next_below(4) == 0
-                                           ? rng.next_below(512) + 1
-                                           : cold();
-                const sim::Addr next =
-                    rng.next_below(3) == 0 ? trig + 1 : cold();
-                const sim::Pc pc = 0x400 + 4 * rng.next_below(64);
-                const std::uint32_t op = rng.next_below(1000);
-                if (op < 450) {
-                    const MetaLookup got = s.probe(trig);
-                    const MetaLookup want = ref.probe(trig);
-                    ASSERT_EQ(fields(got), fields(want)) << "op " << i;
-                    const bool visible = rng.next_below(4) != 0;
-                    s.commit_access(trig, got, pc, visible);
-                    ref.commit_access(trig, want, pc, visible);
-                } else if (op < 998) {
-                    s.update(trig, next, pc);
-                    ref.update(trig, next, pc);
-                } else {
-                    const std::uint64_t bytes =
-                        sizes[rng.next_below(std::size(sizes))];
-                    s.resize(bytes);
-                    ref.resize(bytes);
-                }
-                ASSERT_EQ(fields(s.stats()), fields(ref.stats())) << "op " << i;
-                ASSERT_EQ(fields(s.repl_stats()), fields(ref.repl_stats()))
-                    << "op " << i;
-                ASSERT_EQ(s.valid_entries(), ref.valid_entries()) << "op " << i;
-            }
+            ASSERT_NO_FATAL_FAILURE(run_lockstep(s, ref, rng, 60000, sizes));
             EXPECT_EQ(s.compressor().recycles(), ref.recycles());
             EXPECT_TRUE(self_check_reports(s).empty());
             // The mix must reach every path it claims to cover.
@@ -1129,10 +1136,92 @@ TEST(MetadataStore, MatchesReferenceLayoutUnderRandomizedOps)
                 EXPECT_GT(s.stats().tag_alias_drops, 0u);
                 EXPECT_GT(s.compressor().recycles(), 0u);
             }
-            if (kind == sim::ReplPolicy::Hawkeye)
+            if (kind == StoreRepl::Hawkeye)
                 EXPECT_GT(s.repl_stats().victim_demotions, 0u);
         }
     }
+}
+
+TEST(MetadataStore, MatchesReferenceAcrossQuarterAndZeroResizes)
+{
+    // The in-place rehash against the reference's copy-out rehash at
+    // the ratios it has to get right: x4 (each old set feeds four new
+    // ones), /4 (four old sets feed one, overflow dropped), to 0 and
+    // back, and a regrow from below the construction size.
+    const std::uint64_t schedule[] = {64 * 1024, 16 * 1024, 4096, 0,
+                                      16 * 1024, 64 * 1024};
+    for (bool compressed : {true, false}) {
+        for (StoreRepl kind : {StoreRepl::Hawkeye, StoreRepl::Lru}) {
+            SCOPED_TRACE(variant_name(compressed, kind));
+            MetadataStoreConfig cfg = small_store(kind, 16 * 1024);
+            cfg.compressed_tags = compressed;
+            MetadataStore s(cfg);
+            ReferenceStore ref(cfg);
+            util::Rng rng(compressed ? 23 : 24);
+            ASSERT_NO_FATAL_FAILURE(run_lockstep(s, ref, rng, 8000, {}));
+            for (std::uint64_t bytes : schedule) {
+                SCOPED_TRACE("resize to " + std::to_string(bytes));
+                const std::uint64_t live = s.valid_entries();
+                s.resize(bytes);
+                ref.resize(bytes);
+                ASSERT_EQ(s.valid_entries(), ref.valid_entries());
+                if (bytes < 16 * 1024 && live > 0)
+                    EXPECT_LT(s.valid_entries(), live) << "shrink dropped nothing";
+                EXPECT_TRUE(self_check_reports(s).empty());
+                ASSERT_NO_FATAL_FAILURE(
+                    run_lockstep(s, ref, rng, 8000, {}));
+            }
+        }
+    }
+}
+
+TEST(MetadataStore, UncompressedFoldCollisionFindsBothTriggers)
+{
+    // The uncompressed key is a 32-bit fold of the trigger, so two
+    // triggers can share one. A 64-byte store is a single set, so both
+    // land in it: each must still find its own entry, a third trigger
+    // with the same fold must miss, and updates must reach the entry
+    // holding the trigger, not the first key match.
+    MetadataStoreConfig cfg = small_store(StoreRepl::Lru, 64);
+    cfg.compressed_tags = false;
+    MetadataStore s(cfg);
+    const sim::Addr a = (sim::Addr{1} << 32) | 5; // folds to 4
+    const sim::Addr b = 4;                        // folds to 4
+    const sim::Addr c = (sim::Addr{2} << 32) | 6; // folds to 4
+    s.update(a, 100, 0x1);
+    s.update(b, 200, 0x1);
+    const MetaLookup la = s.probe(a);
+    const MetaLookup lb = s.probe(b);
+    ASSERT_TRUE(la.hit);
+    ASSERT_TRUE(lb.hit);
+    EXPECT_EQ(la.next, 100u);
+    EXPECT_EQ(lb.next, 200u);
+    EXPECT_EQ(la.way, 0u);
+    EXPECT_EQ(lb.way, 1u);
+    EXPECT_FALSE(s.probe(c).hit);
+    s.update(b, 200, 0x1); // confirms b's own entry
+    EXPECT_TRUE(s.probe(b).confident);
+    EXPECT_FALSE(s.probe(a).confident);
+    EXPECT_EQ(s.valid_entries(), 2u);
+    EXPECT_EQ(s.stats().tag_alias_drops, 0u);
+    EXPECT_TRUE(self_check_reports(s).empty());
+}
+
+TEST(MetadataStore, ResizeWithinCapacityKeepsStorage)
+{
+    // resize() allocates nothing while the new geometry fits the
+    // capacity the store has held: a shrink keeps the arrays, and a
+    // regrow up to the construction size reuses them.
+    MetadataStore s(small_store(StoreRepl::Hawkeye, 64 * 1024));
+    for (std::uint64_t t = 1; t <= 20000; ++t)
+        s.update(t * 977, t, 0x1);
+    const void* storage = s.entries_data();
+    for (std::uint64_t bytes : {16 * 1024, 0, 32 * 1024, 64 * 1024}) {
+        s.resize(bytes);
+        EXPECT_EQ(s.entries_data(), storage) << bytes << " bytes";
+        EXPECT_TRUE(self_check_reports(s).empty());
+    }
+    EXPECT_GT(s.capacity_entries(), 0u);
 }
 
 TEST(MetadataStore, CheckpointAfterShrinkResavesIdentically)
@@ -1141,8 +1230,7 @@ TEST(MetadataStore, CheckpointAfterShrinkResavesIdentically)
     // it into one built at the configured (larger) size: the load must
     // rebuild the smaller geometry, reproduce the same lookups, pass
     // the self-check and resave to the same bytes.
-    for (sim::ReplPolicy kind :
-         {sim::ReplPolicy::Hawkeye, sim::ReplPolicy::Lru}) {
+    for (StoreRepl kind : {StoreRepl::Hawkeye, StoreRepl::Lru}) {
         const MetadataStoreConfig cfg = small_store(kind, 64 * 1024);
         MetadataStore s(cfg);
         util::Rng rng(31);

@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "util/parse_number.hpp"
 
 using triage::obs::json::Value;
 
@@ -417,7 +418,7 @@ check_profile(const Value& root, double min_attributed,
 
 /** Validate a --trace-perfetto Chrome trace-event file. */
 void
-check_perfetto(const Value& root, int expect_workers,
+check_perfetto(const Value& root, unsigned expect_workers,
                bool expect_profile)
 {
     const Value* events = root.get("traceEvents");
@@ -430,7 +431,7 @@ check_perfetto(const Value& root, int expect_workers,
     bool saw_partition = false;
     bool saw_prof_slice = false;
     bool saw_prof_counter = false;
-    int workers = 0;
+    unsigned workers = 0;
     for (std::size_t i = 0; i < events->array.size(); ++i) {
         const Value& e = events->array[i];
         const std::string tag = "traceEvents[" + std::to_string(i) + "]";
@@ -739,7 +740,7 @@ main(int argc, char** argv)
     bool expect_profile = false;
     bool bench = false;
     std::string golden_path;
-    int expect_workers = 0;
+    unsigned expect_workers = 0;
     std::vector<std::string> require_keys;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -756,8 +757,11 @@ main(int argc, char** argv)
         } else if (a == "--require-profile") {
             require_profile = true;
         } else if (a.rfind("--min-attributed=", 0) == 0) {
-            min_attributed =
-                std::stod(a.substr(std::strlen("--min-attributed=")));
+            if (!triage::util::parse_number(
+                    "check_stats_json", "min-attributed",
+                    a.substr(std::strlen("--min-attributed=")),
+                    min_attributed))
+                return 2;
         } else if (a.rfind("--expect-backend=", 0) == 0) {
             expect_backend =
                 a.substr(std::strlen("--expect-backend="));
@@ -770,8 +774,11 @@ main(int argc, char** argv)
         } else if (a.rfind("--golden=", 0) == 0) {
             golden_path = a.substr(std::strlen("--golden="));
         } else if (a.rfind("--expect-workers=", 0) == 0) {
-            expect_workers =
-                std::stoi(a.substr(std::strlen("--expect-workers=")));
+            if (!triage::util::parse_number(
+                    "check_stats_json", "expect-workers",
+                    a.substr(std::strlen("--expect-workers=")),
+                    expect_workers))
+                return 2;
         } else if (a.rfind("--require-key=", 0) == 0) {
             require_keys.push_back(a.substr(std::strlen("--require-key=")));
         } else if (!a.empty() && a[0] != '-') {

@@ -17,11 +17,13 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "exec/checkpoint.hpp"
 #include "exec/lab.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -33,10 +35,10 @@ struct Options {
     std::uint64_t warmup = 60000;
     unsigned jobs = 1;
     bool fresh = false;
-    long expect_mem_hits = -1;
-    long expect_disk_hits = -1;
-    long expect_misses = -1;
-    long expect_bytes_mem = -1;
+    std::optional<std::uint64_t> expect_mem_hits;
+    std::optional<std::uint64_t> expect_disk_hits;
+    std::optional<std::uint64_t> expect_misses;
+    std::optional<std::uint64_t> expect_bytes_mem;
 };
 
 void
@@ -65,27 +67,42 @@ parse(int argc, char** argv, Options& o)
             return arg + n + 1;
         return nullptr;
     };
+    const std::string_view prog = util::prog_name(argv[0]);
+    auto expect = [&](const char* flag, const char* v,
+                      std::optional<std::uint64_t>& out) {
+        std::uint64_t n = 0;
+        if (!util::parse_number(prog, flag, v, n))
+            return false;
+        out = n;
+        return true;
+    };
     for (int i = 1; i < argc; ++i) {
         const char* a = argv[i];
-        if (const char* v = val(a, "--dir"))
+        if (const char* v = val(a, "--dir")) {
             o.dir = v;
-        else if (const char* v = val(a, "--benchmark"))
+        } else if (const char* v = val(a, "--benchmark")) {
             o.benchmark = v;
-        else if (const char* v = val(a, "--warmup"))
-            o.warmup = std::strtoull(v, nullptr, 10);
-        else if (const char* v = val(a, "--jobs"))
-            o.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        else if (std::strcmp(a, "--fresh") == 0)
+        } else if (const char* v = val(a, "--warmup")) {
+            if (!util::parse_number(prog, "warmup", v, o.warmup))
+                return false;
+        } else if (const char* v = val(a, "--jobs")) {
+            if (!util::parse_number(prog, "jobs", v, o.jobs))
+                return false;
+        } else if (std::strcmp(a, "--fresh") == 0) {
             o.fresh = true;
-        else if (const char* v = val(a, "--expect-mem-hits"))
-            o.expect_mem_hits = std::strtol(v, nullptr, 10);
-        else if (const char* v = val(a, "--expect-disk-hits"))
-            o.expect_disk_hits = std::strtol(v, nullptr, 10);
-        else if (const char* v = val(a, "--expect-misses"))
-            o.expect_misses = std::strtol(v, nullptr, 10);
-        else if (const char* v = val(a, "--expect-bytes-mem"))
-            o.expect_bytes_mem = std::strtol(v, nullptr, 10);
-        else if (std::strcmp(a, "--help") == 0) {
+        } else if (const char* v = val(a, "--expect-mem-hits")) {
+            if (!expect("expect-mem-hits", v, o.expect_mem_hits))
+                return false;
+        } else if (const char* v = val(a, "--expect-disk-hits")) {
+            if (!expect("expect-disk-hits", v, o.expect_disk_hits))
+                return false;
+        } else if (const char* v = val(a, "--expect-misses")) {
+            if (!expect("expect-misses", v, o.expect_misses))
+                return false;
+        } else if (const char* v = val(a, "--expect-bytes-mem")) {
+            if (!expect("expect-bytes-mem", v, o.expect_bytes_mem))
+                return false;
+        } else if (std::strcmp(a, "--help") == 0) {
             usage(argv[0]);
             return false;
         } else {
@@ -107,12 +124,14 @@ parse(int argc, char** argv, Options& o)
 }
 
 bool
-check(const char* name, long expect, std::uint64_t got)
+check(const char* name, std::optional<std::uint64_t> expect,
+      std::uint64_t got)
 {
-    if (expect < 0 || static_cast<std::uint64_t>(expect) == got)
+    if (!expect.has_value() || *expect == got)
         return true;
-    std::fprintf(stderr, "FAIL %s: expected %ld, got %llu\n", name,
-                 expect, static_cast<unsigned long long>(got));
+    std::fprintf(stderr, "FAIL %s: expected %llu, got %llu\n", name,
+                 static_cast<unsigned long long>(*expect),
+                 static_cast<unsigned long long>(got));
     return false;
 }
 

@@ -37,6 +37,7 @@
 #include "exec/lab.hpp"
 #include "frontend/frontend.hpp"
 #include "sim/config.hpp"
+#include "util/parse_number.hpp"
 #include "verify/diff.hpp"
 #include "workloads/chain.hpp"
 #include "workloads/spec.hpp"
@@ -83,24 +84,28 @@ parse(int argc, char** argv, Options& o)
             return arg + n + 1;
         return nullptr;
     };
+    const std::string_view prog = util::prog_name(argv[0]);
     for (int i = 1; i < argc; ++i) {
         const char* a = argv[i];
-        if (const char* v = val(a, "--pair"))
+        if (const char* v = val(a, "--pair")) {
             o.pair = v;
-        else if (const char* v = val(a, "--benchmark"))
+        } else if (const char* v = val(a, "--benchmark")) {
             o.benchmark = v;
-        else if (const char* v = val(a, "--warmup"))
-            o.warmup = std::strtoull(v, nullptr, 10);
-        else if (const char* v = val(a, "--measure"))
-            o.measure = std::strtoull(v, nullptr, 10);
-        else if (const char* v = val(a, "--degree"))
-            o.degree = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
-        else if (const char* v = val(a, "--jobs"))
-            o.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        else if (std::strcmp(a, "--smoke") == 0)
+        } else if (const char* v = val(a, "--warmup")) {
+            if (!util::parse_number(prog, "warmup", v, o.warmup))
+                return false;
+        } else if (const char* v = val(a, "--measure")) {
+            if (!util::parse_number(prog, "measure", v, o.measure))
+                return false;
+        } else if (const char* v = val(a, "--degree")) {
+            if (!util::parse_number(prog, "degree", v, o.degree))
+                return false;
+        } else if (const char* v = val(a, "--jobs")) {
+            if (!util::parse_number(prog, "jobs", v, o.jobs))
+                return false;
+        } else if (std::strcmp(a, "--smoke") == 0) {
             o.smoke = true;
-        else if (std::strcmp(a, "--help") == 0) {
+        } else if (std::strcmp(a, "--help") == 0) {
             usage(argv[0]);
             return false;
         } else {

@@ -18,16 +18,12 @@
  *   triagesim --list
  */
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "exec/lab.hpp"
@@ -38,6 +34,7 @@
 
 #include "sim/multicore.hpp"
 #include "util/log.hpp"
+#include "util/parse_number.hpp"
 #include "sim/system.hpp"
 #include "stats/experiment.hpp"
 #include "stats/metrics.hpp"
@@ -154,36 +151,6 @@ usage()
 }
 
 /**
- * Parse the value @p v of --@p flag into @p out. An integer flag takes
- * only a whole unsigned decimal string in T's range; --scale takes a
- * whole decimal number that is finite and greater than 0. @return
- * false, after a one-line error naming the flag, otherwise.
- */
-template <typename T>
-bool
-parse_number(const char* flag, const std::string& v, T& out)
-{
-    T x{};
-    const char* end = v.data() + v.size();
-    const auto [stop, ec] = std::from_chars(v.data(), end, x);
-    bool ok = !v.empty() && ec == std::errc{} && stop == end;
-    if constexpr (std::is_floating_point_v<T>)
-        ok = ok && std::isfinite(x) && x > 0;
-    if (!ok) {
-        std::cerr << "triagesim: --" << flag << "=" << v << ": expected "
-                  << (std::is_floating_point_v<T>
-                          ? std::string("a finite number > 0")
-                          : "an unsigned integer <= " +
-                                std::to_string(
-                                    std::numeric_limits<T>::max()))
-                  << "\n";
-        return false;
-    }
-    out = x;
-    return true;
-}
-
-/**
  * Fill @p o from the command line. @return false after an error line
  * (and the usage text, for an unknown option).
  */
@@ -237,17 +204,17 @@ parse(int argc, char** argv, Options& o)
         } else if (auto v = val("prefetcher")) {
             o.prefetcher = *v;
         } else if (auto v = val("degree")) {
-            if (!parse_number("degree", *v, o.degree))
+            if (!util::parse_number("triagesim", "degree", *v, o.degree))
                 return false;
         } else if (auto v = val("warmup")) {
-            if (!parse_number("warmup", *v, o.warmup))
+            if (!util::parse_number("triagesim", "warmup", *v, o.warmup))
                 return false;
         } else if (auto v = val("measure")) {
-            if (!parse_number("measure", *v, o.measure))
+            if (!util::parse_number("triagesim", "measure", *v, o.measure))
                 return false;
             o.measure_set = true;
         } else if (auto v = val("records")) {
-            if (!parse_number("records", *v, o.records))
+            if (!util::parse_number("triagesim", "records", *v, o.records))
                 return false;
             o.records_set = true;
         } else if (auto v = val("stats-json")) {
@@ -257,19 +224,19 @@ parse(int argc, char** argv, Options& o)
         } else if (auto v = val("trace-perfetto")) {
             o.trace_perfetto_path = *v;
         } else if (auto v = val("trace-capacity")) {
-            if (!parse_number("trace-capacity", *v, o.trace_capacity))
+            if (!util::parse_number("triagesim", "trace-capacity", *v, o.trace_capacity))
                 return false;
         } else if (auto v = val("epoch")) {
-            if (!parse_number("epoch", *v, o.epoch))
+            if (!util::parse_number("triagesim", "epoch", *v, o.epoch))
                 return false;
         } else if (auto v = val("jobs")) {
-            if (!parse_number("jobs", *v, o.jobs))
+            if (!util::parse_number("triagesim", "jobs", *v, o.jobs))
                 return false;
         } else if (auto v = val("scale")) {
-            if (!parse_number("scale", *v, o.scale))
+            if (!util::parse_number("triagesim", "scale", *v, o.scale))
                 return false;
         } else if (auto v = val("mshrs")) {
-            if (!parse_number("mshrs", *v, o.mshrs))
+            if (!util::parse_number("triagesim", "mshrs", *v, o.mshrs))
                 return false;
         } else if (auto v = val("llc-repl")) {
             o.llc_repl = *v;

@@ -25,6 +25,7 @@
 #include "sim/snapshot.hpp"
 #include "sim/system.hpp"
 #include "stats/experiment.hpp"
+#include "util/parse_number.hpp"
 #include "util/rng.hpp"
 #include "verify/invariants.hpp"
 #include "workloads/spec.hpp"
@@ -49,16 +50,18 @@ parse(int argc, char** argv, Options& o)
             return arg + n + 1;
         return nullptr;
     };
+    const std::string_view prog = util::prog_name(argv[0]);
     for (int i = 1; i < argc; ++i) {
         const char* a = argv[i];
-        if (const char* v = val(a, "--seed"))
-            o.seed = std::strtoull(v, nullptr, 0);
-        else if (const char* v = val(a, "--iters"))
-            o.iters =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        else if (std::strcmp(a, "--smoke") == 0)
+        if (const char* v = val(a, "--seed")) {
+            if (!util::parse_number(prog, "seed", v, o.seed))
+                return false;
+        } else if (const char* v = val(a, "--iters")) {
+            if (!util::parse_number(prog, "iters", v, o.iters))
+                return false;
+        } else if (std::strcmp(a, "--smoke") == 0) {
             o.smoke = true;
-        else {
+        } else {
             std::fprintf(stderr,
                          "usage: %s [--seed=S] [--iters=N] [--smoke]\n",
                          argv[0]);
