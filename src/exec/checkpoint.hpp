@@ -71,8 +71,11 @@ struct CheckpointOptions {
  * the core at the warm point (no epoch_run section).
  * 8: Triage's metadata store saves 4-byte search keys (a 32-bit fold
  * of the trigger in uncompressed mode).
+ * 9: LruTable layouts: the TLB, MISB's PS/SP caches, Markov, SMS and
+ * the training unit save util::LruTable rows (keys, stamps, values,
+ * one clock per table), filled from the first empty way.
  */
-inline constexpr std::uint32_t CKPT_VERSION = 8;
+inline constexpr std::uint32_t CKPT_VERSION = 9;
 
 /**
  * Two-tier (memory LRU + disk) cache of sealed snapshot blobs.

@@ -110,8 +110,10 @@ Lab::worker_loop(unsigned worker_id)
 {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
+        ++idle_;
         work_ready_.wait(lock,
                          [&] { return stop_ || !queue_.empty(); });
+        --idle_;
         if (queue_.empty()) {
             if (stop_)
                 return;
@@ -134,13 +136,19 @@ Lab::run_serial(std::unique_lock<std::mutex>& lock, const Task* until)
 }
 
 void
-Lab::ensure_workers()
+Lab::add_worker_if_needed()
 {
-    if (!workers_.empty())
-        return;
-    workers_.reserve(n_workers_);
-    for (unsigned w = 0; w < n_workers_; ++w)
+    if (workers_.size() < n_workers_ && queue_.size() > idle_) {
+        const auto w = static_cast<unsigned>(workers_.size());
         workers_.emplace_back([this, w] { worker_loop(w); });
+    }
+}
+
+std::size_t
+Lab::started_workers() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return workers_.size();
 }
 
 Lab::JobId
@@ -175,7 +183,7 @@ Lab::submit(Job job)
     queue_.push_back(std::move(task));
     if (n_workers_ == 1)
         return id; // run by result() / wait_all(), in FIFO order
-    ensure_workers();
+    add_worker_if_needed();
     lock.unlock();
     work_ready_.notify_one();
     return id;

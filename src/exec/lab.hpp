@@ -109,6 +109,13 @@ class Lab
     /** Effective worker count. */
     unsigned workers() const { return n_workers_; }
 
+    /**
+     * Worker threads started so far. A worker starts at a submit()
+     * only while the queued jobs outnumber the idle workers, so a Lab
+     * never runs more threads than it had jobs in flight.
+     */
+    std::size_t started_workers() const;
+
     /** The warm-checkpoint store (null when warm_checkpoints=false).
      *  Memoization stays keyed on the full JobKey; the store only
      *  shares warm prefixes between distinct jobs. */
@@ -161,7 +168,9 @@ class Lab
     void worker_loop(unsigned worker_id);
     void execute(Task& task, unsigned worker_id,
                  std::unique_lock<std::mutex>& lock);
-    void ensure_workers();
+    /** Start one more worker (up to n_workers_) while a queued job
+     *  has no idle worker to take it. Called with mu_ held. */
+    void add_worker_if_needed();
     /** Serial Lab: run queued tasks on the calling thread until
      *  @p until is done (null: until the queue is empty). */
     void run_serial(std::unique_lock<std::mutex>& lock, const Task* until);
@@ -179,6 +188,7 @@ class Lab
     std::unordered_map<JobKey, std::shared_ptr<Task>, JobKeyHash> memo_;
     std::deque<std::shared_ptr<Task>> queue_;
     std::vector<std::thread> workers_;
+    std::size_t idle_ = 0; ///< workers waiting for work_ready_
     std::size_t executed_ = 0;
     bool stop_ = false;
 };

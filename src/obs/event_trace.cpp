@@ -30,7 +30,7 @@ kind_name(EventKind k)
 void
 EventTrace::enable(std::size_t capacity)
 {
-    TRIAGE_ASSERT(capacity > 0);
+    TRIAGE_ASSERT(capacity > 0 && capacity <= MAX_CAPACITY);
     ring_.assign(capacity, TraceEvent{});
     head_ = 0;
     total_ = 0;

@@ -112,6 +112,8 @@ class EventTrace
     void write_binary(std::ostream& os) const;
 
     static constexpr std::size_t DEFAULT_CAPACITY = 1u << 20;
+    /** Largest ring enable() takes: 64 Mi events, 2 GiB at 32 B each. */
+    static constexpr std::size_t MAX_CAPACITY = std::size_t{1} << 26;
 
   private:
     bool enabled_ = false;

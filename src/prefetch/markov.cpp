@@ -8,44 +8,16 @@
 namespace triage::prefetch {
 
 Markov::Markov(MarkovConfig cfg)
-    : cfg_(cfg), sets_(cfg.table_entries / cfg.ways)
+    : table_(cfg.table_entries / cfg.ways, cfg.ways)
 {
-    TRIAGE_ASSERT(util::is_pow2(sets_));
-    table_.resize(cfg.table_entries);
-    for (auto& e : table_)
-        e.succ.assign(cfg.successors, 0);
+    TRIAGE_ASSERT(util::is_pow2(table_.sets()));
 }
 
-Markov::Entry*
-Markov::find(sim::Addr addr)
+std::uint32_t
+Markov::set_of(sim::Addr addr) const
 {
-    std::size_t set = util::mix64(addr) & (sets_ - 1);
-    Entry* row = &table_[set * cfg_.ways];
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (row[w].valid && row[w].addr == addr)
-            return &row[w];
-    }
-    return nullptr;
-}
-
-Markov::Entry&
-Markov::allocate(sim::Addr addr)
-{
-    std::size_t set = util::mix64(addr) & (sets_ - 1);
-    Entry* row = &table_[set * cfg_.ways];
-    Entry* victim = &row[0];
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (!row[w].valid) {
-            victim = &row[w];
-            break;
-        }
-        if (row[w].lru < victim->lru)
-            victim = &row[w];
-    }
-    victim->addr = addr;
-    std::fill(victim->succ.begin(), victim->succ.end(), 0);
-    victim->valid = true;
-    return *victim;
+    return static_cast<std::uint32_t>(util::mix64(addr) &
+                                      (table_.sets() - 1));
 }
 
 void
@@ -56,9 +28,8 @@ Markov::train(const TrainEvent& ev, PrefetchHost& host)
         return;
 
     // Predict: issue all recorded successors (MRU first).
-    if (Entry* e = find(ev.block)) {
-        e->lru = ++clock_;
-        for (sim::Addr s : e->succ) {
+    if (const Successors* e = table_.find(set_of(ev.block), ev.block)) {
+        for (sim::Addr s : *e) {
             if (s != 0 && s != ev.block)
                 send(ev, host, s, ev.now);
         }
@@ -66,18 +37,20 @@ Markov::train(const TrainEvent& ev, PrefetchHost& host)
 
     // Train the global predecessor's successor list (MRU insertion).
     if (have_last_ && last_miss_ != ev.block) {
-        Entry* p = find(last_miss_);
-        if (p == nullptr)
-            p = &allocate(last_miss_);
-        p->lru = ++clock_;
-        auto hit = std::find(p->succ.begin(), p->succ.end(), ev.block);
-        if (hit != p->succ.end()) {
-            std::rotate(p->succ.begin(), hit, hit + 1);
+        const std::uint32_t set = set_of(last_miss_);
+        Successors* p = table_.find(set, last_miss_);
+        Successors succ = p != nullptr ? *p : Successors{};
+        auto hit = std::find(succ.begin(), succ.end(), ev.block);
+        if (hit != succ.end()) {
+            std::rotate(succ.begin(), hit, hit + 1);
         } else {
-            std::rotate(p->succ.begin(), p->succ.end() - 1,
-                        p->succ.end());
-            p->succ.front() = ev.block;
+            std::rotate(succ.begin(), succ.end() - 1, succ.end());
+            succ.front() = ev.block;
         }
+        if (p != nullptr)
+            *p = succ;
+        else
+            table_.insert(set, last_miss_, succ);
     }
     last_miss_ = ev.block;
     have_last_ = true;

@@ -9,10 +9,11 @@
 #ifndef TRIAGE_PREFETCH_MARKOV_HPP
 #define TRIAGE_PREFETCH_MARKOV_HPP
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "prefetch/prefetcher.hpp"
+#include "util/lru_table.hpp"
 
 namespace triage::prefetch {
 
@@ -20,7 +21,6 @@ namespace triage::prefetch {
 struct MarkovConfig {
     std::uint32_t table_entries = 65536; ///< power of two
     std::uint32_t ways = 8;
-    std::uint32_t successors = 2; ///< successor slots per entry
 };
 
 /** Markov correlation-table prefetcher. */
@@ -37,32 +37,19 @@ class Markov final : public Prefetcher
     {
         Prefetcher::checkpoint(s);
         s.section("pf.markov");
-        s.io_vec(table_, [](sim::Snapshot& a, Entry& e) {
-            a.io(e.addr);
-            a.io_pod_vec(e.succ);
-            a.io(e.lru);
-            a.io(e.valid);
-        });
-        s.io(clock_);
+        table_.checkpoint(s);
         s.io(last_miss_);
         s.io(have_last_);
     }
 
   private:
-    struct Entry {
-        sim::Addr addr = 0;
-        std::vector<sim::Addr> succ;
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
+    /** Successor slots per entry, most recent first (0 = unused). */
+    static constexpr std::size_t SUCCESSORS = 2;
+    using Successors = std::array<sim::Addr, SUCCESSORS>;
 
-    Entry* find(sim::Addr addr);
-    Entry& allocate(sim::Addr addr);
+    std::uint32_t set_of(sim::Addr addr) const;
 
-    MarkovConfig cfg_;
-    std::uint32_t sets_;
-    std::vector<Entry> table_;
-    std::uint64_t clock_ = 0;
+    util::LruTable<Successors> table_;
     sim::Addr last_miss_ = 0;
     bool have_last_ = false;
     std::string name_ = "markov";

@@ -7,52 +7,24 @@
 
 namespace triage::prefetch {
 
-MetadataCache::MetadataCache(std::uint32_t entries, std::uint32_t ways)
-    : sets_(entries / ways), ways_(ways),
-      entries_(static_cast<std::size_t>(entries))
+std::uint32_t
+meta_set(const MetaCache& cache, std::uint64_t key)
 {
-    TRIAGE_ASSERT(util::is_pow2(sets_), "metadata cache sets");
+    return static_cast<std::uint32_t>(util::mix64(key) &
+                                      (cache.sets() - 1));
 }
 
-std::optional<std::uint64_t>
-MetadataCache::find(std::uint64_t key)
+std::optional<MetaCache::Entry>
+meta_write(MetaCache& cache, std::uint64_t key, std::uint64_t value,
+           bool dirty)
 {
-    std::size_t set = util::mix64(key) & (sets_ - 1);
-    Entry* row = &entries_[set * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (row[w].valid && row[w].key == key) {
-            row[w].lru = ++clock_;
-            ++hits_;
-            return row[w].value;
-        }
+    const std::uint32_t set = meta_set(cache, key);
+    if (MetaLine* line = cache.find(set, key)) {
+        line->value = value;
+        line->dirty |= dirty;
+        return std::nullopt;
     }
-    ++misses_;
-    return std::nullopt;
-}
-
-MetadataCache::Evicted
-MetadataCache::insert(std::uint64_t key, std::uint64_t value, bool dirty)
-{
-    std::size_t set = util::mix64(key) & (sets_ - 1);
-    Entry* row = &entries_[set * ways_];
-    Entry* victim = &row[0];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (row[w].valid && row[w].key == key) {
-            row[w].value = value;
-            row[w].dirty |= dirty;
-            row[w].lru = ++clock_;
-            return {};
-        }
-        if (!row[w].valid)
-            victim = &row[w];
-        else if (victim->valid && row[w].lru < victim->lru)
-            victim = &row[w];
-    }
-    Evicted ev;
-    if (victim->valid)
-        ev = {true, victim->dirty, victim->key, victim->value};
-    *victim = {key, value, ++clock_, dirty, true};
-    return ev;
+    return cache.insert(set, key, {value, dirty});
 }
 
 GranuleTable::GranuleTable(std::uint32_t width)
@@ -133,19 +105,31 @@ Misb::Misb(MisbConfig cfg)
     : cfg_(cfg),
       ps_backing_(cfg.granule_entries),
       sp_backing_(cfg.granule_entries),
-      ps_cache_(cfg.ps_cache_entries, cfg.cache_ways),
-      sp_cache_(cfg.sp_cache_entries, cfg.cache_ways),
+      ps_cache_(cfg.ps_cache_entries / cfg.cache_ways, cfg.cache_ways),
+      sp_cache_(cfg.sp_cache_entries / cfg.cache_ways, cfg.cache_ways),
       tu_(cfg.training_unit_entries),
       streams_(32),
       name_(cfg.display_name)
 {
+    TRIAGE_ASSERT(util::is_pow2(ps_cache_.sets()) &&
+                      util::is_pow2(sp_cache_.sets()),
+                  "metadata cache sets");
+}
+
+const MetaLine*
+Misb::cache_find(MetaCache& cache, std::uint64_t key)
+{
+    const MetaLine* line = cache.find(meta_set(cache, key), key);
+    ++(line != nullptr ? cache_hits_ : cache_misses_);
+    return line;
 }
 
 void
-Misb::handle_eviction(const MetadataCache::Evicted& ev_entry,
-                      const TrainEvent& ev, PrefetchHost& host)
+Misb::cache_write(MetaCache& cache, std::uint64_t key, std::uint64_t value,
+                  bool dirty, const TrainEvent& ev, PrefetchHost& host)
 {
-    if (!ev_entry.valid || !ev_entry.dirty)
+    const auto evicted = meta_write(cache, key, value, dirty);
+    if (!evicted || !evicted->value.dirty)
         return;
     // Fine-grained metadata management (MISB's central idea): dirty
     // 4-byte entries coalesce in a write buffer and drain to DRAM one
@@ -192,7 +176,7 @@ Misb::fetch_granule(bool is_ps, std::uint64_t first_key,
         ev.core, ev.now, bursts * sim::BLOCK_SIZE, false,
         cfg_.charge_time);
     const GranuleTable& backing = is_ps ? ps_backing_ : sp_backing_;
-    MetadataCache& mcache = is_ps ? ps_cache_ : sp_cache_;
+    MetaCache& mcache = is_ps ? ps_cache_ : sp_cache_;
     const std::uint64_t* row = backing.row(base / cfg_.granule_entries);
     if (row == nullptr)
         return done;
@@ -201,8 +185,7 @@ Misb::fetch_granule(bool is_ps, std::uint64_t first_key,
     for (std::uint32_t i = 0; i < cfg_.granule_entries; ++i) {
         if (row[i] == GranuleTable::ABSENT)
             continue;
-        handle_eviction(mcache.insert(base + i, row[i] & mask, false), ev,
-                        host);
+        cache_write(mcache, base + i, row[i] & mask, false, ev, host);
     }
     return done;
 }
@@ -212,8 +195,8 @@ Misb::ps_lookup(sim::Addr phys, const TrainEvent& ev, PrefetchHost& host,
                 sim::Cycle& avail)
 {
     avail = ev.now;
-    if (auto v = ps_cache_.find(phys))
-        return *v;
+    if (const MetaLine* line = cache_find(ps_cache_, phys))
+        return line->value;
     // Bloom filter: untracked addresses never go off chip.
     const std::uint64_t* v = ps_backing_.find(phys);
     if (v == nullptr)
@@ -228,8 +211,8 @@ Misb::sp_lookup(std::uint64_t structural, const TrainEvent& ev,
                 PrefetchHost& host, sim::Cycle& avail)
 {
     avail = ev.now;
-    if (auto v = sp_cache_.find(structural))
-        return *v;
+    if (const MetaLine* line = cache_find(sp_cache_, structural))
+        return line->value;
     const std::uint64_t* v = sp_backing_.find(structural);
     if (v == nullptr)
         return INVALID;
@@ -243,7 +226,7 @@ Misb::ps_update(sim::Addr phys, std::uint64_t structural,
                 const TrainEvent& ev, PrefetchHost& host)
 {
     ps_backing_.ref(phys) = structural;
-    handle_eviction(ps_cache_.insert(phys, structural, true), ev, host);
+    cache_write(ps_cache_, phys, structural, true, ev, host);
 }
 
 void
@@ -251,7 +234,7 @@ Misb::sp_update(std::uint64_t structural, sim::Addr phys,
                 const TrainEvent& ev, PrefetchHost& host)
 {
     sp_backing_.ref(structural) = phys;
-    handle_eviction(sp_cache_.insert(structural, phys, true), ev, host);
+    cache_write(sp_cache_, structural, phys, true, ev, host);
 }
 
 void
@@ -287,15 +270,14 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
         // ev.now) but not the traffic: PS entries live in physical
         // address space with no locality, so each staged trigger cost
         // one off-chip burst unless it was still cached.
-        if (!ps_cache_.find(ev.block)) {
+        if (cache_find(ps_cache_, ev.block) == nullptr) {
             if (cfg_.stream_ps_charge) {
                 ++stats_.meta_offchip_reads;
                 host.offchip_metadata_access(ev.core, ev.now,
                                              sim::BLOCK_SIZE, false,
                                              cfg_.charge_time);
             }
-            handle_eviction(ps_cache_.insert(ev.block, s, false), ev,
-                            host);
+            cache_write(ps_cache_, ev.block, s, false, ev, host);
         }
     } else {
         s = ps_lookup(ev.block, ev, host, ps_avail);
@@ -330,35 +312,18 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
             std::uint64_t key =
                 (s / cfg_.granule_entries + 1) * cfg_.granule_entries;
             if (sp_backing_.find(key) != nullptr &&
-                !sp_cache_.find(key)) {
+                cache_find(sp_cache_, key) == nullptr) {
                 fetch_granule(false, key, ev, host);
             }
         }
     }
 
     // --- Train on the PC-localized pair (last, current).
-    TuEntry* e = nullptr;
-    TuEntry* victim = &tu_[0];
-    for (auto& t : tu_) {
-        if (t.valid && t.pc == ev.pc) {
-            e = &t;
-            break;
-        }
-        if (!t.valid)
-            victim = &t;
-        else if (victim->valid && t.lru < victim->lru)
-            victim = &t;
-    }
-    if (e == nullptr) {
-        *victim = {ev.pc, ev.block, ++tu_clock_, true};
+    const std::optional<sim::Addr> last = tu_.update(ev.pc, ev.block);
+    if (!last)
         return;
-    }
-    sim::Addr a = e->last;
-    sim::Addr b = ev.block;
-    e->last = b;
-    e->lru = ++tu_clock_;
-    if (a == b)
-        return;
+    const sim::Addr a = *last;
+    const sim::Addr b = ev.block;
 
     sim::Cycle t_ignore = ev.now;
     std::uint64_t sa = ps_lookup(a, ev, host, t_ignore);

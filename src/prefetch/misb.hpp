@@ -27,7 +27,9 @@
 #include <vector>
 
 #include "prefetch/prefetcher.hpp"
+#include "prefetch/training_unit.hpp"
 #include "util/flat_map.hpp"
+#include "util/lru_table.hpp"
 
 namespace triage::prefetch {
 
@@ -64,63 +66,29 @@ struct MisbConfig {
  *  related work describes. */
 MisbConfig isb_config(std::uint32_t degree = 1);
 
-/**
- * On-chip metadata cache: set-associative, LRU, key->value entries
- * with dirty bits. Shared by the PS and SP sides.
- */
-class MetadataCache
-{
-  public:
-    MetadataCache(std::uint32_t entries, std::uint32_t ways);
-
-    /** Probe; refreshes LRU on hit. */
-    std::optional<std::uint64_t> find(std::uint64_t key);
-
-    struct Evicted {
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t key = 0;
-        std::uint64_t value = 0;
-    };
-
-    /** Install or update (key -> value). */
-    Evicted insert(std::uint64_t key, std::uint64_t value, bool dirty);
-
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-
-    void
-    checkpoint(sim::Snapshot& s)
-    {
-        s.section("misb.mdcache");
-        s.io_vec(entries_, [](sim::Snapshot& a, Entry& e) {
-            a.io(e.key);
-            a.io(e.value);
-            a.io(e.lru);
-            a.io(e.dirty);
-            a.io(e.valid);
-        });
-        s.io(clock_);
-        s.io(hits_);
-        s.io(misses_);
-    }
-
-  private:
-    struct Entry {
-        std::uint64_t key = 0;
-        std::uint64_t value = 0;
-        std::uint64_t lru = 0;
-        bool dirty = false;
-        bool valid = false;
-    };
-
-    std::uint32_t sets_;
-    std::uint32_t ways_;
-    std::vector<Entry> entries_;
-    std::uint64_t clock_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+/** One line of MISB's on-chip PS or SP metadata cache. */
+struct MetaLine {
+    std::uint64_t value = 0;
+    bool dirty = false;
 };
+
+/**
+ * On-chip metadata cache (PS or SP side): set-associative LRU lines
+ * with dirty bits, at set meta_set(cache, key).
+ */
+using MetaCache = util::LruTable<MetaLine>;
+
+/** The set of @p key in @p cache: util::mix64 hash, power-of-two sets. */
+std::uint32_t meta_set(const MetaCache& cache, std::uint64_t key);
+
+/**
+ * Write (key -> value) into @p cache: update in place (OR-ing the
+ * dirty bit, LRU touch) or insert.
+ * @return the valid line it evicted, if any.
+ */
+std::optional<MetaCache::Entry> meta_write(MetaCache& cache,
+                                           std::uint64_t key,
+                                           std::uint64_t value, bool dirty);
 
 /**
  * Off-chip metadata table stored by granule: the unit MISB moves in
@@ -206,8 +174,9 @@ class Misb final : public Prefetcher
     void train(const TrainEvent& ev, PrefetchHost& host) override;
     const std::string& name() const override { return name_; }
 
-    const MetadataCache& ps_cache() const { return ps_cache_; }
-    const MetadataCache& sp_cache() const { return sp_cache_; }
+    /** On-chip PS and SP cache lookups that hit / missed. */
+    std::uint64_t cache_hits() const { return cache_hits_; }
+    std::uint64_t cache_misses() const { return cache_misses_; }
 
     void
     checkpoint(sim::Snapshot& s) override
@@ -216,15 +185,15 @@ class Misb final : public Prefetcher
         s.section("pf.misb");
         ps_backing_.checkpoint(s);
         sp_backing_.checkpoint(s);
-        ps_cache_.checkpoint(s);
-        sp_cache_.checkpoint(s);
-        s.io_vec(tu_, [](sim::Snapshot& a, TuEntry& e) {
-            a.io(e.pc);
-            a.io(e.last);
-            a.io(e.lru);
-            a.io(e.valid);
-        });
-        s.io(tu_clock_);
+        auto line = [](sim::Snapshot& a, MetaLine& l) {
+            a.io(l.value);
+            a.io(l.dirty);
+        };
+        ps_cache_.checkpoint(s, line);
+        sp_cache_.checkpoint(s, line);
+        s.io(cache_hits_);
+        s.io(cache_misses_);
+        tu_.checkpoint(s);
         s.io_vec(streams_, [](sim::Snapshot& a, ActiveStream& e) {
             a.io(e.expected_phys);
             a.io(e.structural);
@@ -254,8 +223,12 @@ class Misb final : public Prefetcher
                    const TrainEvent& ev, PrefetchHost& host);
     void sp_update(std::uint64_t structural, sim::Addr phys,
                    const TrainEvent& ev, PrefetchHost& host);
-    void handle_eviction(const MetadataCache::Evicted& ev_entry,
-                         const TrainEvent& ev, PrefetchHost& host);
+    /** Probe an on-chip cache (LRU touch), counting the hit or miss. */
+    const MetaLine* cache_find(MetaCache& cache, std::uint64_t key);
+    /** meta_write, then charge the evicted line's writeback if dirty. */
+    void cache_write(MetaCache& cache, std::uint64_t key,
+                     std::uint64_t value, bool dirty, const TrainEvent& ev,
+                     PrefetchHost& host);
     /** First structural address of a fresh stream_length chunk. */
     std::uint64_t new_stream();
     /** The PS table value of mapped block @p phys (asserted mapped). */
@@ -282,18 +255,12 @@ class Misb final : public Prefetcher
      */
     GranuleTable ps_backing_;
     GranuleTable sp_backing_;
-    MetadataCache ps_cache_;
-    MetadataCache sp_cache_;
+    MetaCache ps_cache_;
+    MetaCache sp_cache_;
+    std::uint64_t cache_hits_ = 0;
+    std::uint64_t cache_misses_ = 0;
 
-    // Training unit: PC -> last physical block (small, LRU via clock).
-    struct TuEntry {
-        sim::Pc pc = 0;
-        sim::Addr last = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
-    std::vector<TuEntry> tu_;
-    std::uint64_t tu_clock_ = 0;
+    TrainingUnit tu_;
 
     /**
      * Stream buffers (ISB's key structure): once a stream is active,

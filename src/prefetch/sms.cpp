@@ -8,9 +8,8 @@ namespace triage::prefetch {
 Sms::Sms(SmsConfig cfg)
     : cfg_(cfg), offset_mask_(cfg.region_blocks - 1),
       region_shift_(util::log2_exact(cfg.region_blocks)),
-      filter_(cfg.filter_entries),
-      accum_(cfg.accum_entries),
-      pht_(static_cast<std::size_t>(cfg.pht_sets) * cfg.pht_ways)
+      filter_(1, cfg.filter_entries), accum_(1, cfg.accum_entries),
+      pht_(cfg.pht_sets, cfg.pht_ways)
 {
     TRIAGE_ASSERT(util::is_pow2(cfg.region_blocks));
     TRIAGE_ASSERT(util::is_pow2(cfg.pht_sets));
@@ -22,78 +21,24 @@ Sms::pht_key(sim::Pc pc, std::uint32_t offset) const
     return util::mix64(pc * 37 + offset + 1);
 }
 
-void
-Sms::pht_store(std::uint64_t key, std::uint32_t pattern)
+std::uint32_t
+Sms::pht_set(std::uint64_t key) const
 {
-    std::size_t set = key & (cfg_.pht_sets - 1);
-    PhtEntry* row = &pht_[set * cfg_.pht_ways];
-    PhtEntry* victim = &row[0];
-    for (std::uint32_t w = 0; w < cfg_.pht_ways; ++w) {
-        if (row[w].valid && row[w].key == key) {
-            victim = &row[w];
-            break;
-        }
-        if (!row[w].valid) {
-            victim = &row[w];
-            break;
-        }
-        if (row[w].lru < victim->lru)
-            victim = &row[w];
-    }
-    victim->key = key;
-    victim->pattern = pattern;
-    victim->valid = true;
-    victim->lru = ++clock_;
-}
-
-const Sms::PhtEntry*
-Sms::pht_find(std::uint64_t key) const
-{
-    std::size_t set = key & (cfg_.pht_sets - 1);
-    const PhtEntry* row = &pht_[set * cfg_.pht_ways];
-    for (std::uint32_t w = 0; w < cfg_.pht_ways; ++w) {
-        if (row[w].valid && row[w].key == key)
-            return &row[w];
-    }
-    return nullptr;
+    return static_cast<std::uint32_t>(key & (cfg_.pht_sets - 1));
 }
 
 void
-Sms::retire_generation(Generation& g)
+Sms::retire_generation(const Generation& g)
 {
-    if (!g.valid)
-        return;
     // Only multi-block footprints are worth remembering.
-    if ((g.pattern & (g.pattern - 1)) != 0)
-        pht_store(pht_key(g.trigger_pc, g.trigger_offset), g.pattern);
-    g.valid = false;
-}
-
-Sms::Generation*
-Sms::find_generation(std::vector<Generation>& table, sim::Addr region)
-{
-    for (auto& g : table) {
-        if (g.valid && g.region == region)
-            return &g;
-    }
-    return nullptr;
-}
-
-Sms::Generation*
-Sms::allocate(std::vector<Generation>& table)
-{
-    Generation* victim = &table[0];
-    for (auto& g : table) {
-        if (!g.valid)
-            return &g;
-        if (g.lru < victim->lru)
-            victim = &g;
-    }
-    // Evicting an active accumulation generation ends it (its footprint
-    // is recorded); evicting a filter entry just forgets it.
-    retire_generation(*victim);
-    victim->valid = false;
-    return victim;
+    if ((g.pattern & (g.pattern - 1)) == 0)
+        return;
+    const std::uint64_t key = pht_key(g.trigger_pc, g.trigger_offset);
+    const std::uint32_t set = pht_set(key);
+    if (std::uint32_t* p = pht_.find(set, key))
+        *p = g.pattern;
+    else
+        pht_.insert(set, key, g.pattern);
 }
 
 void
@@ -103,40 +48,37 @@ Sms::train(const TrainEvent& ev, PrefetchHost& host)
     sim::Addr region = ev.block >> region_shift_;
     auto offset = static_cast<std::uint32_t>(ev.block & offset_mask_);
 
-    if (Generation* g = find_generation(accum_, region)) {
+    if (Generation* g = accum_.find(0, region)) {
         g->pattern |= 1u << offset;
-        g->lru = ++clock_;
         return;
     }
-    if (Generation* f = find_generation(filter_, region)) {
+    if (const Generation* f = filter_.peek(0, region)) {
         if ((f->pattern & (1u << offset)) != 0)
             return; // same block again: still a one-block generation
         // Second distinct block: promote to the accumulation table.
-        Generation* g = allocate(accum_);
-        *g = *f;
-        g->pattern |= 1u << offset;
-        g->lru = ++clock_;
-        f->valid = false;
+        // Evicting an active accumulation generation ends it (its
+        // footprint is recorded).
+        Generation g = *f;
+        g.pattern |= 1u << offset;
+        filter_.erase(0, region);
+        if (auto victim = accum_.insert(0, region, g))
+            retire_generation(victim->value);
         return;
     }
 
     // New generation: predict its footprint from the PHT, then track it.
-    const PhtEntry* p = pht_find(pht_key(ev.pc, offset));
-    if (p != nullptr) {
+    const std::uint64_t key = pht_key(ev.pc, offset);
+    if (const std::uint32_t* p = pht_.peek(pht_set(key), key)) {
         sim::Addr base = region << region_shift_;
         for (std::uint32_t b = 0; b < cfg_.region_blocks; ++b) {
-            if ((p->pattern & (1u << b)) == 0 || b == offset)
+            if ((*p & (1u << b)) == 0 || b == offset)
                 continue;
             send(ev, host, base + b, ev.now);
         }
     }
-    Generation* f = allocate(filter_);
-    f->region = region;
-    f->trigger_pc = ev.pc;
-    f->trigger_offset = offset;
-    f->pattern = 1u << offset;
-    f->lru = ++clock_;
-    f->valid = true;
+    // A filter generation holds one block, so evicting one just
+    // forgets it.
+    filter_.insert(0, region, {ev.pc, offset, 1u << offset});
 }
 
 } // namespace triage::prefetch

@@ -10,9 +10,9 @@
 #define TRIAGE_PREFETCH_SMS_HPP
 
 #include <cstdint>
-#include <vector>
 
 #include "prefetch/prefetcher.hpp"
+#include "util/lru_table.hpp"
 
 namespace triage::prefetch {
 
@@ -39,58 +39,33 @@ class Sms final : public Prefetcher
     {
         Prefetcher::checkpoint(s);
         s.section("pf.sms");
-        auto gen = [](sim::Snapshot& a, Generation& g) {
-            a.io(g.region);
-            a.io(g.trigger_pc);
-            a.io(g.trigger_offset);
-            a.io(g.pattern);
-            a.io(g.lru);
-            a.io(g.valid);
-        };
-        s.io_vec(filter_, gen);
-        s.io_vec(accum_, gen);
-        s.io_vec(pht_, [](sim::Snapshot& a, PhtEntry& e) {
-            a.io(e.key);
-            a.io(e.pattern);
-            a.io(e.lru);
-            a.io(e.valid);
-        });
-        s.io(clock_);
+        filter_.checkpoint(s);
+        accum_.checkpoint(s);
+        pht_.checkpoint(s);
     }
 
   private:
+    /** A spatial generation, keyed by its region. */
     struct Generation {
-        sim::Addr region = 0;
         sim::Pc trigger_pc = 0;
         std::uint32_t trigger_offset = 0;
         std::uint32_t pattern = 0; ///< bitmap over region blocks
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
-
-    struct PhtEntry {
-        std::uint64_t key = 0; ///< hash of (pc, offset)
-        std::uint32_t pattern = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
     };
 
     std::uint64_t pht_key(sim::Pc pc, std::uint32_t offset) const;
-    void pht_store(std::uint64_t key, std::uint32_t pattern);
-    const PhtEntry* pht_find(std::uint64_t key) const;
+    std::uint32_t pht_set(std::uint64_t key) const;
     /** Close a generation: record its footprint in the PHT. */
-    void retire_generation(Generation& g);
-    Generation* find_generation(std::vector<Generation>& table,
-                                sim::Addr region);
-    Generation* allocate(std::vector<Generation>& table);
+    void retire_generation(const Generation& g);
 
     SmsConfig cfg_;
     std::uint32_t offset_mask_;
     unsigned region_shift_;
-    std::vector<Generation> filter_;
-    std::vector<Generation> accum_;
-    std::vector<PhtEntry> pht_; ///< pht_sets x pht_ways
-    std::uint64_t clock_ = 0;
+    /** Regions touched once; one set (fully associative). */
+    util::LruTable<Generation> filter_;
+    /** Active generations; one set. An eviction retires the victim. */
+    util::LruTable<Generation> accum_;
+    /** Pattern history table: pht_key -> footprint. */
+    util::LruTable<std::uint32_t> pht_;
     std::string name_ = "sms";
 };
 

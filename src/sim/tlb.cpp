@@ -10,65 +10,28 @@ namespace triage::sim {
 Tlb::Tlb(std::uint32_t l1_entries, std::uint32_t l2_entries,
          std::uint32_t l2_latency, std::uint32_t walk_latency)
     : l2_latency_(l2_latency), walk_latency_(walk_latency),
-      l1_(l1_entries), l2_(l2_entries)
+      l1_(1, l1_entries), l2_(l2_entries / L2_WAYS, L2_WAYS)
 {
-    TRIAGE_ASSERT(l1_entries > 0 && l2_entries >= l2_ways_);
-    TRIAGE_ASSERT(l2_entries % l2_ways_ == 0);
-}
-
-bool
-Tlb::probe(std::vector<Entry>& table, std::uint32_t ways, Addr page,
-           std::uint64_t& clock)
-{
-    std::size_t sets = table.size() / ways;
-    std::size_t set =
-        sets == 1 ? 0 : util::mix64(page) % sets;
-    Entry* row = &table[set * ways];
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        if (row[w].valid && row[w].page == page) {
-            row[w].lru = ++clock;
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-Tlb::install(std::vector<Entry>& table, std::uint32_t ways, Addr page,
-             std::uint64_t& clock)
-{
-    std::size_t sets = table.size() / ways;
-    std::size_t set =
-        sets == 1 ? 0 : util::mix64(page) % sets;
-    Entry* row = &table[set * ways];
-    Entry* victim = &row[0];
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        if (!row[w].valid) {
-            victim = &row[w];
-            break;
-        }
-        if (row[w].lru < victim->lru)
-            victim = &row[w];
-    }
-    *victim = {page, ++clock, true};
+    TRIAGE_ASSERT(l2_entries % L2_WAYS == 0);
 }
 
 std::uint32_t
 Tlb::access(Addr byte_addr)
 {
     ++stats_.accesses;
-    Addr page = byte_addr >> PAGE_SHIFT;
-    if (probe(l1_, static_cast<std::uint32_t>(l1_.size()), page, clock_))
+    const Addr page = byte_addr >> PAGE_SHIFT;
+    if (l1_.find(0, page) != nullptr)
         return 0;
     ++stats_.l1_misses;
-    if (probe(l2_, l2_ways_, page, clock_)) {
-        install(l1_, static_cast<std::uint32_t>(l1_.size()), page,
-                clock_);
+    const auto set =
+        static_cast<std::uint32_t>(util::mix64(page) % l2_.sets());
+    if (l2_.find(set, page) != nullptr) {
+        l1_.insert(0, page);
         return l2_latency_;
     }
     ++stats_.walks;
-    install(l2_, l2_ways_, page, clock_);
-    install(l1_, static_cast<std::uint32_t>(l1_.size()), page, clock_);
+    l2_.insert(set, page);
+    l1_.insert(0, page);
     return l2_latency_ + walk_latency_;
 }
 

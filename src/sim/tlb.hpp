@@ -10,10 +10,10 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/snapshot.hpp"
 #include "sim/types.hpp"
+#include "util/lru_table.hpp"
 
 namespace triage::obs {
 class Registry;
@@ -56,39 +56,19 @@ class Tlb
     checkpoint(Snapshot& s)
     {
         s.section("tlb");
-        auto per = [](Snapshot& a, Entry& e) {
-            a.io(e.page);
-            a.io(e.lru);
-            a.io(e.valid);
-        };
-        s.io_vec(l1_, per);
-        s.io_vec(l2_, per);
-        s.io(clock_);
+        l1_.checkpoint(s);
+        l2_.checkpoint(s);
         s.io_pod(stats_);
     }
 
   private:
     static constexpr unsigned PAGE_SHIFT = 12;
-
-    struct Entry {
-        Addr page = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
-
-    /** Probe a table; returns hit and touches LRU. */
-    static bool probe(std::vector<Entry>& table, std::uint32_t ways,
-                      Addr page, std::uint64_t& clock);
-    /** Install a page into a table (LRU victim within its set). */
-    static void install(std::vector<Entry>& table, std::uint32_t ways,
-                        Addr page, std::uint64_t& clock);
+    static constexpr std::uint32_t L2_WAYS = 4;
 
     std::uint32_t l2_latency_;
     std::uint32_t walk_latency_;
-    std::vector<Entry> l1_; ///< fully associative (ways == size)
-    std::vector<Entry> l2_; ///< 4-way
-    std::uint32_t l2_ways_ = 4;
-    std::uint64_t clock_ = 0;
+    util::LruTable<> l1_; ///< fully associative: one set
+    util::LruTable<> l2_; ///< 4-way, set = mix64(page) % sets
     TlbStats stats_;
 };
 

@@ -19,6 +19,7 @@
 
 #include "sim/snapshot.hpp"
 #include "sim/types.hpp"
+#include "util/flat_map.hpp"
 
 namespace triage::core {
 
@@ -59,7 +60,7 @@ class TagCompressor
     void
     prefetch_hint(std::uint64_t tag) const
     {
-        __builtin_prefetch(map_tags_.data() + map_home(tag));
+        ids_.prefetch_hint(tag);
     }
 
     /** Expand an id back to whatever full tag currently owns it. */
@@ -79,13 +80,13 @@ class TagCompressor
         });
         s.io(clock_);
         s.io(recycles_);
-        // The probe table and the recency list are pure acceleration
+        // The tag -> id map and the recency list are pure acceleration
         // state over slots_ (tag -> id for every valid slot; valid ids
         // in lru-stamp order), so they are rebuilt rather than
         // serialized: lookups are layout-independent, and the snapshot
         // stays smaller and trivially byte-deterministic.
         if (s.loading()) {
-            map_rebuild();
+            rebuild_ids();
             lru_rebuild();
         }
     }
@@ -97,33 +98,12 @@ class TagCompressor
         bool valid = false;
     };
 
-    /**
-     * tag -> id direction, an open-addressing linear-probe table
-     * (docs/performance.md): find() is on the metadata lookup hot
-     * path and a flat probe sequence beats the node-based
-     * unordered_map it replaced. Structure-of-arrays: the packed tag
-     * array (MAP_EMPTY all-ones sentinel for free slots) is what the
-     * probe scans for tag-or-empty in one pass; ids sit in a
-     * parallel array read only on a match. The all-ones tag itself —
-     * unreachable from real block addresses but legal through the
-     * public API, and the property suite compresses it — lives in a
-     * one-entry side slot instead of the probe array, so every 64-bit
-     * tag stays representable. Sized at 4x id
-     * capacity, so load stays under 25% and probes terminate quickly;
-     * erase uses the classic backward-shift so no tombstones
-     * accumulate.
-     */
-    static constexpr std::uint64_t MAP_EMPTY = ~std::uint64_t{0};
-
-    std::size_t map_home(std::uint64_t tag) const;
-    /** Index of the first probe slot holding @p tag or MAP_EMPTY. */
-    std::size_t map_probe(std::uint64_t tag) const;
     /** Pointer to @p tag's id, or nullptr when unmapped. */
     const std::uint16_t* id_lookup(std::uint64_t tag) const;
-    void map_insert(std::uint64_t tag, std::uint16_t id);
-    void map_erase(std::uint64_t tag);
-    /** Repopulate the probe table from the valid slots_ entries. */
-    void map_rebuild();
+    void bind_id(std::uint64_t tag, std::uint16_t id);
+    void unbind_id(std::uint64_t tag);
+    /** Repopulate ids_ from the valid slots_ entries. */
+    void rebuild_ids();
 
     /**
      * Victim selection in O(1), picking what a scan of slots_ would:
@@ -141,11 +121,19 @@ class TagCompressor
 
     TagCompressorConfig cfg_;
     std::vector<Slot> slots_;             ///< id -> tag
-    std::vector<std::uint64_t> map_tags_; ///< probe array (hot)
-    std::vector<std::uint16_t> map_ids_;  ///< parallel ids (cold)
-    bool empty_tag_valid_ = false;  ///< side slot: the all-ones tag
+    /**
+     * tag -> id direction, on the metadata lookup hot path. Reserved
+     * at capacity() ids, so compress() (erase before insert) never
+     * rehashes. The all-ones tag, FlatMap's empty sentinel, is
+     * unreachable from real block addresses but legal through the
+     * public API (the property suite compresses it), so it lives in a
+     * one-entry side slot and every 64-bit tag stays representable.
+     */
+    using TagMap = util::FlatMap<std::uint64_t, std::uint16_t>;
+    static constexpr std::uint64_t EMPTY_TAG = TagMap::EMPTY;
+    TagMap ids_;
+    bool empty_tag_valid_ = false; ///< side slot: the all-ones tag
     std::uint16_t empty_tag_id_ = 0;
-    std::size_t map_mask_ = 0;
     std::vector<std::uint32_t> lru_prev_; ///< parallel to slots_
     std::vector<std::uint32_t> lru_next_;
     std::uint32_t lru_head_ = LRU_NIL; ///< least recently used

@@ -22,13 +22,13 @@
 
 #include <cstdint>
 #include <memory>
-#include "util/flat_map.hpp"
 #include <vector>
 
 #include "prefetch/prefetcher.hpp"
+#include "prefetch/training_unit.hpp"
 #include "triage/metadata_store.hpp"
 #include "triage/partition.hpp"
-#include "triage/training_unit.hpp"
+#include "util/flat_map.hpp"
 
 namespace triage::core {
 
@@ -94,7 +94,6 @@ class Triage final : public prefetch::Prefetcher
     {
         return cfg_.dynamic ? &partition_ : nullptr;
     }
-    const TrainingUnit& training_unit() const { return tu_; }
     std::uint64_t current_store_bytes() const;
 
     /** Per-trigger reuse histogram (only with cfg.track_reuse). */
@@ -125,7 +124,7 @@ class Triage final : public prefetch::Prefetcher
                          prefetch::PrefetchHost& host);
 
     TriageConfig cfg_;
-    TrainingUnit tu_;
+    prefetch::TrainingUnit tu_;
     MetadataStore store_;
     PartitionController partition_;
     /** Unlimited-metadata mode table. */

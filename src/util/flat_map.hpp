@@ -142,6 +142,15 @@ class FlatMap
 
     bool count(K k) const { return find(k) != nullptr; }
 
+    /** Request the cache line of @p k's home slot ahead of a find()
+     *  (pure latency hint). */
+    void
+    prefetch_hint(K k) const
+    {
+        if (cap_ != 0)
+            __builtin_prefetch(keys_ + home(k));
+    }
+
     const V&
     at(K k) const
     {

@@ -1,10 +1,9 @@
 /**
  * @file
  * Row scans over the packed unsigned word arrays on the hot path: cache
- * tag rows (`SetAssocCache::tags_`), training-unit PCs and LRU stamps,
- * the tag-compressor probe table and FlatMap's key array (64-bit
- * words), and the metadata store's search keys
- * (`MetadataStore::keys_`, 32-bit words). Each holds an all-ones
+ * tag rows (`SetAssocCache::tags_`), LruTable key and stamp rows and
+ * FlatMap's key array (64-bit words), and the metadata store's search
+ * keys (`MetadataStore::keys_`, 32-bit words). Most hold an all-ones
  * "empty" sentinel, so one compare per word decides a probe.
  *
  *  - find_first_eq       : index of the first word equal to a key

@@ -191,6 +191,20 @@ TEST(Lab, ParallelMatchesSerial)
     }
 }
 
+TEST(Lab, StartsNoMoreWorkersThanJobs)
+{
+    // Workers start on demand, one per queued job without an idle
+    // worker, so two jobs never start sixteen threads.
+    exec::Lab lab({.jobs = 16});
+    lab.submit(bench_job("mcf", "none"));
+    lab.submit(bench_job("mcf", "bo"));
+    lab.wait_all();
+    EXPECT_EQ(lab.workers(), 16u);
+    EXPECT_EQ(lab.runs_executed(), 2u);
+    EXPECT_GE(lab.started_workers(), 1u);
+    EXPECT_LE(lab.started_workers(), 2u);
+}
+
 TEST(Lab, ParallelMatchesSerialForMixes)
 {
     workloads::Mix mix{"mcf", "libquantum"};
@@ -269,7 +283,8 @@ TEST(Lab, StaleCheckpointVersionOnDiskReadsAsMiss)
     // with the zipf cache, 4: 32-byte metadata-store entries and
     // per-entry PCs, 5: the store's own policy sections and the data
     // cache's per-line Hawkeye PCs, 6: the single-core epoch_run
-    // section).
+    // section, 7: 8-byte metadata-store search keys, 8: the TLB, MISB,
+    // Markov, SMS and training-unit tables' own entry layouts).
     const std::string dir =
         (std::filesystem::temp_directory_path() /
          ("triage_ckpt_stale_" + std::to_string(::getpid())))

@@ -1,15 +1,17 @@
 /**
  * @file
  * Focused tests for MISB internals: the granule-organized off-chip
- * tables, the metadata cache, structural stream allocation, remap
+ * tables, the on-chip metadata cache, structural stream allocation, remap
  * confidence, stream buffers, and traffic accounting invariants.
  */
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "prefetch/misb.hpp"
+#include "util/bitops.hpp"
 #include "util/rng.hpp"
 
 using namespace triage;
@@ -123,6 +125,89 @@ save_table(GranuleTable& t)
     return s.seal(1, "granules");
 }
 
+/**
+ * The on-chip metadata cache MISB used before MetaCache (a
+ * util::LruTable driven through meta_write), kept verbatim as the
+ * reference its replacement runs against in lockstep. It fills the
+ * last empty way of a set where LruTable fills the first; neither
+ * ever invalidates a line, so only the slot layout differs.
+ */
+class RefMetadataCache
+{
+  public:
+    RefMetadataCache(std::uint32_t entries, std::uint32_t ways)
+        : sets_(entries / ways), ways_(ways),
+          entries_(static_cast<std::size_t>(entries))
+    {
+    }
+
+    std::optional<std::uint64_t>
+    find(std::uint64_t key)
+    {
+        std::size_t set = util::mix64(key) & (sets_ - 1);
+        Entry* row = &entries_[set * ways_];
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (row[w].valid && row[w].key == key) {
+                row[w].lru = ++clock_;
+                return row[w].value;
+            }
+        }
+        return std::nullopt;
+    }
+
+    struct Evicted {
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t key = 0;
+        std::uint64_t value = 0;
+    };
+
+    Evicted
+    insert(std::uint64_t key, std::uint64_t value, bool dirty)
+    {
+        std::size_t set = util::mix64(key) & (sets_ - 1);
+        Entry* row = &entries_[set * ways_];
+        Entry* victim = &row[0];
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (row[w].valid && row[w].key == key) {
+                row[w].value = value;
+                row[w].dirty |= dirty;
+                row[w].lru = ++clock_;
+                return {};
+            }
+            if (!row[w].valid)
+                victim = &row[w];
+            else if (victim->valid && row[w].lru < victim->lru)
+                victim = &row[w];
+        }
+        Evicted ev;
+        if (victim->valid)
+            ev = {true, victim->dirty, victim->key, victim->value};
+        *victim = {key, value, ++clock_, dirty, true};
+        return ev;
+    }
+
+  private:
+    struct Entry {
+        std::uint64_t key = 0;
+        std::uint64_t value = 0;
+        std::uint64_t lru = 0;
+        bool dirty = false;
+        bool valid = false;
+    };
+
+    std::uint32_t sets_;
+    std::uint32_t ways_;
+    std::vector<Entry> entries_;
+    std::uint64_t clock_ = 0;
+};
+
+const MetaLine*
+meta_find(MetaCache& c, std::uint64_t key)
+{
+    return c.find(meta_set(c, key), key);
+}
+
 } // namespace
 
 TEST(GranuleTable, MatchesUnorderedMapAtMisbWidth)
@@ -192,45 +277,96 @@ TEST(GranuleTable, SnapshotRoundTrip)
 
 TEST(MetadataCache, HitAfterInsert)
 {
-    MetadataCache c(64, 8);
-    EXPECT_FALSE(c.find(42).has_value());
-    c.insert(42, 7, false);
-    auto v = c.find(42);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 7u);
-    EXPECT_EQ(c.hits(), 1u);
-    EXPECT_EQ(c.misses(), 1u);
+    MetaCache c(8, 8);
+    EXPECT_EQ(meta_find(c, 42), nullptr);
+    EXPECT_FALSE(meta_write(c, 42, 7, false).has_value());
+    const MetaLine* v = meta_find(c, 42);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v->value, 7u);
+    EXPECT_FALSE(v->dirty);
 }
 
 TEST(MetadataCache, UpdateKeepsOneCopy)
 {
-    MetadataCache c(64, 8);
-    c.insert(42, 7, false);
-    c.insert(42, 9, true);
-    auto v = c.find(42);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 9u);
+    MetaCache c(8, 8);
+    meta_write(c, 42, 7, false);
+    meta_write(c, 42, 9, true);
+    meta_write(c, 42, 9, false); // a clean write keeps the dirty bit
+    const MetaLine* v = meta_find(c, 42);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v->value, 9u);
+    EXPECT_TRUE(v->dirty);
 }
 
 TEST(MetadataCache, EvictionReportsDirty)
 {
-    MetadataCache c(8, 8); // one set
+    MetaCache c(1, 8); // one set
     for (std::uint64_t k = 0; k < 8; ++k)
-        c.insert(k * 64, k, true);
-    auto ev = c.insert(999 * 64, 1, false); // evicts the LRU entry
-    EXPECT_TRUE(ev.valid);
-    EXPECT_TRUE(ev.dirty);
+        EXPECT_FALSE(meta_write(c, k * 64, k, true).has_value());
+    auto ev = meta_write(c, 999 * 64, 1, false); // evicts the LRU line
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->key, 0u);
+    EXPECT_TRUE(ev->value.dirty);
 }
 
 TEST(MetadataCache, LruOrderRespected)
 {
-    MetadataCache c(8, 8);
+    MetaCache c(1, 8);
     for (std::uint64_t k = 0; k < 8; ++k)
-        c.insert(k, k, false);
-    c.find(0); // refresh key 0
-    auto ev = c.insert(100, 1, false);
-    ASSERT_TRUE(ev.valid);
-    EXPECT_EQ(ev.key, 1u); // key 1 is now the LRU
+        meta_write(c, k, k, false);
+    meta_find(c, 0); // refresh key 0
+    auto ev = meta_write(c, 100, 1, false);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->key, 1u); // key 1 is now the LRU
+}
+
+// Randomized ops on MetaCache and the replaced cache in lockstep: every
+// lookup result and every eviction (key, value, dirty) must agree.
+TEST(MetadataCache, MatchesReferenceUnderRandomizedOps)
+{
+    for (std::uint32_t ways : {1u, 2u, 8u}) {
+        util::Rng rng(0x6d657461 + ways);
+        const std::uint32_t sets = 16;
+        MetaCache c(sets, ways);
+        RefMetadataCache ref(sets * ways, ways);
+        std::uint64_t evictions = 0;
+        for (int op = 0; op < 50000; ++op) {
+            // ~3x more keys than lines, so sets overflow and evict.
+            const std::uint64_t key = rng.next_below(3 * sets * ways);
+            if (rng.next_below(2) == 0) {
+                const MetaLine* got = meta_find(c, key);
+                const auto want = ref.find(key);
+                ASSERT_EQ(got != nullptr, want.has_value()) << "op " << op;
+                if (got != nullptr) {
+                    ASSERT_EQ(got->value, *want) << "op " << op;
+                }
+            } else {
+                const std::uint64_t value = rng.next_u64();
+                const bool dirty = rng.next_below(2) == 0;
+                const auto got = meta_write(c, key, value, dirty);
+                const auto want = ref.insert(key, value, dirty);
+                ASSERT_EQ(got.has_value(), want.valid) << "op " << op;
+                if (got) {
+                    ++evictions;
+                    ASSERT_EQ(got->key, want.key) << "op " << op;
+                    ASSERT_EQ(got->value.value, want.value) << "op " << op;
+                    ASSERT_EQ(got->value.dirty, want.dirty) << "op " << op;
+                }
+            }
+        }
+        EXPECT_GT(evictions, 1000u) << ways << " ways";
+    }
+}
+
+TEST(Misb, CountsOnChipHitsAndMisses)
+{
+    Misb pf;
+    Host host;
+    for (int pass = 0; pass < 3; ++pass)
+        for (sim::Addr a = 1000; a < 1100; ++a)
+            pf.train(miss(0x40, a), host);
+    EXPECT_GT(pf.cache_hits(), 0u);
+    EXPECT_GT(pf.cache_misses(), 0u);
 }
 
 TEST(Misb, StreamFollowsAcrossManySteps)

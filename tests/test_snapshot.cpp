@@ -208,10 +208,11 @@ warm_blob(const std::string& spec, sim::SingleCoreSystem& sys,
     return s.seal(exec::CKPT_VERSION, spec);
 }
 
-TEST_P(WarmResave, ByteEqualAfterRoundtrip)
+void
+expect_resave_byte_equal(const std::string& spec, bool model_tlb)
 {
-    const std::string spec = GetParam();
     sim::MachineConfig cfg;
+    cfg.model_tlb = model_tlb;
 
     auto wl_a = workloads::make_benchmark("mcf");
     wl_a->reset();
@@ -231,6 +232,18 @@ TEST_P(WarmResave, ByteEqualAfterRoundtrip)
     sim::Snapshot resave;
     b.checkpoint_warm(resave);
     EXPECT_EQ(resave.seal(exec::CKPT_VERSION, spec), blob_a);
+}
+
+TEST_P(WarmResave, ByteEqualAfterRoundtrip)
+{
+    expect_resave_byte_equal(GetParam(), false);
+}
+
+// The same with the two-level TLB modeled, whose tables the default
+// machine leaves out.
+TEST_P(WarmResave, ByteEqualAfterRoundtripWithTlb)
+{
+    expect_resave_byte_equal(GetParam(), true);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrefetchers, WarmResave,

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <random>
 #include <span>
 #include <string>
@@ -21,15 +22,17 @@
 #include "triage/metadata_store.hpp"
 #include "triage/partition.hpp"
 #include "triage/tag_compressor.hpp"
-#include "triage/training_unit.hpp"
+#include "prefetch/training_unit.hpp"
 #include "triage/triage.hpp"
 #include "util/bitops.hpp"
 #include "util/flat_map.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/row_scan.hpp"
 
 using namespace triage;
 using namespace triage::core;
+using prefetch::TrainingUnit;
 
 // ---------------------------------------------------------------------
 // TrainingUnit
@@ -73,6 +76,96 @@ TEST(TrainingUnit, LruEvictsColdPc)
     EXPECT_FALSE(tu.last_of(0x1).has_value());
     EXPECT_TRUE(tu.last_of(0x2).has_value());
     EXPECT_FALSE(tu.update(0x1, 101).has_value());
+}
+
+namespace {
+
+/**
+ * The training unit Triage used before prefetch::TrainingUnit (one
+ * util::LruTable set), kept verbatim as the reference its replacement
+ * runs against in lockstep. It fills from the back where LruTable
+ * fills the first empty way; neither ever invalidates an entry, so
+ * only the slot layout differs.
+ */
+class RefTrainingUnit
+{
+  public:
+    explicit RefTrainingUnit(std::uint32_t entries = 128)
+        : capacity_(entries), valid_from_(entries), pcs_(entries),
+          last_(entries), lru_(entries)
+    {
+    }
+
+    std::optional<sim::Addr>
+    update(sim::Pc pc, sim::Addr block)
+    {
+        const std::uint32_t hit = util::find_first_eq(
+            pcs_.data() + valid_from_, capacity_ - valid_from_, pc);
+        if (hit != util::NPOS) {
+            const std::uint32_t i = valid_from_ + hit;
+            sim::Addr prev = last_[i];
+            last_[i] = block;
+            lru_[i] = ++clock_;
+            if (prev == block)
+                return std::nullopt; // same line: no new correlation
+            return prev;
+        }
+        std::uint32_t victim;
+        if (valid_from_ > 0) {
+            victim = --valid_from_;
+        } else {
+            victim = util::min_index(lru_.data(), capacity_);
+        }
+        pcs_[victim] = pc;
+        last_[victim] = block;
+        lru_[victim] = ++clock_;
+        return std::nullopt;
+    }
+
+    std::optional<sim::Addr>
+    last_of(sim::Pc pc) const
+    {
+        const std::uint32_t hit = util::find_first_eq(
+            pcs_.data() + valid_from_, capacity_ - valid_from_, pc);
+        if (hit != util::NPOS)
+            return last_[valid_from_ + hit];
+        return std::nullopt;
+    }
+
+  private:
+    std::uint32_t capacity_;
+    std::uint32_t valid_from_;
+    std::vector<sim::Pc> pcs_;
+    std::vector<sim::Addr> last_;
+    std::vector<std::uint64_t> lru_;
+    std::uint64_t clock_ = 0;
+};
+
+} // namespace
+
+// Randomized updates on TrainingUnit and the replaced unit in lockstep:
+// every returned pair agrees, and after every update so does the
+// tracked block of every PC (an eviction shows as a PC gone missing).
+TEST(TrainingUnit, MatchesReferenceUnderRandomizedOps)
+{
+    for (std::uint32_t entries : {1u, 8u, 128u}) {
+        util::Rng rng(0x7475 + entries);
+        TrainingUnit tu(entries);
+        RefTrainingUnit ref(entries);
+        const std::uint32_t pcs = 2 * entries + 2; // PCs compete for slots
+        for (int op = 0; op < 20000; ++op) {
+            // PC 0 and a few blocks, so repeats and same-block updates
+            // are common.
+            const sim::Pc pc = rng.next_below(pcs);
+            const sim::Addr block = rng.next_below(6);
+            ASSERT_EQ(tu.update(pc, block), ref.update(pc, block))
+                << entries << " entries, op " << op;
+            for (sim::Pc p = 0; p < pcs; ++p) {
+                ASSERT_EQ(tu.last_of(p), ref.last_of(p))
+                    << entries << " entries, op " << op << ", pc " << p;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

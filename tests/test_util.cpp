@@ -383,3 +383,174 @@ TEST(FlatMap, EmptyMapQueriesAreSafe)
     EXPECT_EQ(n, 0u);
     EXPECT_EQ(fm.begin(), fm.end());
 }
+
+// ---------------------------------------------------------------------
+// LruTable
+// ---------------------------------------------------------------------
+
+#include <optional>
+
+#include "sim/snapshot.hpp"
+#include "util/lru_table.hpp"
+
+namespace {
+
+/** Archive that keeps the key and stamp rows a checkpoint hands it. */
+struct RowCapture {
+    std::vector<std::vector<std::uint64_t>> rows;
+
+    template <typename T>
+    void
+    io_pod_vec(std::vector<T>& v)
+    {
+        rows.emplace_back(v.begin(), v.end());
+    }
+    template <typename T, typename F>
+    void
+    io_vec(std::vector<T>&, F&&)
+    {}
+    template <typename T>
+    void
+    io(T&)
+    {}
+    template <typename T>
+    void
+    io_pod(T&)
+    {}
+};
+
+/** The key in each way of @p t, in slot order. */
+template <typename V>
+std::vector<std::uint64_t>
+key_layout(tu::LruTable<V>& t)
+{
+    RowCapture c;
+    t.checkpoint(c);
+    return c.rows.at(0);
+}
+
+constexpr std::uint64_t E = tu::LruTable<>::EMPTY_KEY;
+
+} // namespace
+
+TEST(LruTable, VictimIsFirstEmptyWayThenFirstMinimumStamp)
+{
+    tu::LruTable<std::uint32_t> t(1, 4);
+    EXPECT_FALSE(t.insert(0, 10, 1));
+    EXPECT_FALSE(t.insert(0, 11, 2));
+    EXPECT_FALSE(t.insert(0, 12, 3));
+    EXPECT_EQ(key_layout(t), (std::vector<std::uint64_t>{10, 11, 12, E}));
+    EXPECT_TRUE(t.erase(0, 11));
+    EXPECT_FALSE(t.erase(0, 11));
+    // Way 1 is the first empty way, ahead of the never-used way 3.
+    EXPECT_FALSE(t.insert(0, 13, 4));
+    EXPECT_EQ(key_layout(t), (std::vector<std::uint64_t>{10, 13, 12, E}));
+    EXPECT_FALSE(t.insert(0, 14, 5));
+    // Full: victims leave in stamp order, whatever their ways.
+    for (std::uint64_t want : {10u, 12u, 13u, 14u}) {
+        auto ev = t.insert(0, 100 + want, 0);
+        ASSERT_TRUE(ev.has_value());
+        EXPECT_EQ(ev->key, want);
+    }
+    EXPECT_EQ(key_layout(t),
+              (std::vector<std::uint64_t>{110, 113, 112, 114}));
+}
+
+TEST(LruTable, FindTouchesAndPeekDoesNot)
+{
+    tu::LruTable<std::uint32_t> t(1, 2);
+    t.insert(0, 1, 10);
+    t.insert(0, 2, 20);
+    ASSERT_NE(t.peek(0, 1), nullptr);
+    EXPECT_EQ(*t.peek(0, 1), 10u);
+    auto ev = t.insert(0, 3, 30); // the peek left key 1 oldest
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->key, 1u);
+    std::uint32_t* v = t.find(0, 2); // the find makes key 2 newest
+    ASSERT_NE(v, nullptr);
+    *v = 21;
+    ev = t.insert(0, 4, 40);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->key, 3u);
+    ASSERT_NE(t.peek(0, 2), nullptr);
+    EXPECT_EQ(*t.peek(0, 2), 21u);
+    EXPECT_EQ(t.find(0, 3), nullptr);
+    EXPECT_EQ(t.peek(0, 1), nullptr);
+}
+
+TEST(LruTable, InsertReturnsTheEvictedEntry)
+{
+    struct Line {
+        std::uint64_t value;
+        bool dirty;
+    };
+    tu::LruTable<Line> t(2, 1); // two sets, one way each
+    EXPECT_FALSE(t.insert(0, 7, {70, true}));
+    EXPECT_FALSE(t.insert(1, 8, {80, false}));
+    auto ev = t.insert(0, 9, {90, false});
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->key, 7u);
+    EXPECT_EQ(ev->value.value, 70u);
+    EXPECT_TRUE(ev->value.dirty);
+    EXPECT_NE(t.peek(1, 8), nullptr); // the other set is untouched
+    EXPECT_EQ(t.peek(1, 9), nullptr); // keys live in their own set
+}
+
+TEST(LruTable, EveryKeyIsStorable)
+{
+    tu::LruTable<std::uint32_t> t(1, 2);
+    // An empty way holds EMPTY_KEY, yet a lookup of it misses...
+    EXPECT_EQ(t.peek(0, E), nullptr);
+    EXPECT_EQ(t.find(0, E), nullptr);
+    // ...until it is inserted as a key of its own.
+    t.insert(0, E, 5);
+    ASSERT_NE(t.find(0, E), nullptr);
+    EXPECT_EQ(*t.peek(0, E), 5u);
+    EXPECT_FALSE(t.insert(0, 0, 6)); // the other way was still empty
+    EXPECT_TRUE(t.erase(0, E));
+    EXPECT_EQ(t.peek(0, E), nullptr);
+    ASSERT_NE(t.peek(0, 0), nullptr);
+    EXPECT_EQ(*t.peek(0, 0), 6u);
+}
+
+TEST(LruTable, CheckpointRoundTripKeepsContentsAndOrder)
+{
+    tu::Rng rng(0x4c5255);
+    tu::LruTable<std::uint32_t> t(8, 4);
+    auto op = [&](tu::LruTable<std::uint32_t>& x, std::uint32_t r) {
+        const std::uint64_t key = r % 96;
+        const auto set = static_cast<std::uint32_t>(key % 8);
+        std::optional<std::uint64_t> out;
+        if ((r >> 8) % 3 == 0) {
+            if (x.find(set, key) == nullptr) {
+                if (auto ev = x.insert(set, key, r))
+                    out = ev->key;
+            }
+        } else if ((r >> 8) % 3 == 1) {
+            x.erase(set, key);
+        } else if (const std::uint32_t* v = x.peek(set, key)) {
+            out = *v;
+        }
+        return out;
+    };
+    for (int i = 0; i < 2000; ++i)
+        op(t, rng.next_u32());
+
+    triage::sim::Snapshot save;
+    t.checkpoint(save);
+    const triage::sim::SnapshotBlob blob = save.seal(1, "lru");
+    tu::LruTable<std::uint32_t> back(8, 4);
+    back.insert(3, 3, 3); // overwritten by the restore
+    triage::sim::Snapshot load =
+        triage::sim::Snapshot::open_or_die(blob, 1, "lru");
+    back.checkpoint(load);
+    EXPECT_TRUE(load.exhausted());
+    triage::sim::Snapshot resave;
+    back.checkpoint(resave);
+    EXPECT_EQ(resave.seal(1, "lru"), blob);
+    // Same future: every lookup and eviction agrees.
+    for (int i = 0; i < 5000; ++i) {
+        const std::uint32_t r = rng.next_u32();
+        ASSERT_EQ(op(t, r), op(back, r)) << "op " << i;
+    }
+}

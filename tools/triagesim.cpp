@@ -33,6 +33,7 @@
 #include "verify/invariants.hpp"
 
 #include "sim/multicore.hpp"
+#include "util/bitops.hpp"
 #include "util/log.hpp"
 #include "util/parse_number.hpp"
 #include "sim/system.hpp"
@@ -135,8 +136,8 @@ usage()
         "                         decisions, epoch series) loadable in\n"
         "                         ui.perfetto.dev\n"
         "  --trace-capacity=N     event-trace ring capacity in events\n"
-        "                         (default 1M; raise when a run warns\n"
-        "                         about dropped events)\n"
+        "                         (default 1M, at most 64M; raise when\n"
+        "                         a run warns about dropped events)\n"
         "  --epoch=N              sample the epoch series every N\n"
         "                         measured records (0 = off;\n"
         "                         --trace-perfetto defaults it to\n"
@@ -195,6 +196,15 @@ parse(int argc, char** argv, Options& o)
                 o.mix.push_back(v->substr(start, comma - start));
                 start = comma + 1;
             }
+            // The shared LLC scales with the core count, and its set
+            // count must be a power of two.
+            if (!util::is_pow2(o.mix.size())) {
+                std::cerr << "triagesim: --mix=" << *v << ": "
+                          << o.mix.size()
+                          << " programs; a mix needs 1, 2, 4, 8, 16, ..."
+                             " (a power of two)\n";
+                return false;
+            }
         } else if (auto v = val("trace")) {
             o.trace_path = *v;
         } else if (auto v = val("trace-format")) {
@@ -226,6 +236,12 @@ parse(int argc, char** argv, Options& o)
         } else if (auto v = val("trace-capacity")) {
             if (!util::parse_number("triagesim", "trace-capacity", *v, o.trace_capacity))
                 return false;
+            if (o.trace_capacity > obs::EventTrace::MAX_CAPACITY) {
+                std::cerr << "triagesim: --trace-capacity=" << *v
+                          << ": above the maximum of "
+                          << obs::EventTrace::MAX_CAPACITY << " events\n";
+                return false;
+            }
         } else if (auto v = val("epoch")) {
             if (!util::parse_number("triagesim", "epoch", *v, o.epoch))
                 return false;
@@ -413,7 +429,11 @@ emit_observability(const Options& o, const sim::RunResult& r,
             "event trace overflowed: ", obs.trace.dropped(), " of ",
             obs.trace.total(),
             " events were overwritten; rerun with --trace-capacity=",
-            obs.trace.total(), " to keep them all"));
+            std::min<std::uint64_t>(obs.trace.total(),
+                                    obs::EventTrace::MAX_CAPACITY),
+            obs.trace.total() <= obs::EventTrace::MAX_CAPACITY
+                ? " to keep them all"
+                : " (the maximum) to keep the most"));
     }
     return 0;
 }
