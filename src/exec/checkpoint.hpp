@@ -74,8 +74,9 @@ struct CheckpointOptions {
  * 9: LruTable layouts: the TLB, MISB's PS/SP caches, Markov, SMS and
  * the training unit save util::LruTable rows (keys, stamps, values,
  * one clock per table), filled from the first empty way.
+ * 10: MISB saves no on-chip cache hit/miss counters.
  */
-inline constexpr std::uint32_t CKPT_VERSION = 9;
+inline constexpr std::uint32_t CKPT_VERSION = 10;
 
 /**
  * Two-tier (memory LRU + disk) cache of sealed snapshot blobs.

@@ -31,7 +31,6 @@ Lab::Lab(LabOptions opt)
 {
     if (opt.warm_checkpoints) {
         CheckpointOptions co;
-        co.mem_budget_bytes = opt.ckpt_mem_budget_bytes;
         co.disk_dir = opt.ckpt_dir;
         if (co.disk_dir.empty()) {
             if (const char* env = std::getenv("TRIAGE_CKPT_DIR"))

@@ -40,12 +40,10 @@ struct LabOptions {
      * Fork jobs sharing a warm prefix from memoized warm-state
      * checkpoints instead of re-simulating their warmup
      * (docs/parallel-runs.md §checkpointing). Bit-identical to cold
-     * warmup; only the wall clock changes.
+     * warmup; only the wall clock changes. The memory tier has
+     * CheckpointOptions' default budget.
      */
     bool warm_checkpoints = true;
-
-    /** In-memory checkpoint budget in bytes. */
-    std::size_t ckpt_mem_budget_bytes = 512ull << 20;
 
     /**
      * On-disk checkpoint cache directory; "" = the TRIAGE_CKPT_DIR

@@ -96,14 +96,17 @@ class EventWriter
 };
 
 void
-write_job_spans(EventWriter& w, const std::vector<JobSpan>& jobs,
-                unsigned n_workers)
+write_job_spans(EventWriter& w, const std::vector<JobSpan>& jobs)
 {
-    unsigned max_worker = n_workers;
+    // One named track per worker that ran a job, in worker order.
+    std::vector<unsigned> workers;
     for (const JobSpan& j : jobs)
-        max_worker = std::max(max_worker, j.worker + 1);
+        workers.push_back(j.worker);
+    std::sort(workers.begin(), workers.end());
+    workers.erase(std::unique(workers.begin(), workers.end()),
+                  workers.end());
     w.process(PID_LAB, "lab scheduler (wall-clock us)");
-    for (unsigned t = 0; t < max_worker; ++t)
+    for (unsigned t : workers)
         w.thread(PID_LAB, static_cast<int>(t),
                  "worker " + std::to_string(t));
     for (const JobSpan& j : jobs) {
@@ -245,8 +248,8 @@ write_trace(std::ostream& os, const Observability* obs,
 {
     os << "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [";
     EventWriter w(os);
-    if (!jobs.empty() || opt.n_workers > 0)
-        write_job_spans(w, jobs, opt.n_workers);
+    if (!jobs.empty())
+        write_job_spans(w, jobs);
     if (obs != nullptr) {
         if (opt.include_simulation_events && obs->trace.size() > 0) {
             w.process(PID_SIM, "simulation (cycles)");

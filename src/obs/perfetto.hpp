@@ -9,7 +9,8 @@
  * them visually distinct and individually zoomable):
  *
  *  - pid 1 "lab": wall-clock job spans, one thread per Lab worker
- *    (ts in real microseconds since the Lab was created);
+ *    that ran a job (ts in real microseconds since the Lab was
+ *    created);
  *  - pid 2 "simulation": decision instants filtered from the event
  *    trace — partition epochs/decisions, OPTgen verdicts, metadata
  *    resizes — one thread per core (ts in simulated cycles);
@@ -49,11 +50,6 @@ struct JobSpan {
 
 /** Exporter knobs. */
 struct TraceOptions {
-    /**
-     * Emit thread-name metadata for workers [0, n_workers) even if a
-     * worker executed no job, so every `--jobs` worker gets a track.
-     */
-    unsigned n_workers = 0;
     /** Kinds of simulation instants to include (see perfetto.cpp). */
     bool include_simulation_events = true;
     /** Include the host profiler's phase slices + counter tracks when

@@ -34,9 +34,8 @@ make_offsets()
 BestOffset::BestOffset(BestOffsetConfig cfg)
     : cfg_(cfg), offsets_(make_offsets()),
       scores_(offsets_.size(), 0),
-      rr_table_(cfg.rr_entries, ~sim::Addr{0})
+      rr_table_(RR_ENTRIES, ~sim::Addr{0})
 {
-    TRIAGE_ASSERT(util::is_pow2(cfg.rr_entries));
     TRIAGE_ASSERT(cfg_.score_max >= cfg_.bad_score,
                   "an offset could never reach bad_score");
 }
@@ -45,14 +44,14 @@ void
 BestOffset::rr_insert(sim::Addr block)
 {
     rr_table_[static_cast<std::uint32_t>(util::mix64(block)) &
-              (cfg_.rr_entries - 1)] = block;
+              (RR_ENTRIES - 1)] = block;
 }
 
 bool
 BestOffset::rr_contains(sim::Addr block) const
 {
     return rr_table_[static_cast<std::uint32_t>(util::mix64(block)) &
-                     (cfg_.rr_entries - 1)] == block;
+                     (RR_ENTRIES - 1)] == block;
 }
 
 void

@@ -18,12 +18,12 @@
 #include <vector>
 
 #include "prefetch/prefetcher.hpp"
+#include "util/bitops.hpp"
 
 namespace triage::prefetch {
 
 /** Tuning knobs (defaults follow the HPCA'16 paper). */
 struct BestOffsetConfig {
-    std::uint32_t rr_entries = 256; ///< recent-requests table, power of 2
     std::uint32_t score_max = 31;   ///< learning ends when a score hits this
     std::uint32_t round_max = 100;  ///< ...or after this many full rounds
     std::uint32_t bad_score = 10;   ///< best < this disables prefetching
@@ -34,6 +34,10 @@ struct BestOffsetConfig {
 class BestOffset final : public Prefetcher
 {
   public:
+    /** Recent-requests table entries (HPCA'16). */
+    static constexpr std::uint32_t RR_ENTRIES = 256;
+    static_assert(util::is_pow2(RR_ENTRIES));
+
     explicit BestOffset(BestOffsetConfig cfg = {});
 
     void train(const TrainEvent& ev, PrefetchHost& host) override;

@@ -1,16 +1,8 @@
 #include "prefetch/ghb_pcdc.hpp"
 
 #include "util/bitops.hpp"
-#include "util/log.hpp"
 
 namespace triage::prefetch {
-
-GhbPcdc::GhbPcdc(GhbPcdcConfig cfg)
-    : cfg_(cfg), ghb_(cfg.ghb_entries), index_(cfg.index_entries)
-{
-    TRIAGE_ASSERT(util::is_pow2(cfg.index_entries));
-    TRIAGE_ASSERT(cfg.history >= 1);
-}
 
 std::vector<sim::Addr>
 GhbPcdc::pc_history(sim::Pc pc, std::uint32_t n) const
@@ -18,13 +10,13 @@ GhbPcdc::pc_history(sim::Pc pc, std::uint32_t n) const
     std::vector<sim::Addr> out;
     const IndexEntry& ie =
         index_[static_cast<std::uint32_t>(util::mix64(pc)) &
-               (cfg_.index_entries - 1)];
+               (INDEX_ENTRIES - 1)];
     if (!ie.valid || ie.pc != pc)
         return out;
     std::uint64_t pos = ie.head;
     while (out.size() < n && pos != ~0ULL &&
-           next_pos_ - pos <= cfg_.ghb_entries) {
-        const GhbEntry& e = ghb_[pos % cfg_.ghb_entries];
+           next_pos_ - pos <= GHB_ENTRIES) {
+        const GhbEntry& e = ghb_[pos % GHB_ENTRIES];
         if (!e.valid)
             break;
         out.push_back(e.block);
@@ -44,19 +36,19 @@ GhbPcdc::train(const TrainEvent& ev, PrefetchHost& host)
     // current delta participates in the match.
     IndexEntry& ie =
         index_[static_cast<std::uint32_t>(util::mix64(ev.pc)) &
-               (cfg_.index_entries - 1)];
+               (INDEX_ENTRIES - 1)];
     std::uint64_t prev_head =
         (ie.valid && ie.pc == ev.pc) ? ie.head : ~0ULL;
-    ghb_[next_pos_ % cfg_.ghb_entries] = {ev.block, prev_head, true};
+    ghb_[next_pos_ % GHB_ENTRIES] = {ev.block, prev_head, true};
     ie = {ev.pc, next_pos_, true};
     ++next_pos_;
 
-    // Delta correlation: take the most recent `history` deltas of this
+    // Delta correlation: take the most recent HISTORY deltas of this
     // PC and search for the previous occurrence of that delta sequence
     // in the PC's history; replay the deltas that followed it.
-    std::uint32_t need = cfg_.history + 1;
-    auto hist = pc_history(ev.pc, cfg_.ghb_entries);
-    if (hist.size() < need + cfg_.history)
+    std::uint32_t need = HISTORY + 1;
+    auto hist = pc_history(ev.pc, GHB_ENTRIES);
+    if (hist.size() < need + HISTORY)
         return;
     // hist[0] is the current block; deltas[i] = hist[i] - hist[i+1].
     std::vector<std::int64_t> deltas;
@@ -66,10 +58,9 @@ GhbPcdc::train(const TrainEvent& ev, PrefetchHost& host)
                          static_cast<std::int64_t>(hist[i + 1]));
     }
     // Search for the newest earlier match of the leading delta pair.
-    for (std::size_t m = cfg_.history; m + cfg_.history <= deltas.size();
-         ++m) {
+    for (std::size_t m = HISTORY; m + HISTORY <= deltas.size(); ++m) {
         bool match = true;
-        for (std::uint32_t k = 0; k < cfg_.history; ++k) {
+        for (std::uint32_t k = 0; k < HISTORY; ++k) {
             if (deltas[m + k] != deltas[k]) {
                 match = false;
                 break;

@@ -18,22 +18,32 @@
 #include <vector>
 
 #include "prefetch/prefetcher.hpp"
+#include "util/bitops.hpp"
 
 namespace triage::prefetch {
 
 /** Tuning knobs. */
 struct GhbPcdcConfig {
-    std::uint32_t ghb_entries = 256;   ///< circular history buffer
-    std::uint32_t index_entries = 256; ///< PC index table (power of 2)
-    std::uint32_t degree = 2;          ///< deltas replayed per trigger
-    std::uint32_t history = 2;         ///< deltas matched (delta pair)
+    std::uint32_t degree = 2; ///< deltas replayed per trigger
 };
 
 /** GHB-based per-PC delta-correlation prefetcher. */
 class GhbPcdc final : public Prefetcher
 {
   public:
-    explicit GhbPcdc(GhbPcdcConfig cfg = {});
+    /** Circular history buffer entries. */
+    static constexpr std::uint32_t GHB_ENTRIES = 256;
+    /** PC index table entries. */
+    static constexpr std::uint32_t INDEX_ENTRIES = 256;
+    /** Deltas matched (a delta pair). */
+    static constexpr std::uint32_t HISTORY = 2;
+    static_assert(util::is_pow2(INDEX_ENTRIES));
+    static_assert(HISTORY >= 1);
+
+    explicit GhbPcdc(GhbPcdcConfig cfg = {})
+        : cfg_(cfg), ghb_(GHB_ENTRIES), index_(INDEX_ENTRIES)
+    {
+    }
 
     void train(const TrainEvent& ev, PrefetchHost& host) override;
     const std::string& name() const override { return name_; }

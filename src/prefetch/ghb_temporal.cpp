@@ -37,20 +37,21 @@ GhbTemporal::train(const TrainEvent& ev, PrefetchHost& host)
     if (ev.l2_hit && !ev.was_prefetch_hit)
         return;
 
-    const bool charge = !cfg_.idealized;
+    // Idealized (paper Section 4.1): an off-chip metadata burst is
+    // counted as traffic but takes no time and no DRAM channel.
+    auto offchip = [&](bool is_write) {
+        ++(is_write ? stats_.meta_offchip_writes : stats_.meta_offchip_reads);
+        host.offchip_metadata_access(ev.core, ev.now, sim::BLOCK_SIZE,
+                                     is_write, /*charge_time=*/false);
+    };
 
     // --- Predict: find the previous occurrence and replay successors.
     if (cfg_.mode != GhbIndexMode::AddressPair || have_last_) {
         const std::uint64_t* last = index_.find(index_key(ev.block));
-        // Off-chip index probe.
-        ++stats_.meta_offchip_reads;
-        host.offchip_metadata_access(ev.core, ev.now, sim::BLOCK_SIZE,
-                                     false, charge);
+        offchip(false); // index probe
         if (last != nullptr && next_pos_ - *last <= cfg_.ghb_entries) {
-            // Off-chip history-buffer read (one burst covers a stream).
-            ++stats_.meta_offchip_reads;
-            host.offchip_metadata_access(ev.core, ev.now, sim::BLOCK_SIZE,
-                                         false, charge);
+            // History-buffer read (one burst covers a stream).
+            offchip(false);
             for (std::uint32_t d = 1; d <= cfg_.degree; ++d) {
                 std::uint64_t pos = *last + d;
                 if (pos >= next_pos_)
@@ -72,14 +73,9 @@ GhbTemporal::train(const TrainEvent& ev, PrefetchHost& host)
 
     // Index update write per trigger; buffer appends coalesce 8 entries
     // per 64 B burst.
-    ++stats_.meta_offchip_writes;
-    host.offchip_metadata_access(ev.core, ev.now, sim::BLOCK_SIZE, true,
-                                 charge);
-    if (++appends_ % 8 == 0) {
-        ++stats_.meta_offchip_writes;
-        host.offchip_metadata_access(ev.core, ev.now, sim::BLOCK_SIZE,
-                                     true, charge);
-    }
+    offchip(true);
+    if (++appends_ % 8 == 0)
+        offchip(true);
 
     // Bound the index map: drop entries that fell out of the buffer.
     if (index_.size() > 2ULL * cfg_.ghb_entries) {

@@ -38,11 +38,6 @@ struct GhbTemporalConfig {
     /** History buffer entries (millions => tens of MB off chip). */
     std::uint32_t ghb_entries = 1u << 21;
     std::uint32_t degree = 1;
-    /**
-     * Idealized timing (no latency / no bus occupancy for metadata).
-     * Traffic is counted either way.
-     */
-    bool idealized = true;
 };
 
 /** STMS / Domino. */

@@ -3,21 +3,14 @@
 #include <algorithm>
 
 #include "util/bitops.hpp"
-#include "util/log.hpp"
 
 namespace triage::prefetch {
-
-Markov::Markov(MarkovConfig cfg)
-    : table_(cfg.table_entries / cfg.ways, cfg.ways)
-{
-    TRIAGE_ASSERT(util::is_pow2(table_.sets()));
-}
 
 std::uint32_t
 Markov::set_of(sim::Addr addr) const
 {
     return static_cast<std::uint32_t>(util::mix64(addr) &
-                                      (table_.sets() - 1));
+                                      (SETS - 1));
 }
 
 void

@@ -13,21 +13,22 @@
 #include <cstdint>
 
 #include "prefetch/prefetcher.hpp"
+#include "util/bitops.hpp"
 #include "util/lru_table.hpp"
 
 namespace triage::prefetch {
-
-/** Tuning knobs. */
-struct MarkovConfig {
-    std::uint32_t table_entries = 65536; ///< power of two
-    std::uint32_t ways = 8;
-};
 
 /** Markov correlation-table prefetcher. */
 class Markov final : public Prefetcher
 {
   public:
-    explicit Markov(MarkovConfig cfg = {});
+    /** Correlation-table entries and associativity. */
+    static constexpr std::uint32_t TABLE_ENTRIES = 65536;
+    static constexpr std::uint32_t WAYS = 8;
+    static constexpr std::uint32_t SETS = TABLE_ENTRIES / WAYS;
+    static_assert(util::is_pow2(SETS));
+
+    Markov() : table_(SETS, WAYS) {}
 
     void train(const TrainEvent& ev, PrefetchHost& host) override;
     const std::string& name() const override { return name_; }

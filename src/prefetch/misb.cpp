@@ -14,6 +14,17 @@ meta_set(const MetaCache& cache, std::uint64_t key)
                                       (cache.sets() - 1));
 }
 
+namespace {
+
+/** Probe @p cache for @p key (an LRU touch on a hit). */
+const MetaLine*
+meta_find(MetaCache& cache, std::uint64_t key)
+{
+    return cache.find(meta_set(cache, key), key);
+}
+
+} // namespace
+
 std::optional<MetaCache::Entry>
 meta_write(MetaCache& cache, std::uint64_t key, std::uint64_t value,
            bool dirty)
@@ -105,23 +116,12 @@ Misb::Misb(MisbConfig cfg)
     : cfg_(cfg),
       ps_backing_(cfg.granule_entries),
       sp_backing_(cfg.granule_entries),
-      ps_cache_(cfg.ps_cache_entries / cfg.cache_ways, cfg.cache_ways),
-      sp_cache_(cfg.sp_cache_entries / cfg.cache_ways, cfg.cache_ways),
-      tu_(cfg.training_unit_entries),
+      ps_cache_(PS_CACHE_ENTRIES / CACHE_WAYS, CACHE_WAYS),
+      sp_cache_(SP_CACHE_ENTRIES / CACHE_WAYS, CACHE_WAYS),
+      tu_(TRAINING_UNIT_ENTRIES),
       streams_(32),
       name_(cfg.display_name)
 {
-    TRIAGE_ASSERT(util::is_pow2(ps_cache_.sets()) &&
-                      util::is_pow2(sp_cache_.sets()),
-                  "metadata cache sets");
-}
-
-const MetaLine*
-Misb::cache_find(MetaCache& cache, std::uint64_t key)
-{
-    const MetaLine* line = cache.find(meta_set(cache, key), key);
-    ++(line != nullptr ? cache_hits_ : cache_misses_);
-    return line;
 }
 
 void
@@ -195,7 +195,7 @@ Misb::ps_lookup(sim::Addr phys, const TrainEvent& ev, PrefetchHost& host,
                 sim::Cycle& avail)
 {
     avail = ev.now;
-    if (const MetaLine* line = cache_find(ps_cache_, phys))
+    if (const MetaLine* line = meta_find(ps_cache_, phys))
         return line->value;
     // Bloom filter: untracked addresses never go off chip.
     const std::uint64_t* v = ps_backing_.find(phys);
@@ -211,7 +211,7 @@ Misb::sp_lookup(std::uint64_t structural, const TrainEvent& ev,
                 PrefetchHost& host, sim::Cycle& avail)
 {
     avail = ev.now;
-    if (const MetaLine* line = cache_find(sp_cache_, structural))
+    if (const MetaLine* line = meta_find(sp_cache_, structural))
         return line->value;
     const std::uint64_t* v = sp_backing_.find(structural);
     if (v == nullptr)
@@ -270,7 +270,7 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
         // ev.now) but not the traffic: PS entries live in physical
         // address space with no locality, so each staged trigger cost
         // one off-chip burst unless it was still cached.
-        if (cache_find(ps_cache_, ev.block) == nullptr) {
+        if (meta_find(ps_cache_, ev.block) == nullptr) {
             if (cfg_.stream_ps_charge) {
                 ++stats_.meta_offchip_reads;
                 host.offchip_metadata_access(ev.core, ev.now,
@@ -312,7 +312,7 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
             std::uint64_t key =
                 (s / cfg_.granule_entries + 1) * cfg_.granule_entries;
             if (sp_backing_.find(key) != nullptr &&
-                cache_find(sp_cache_, key) == nullptr) {
+                meta_find(sp_cache_, key) == nullptr) {
                 fetch_granule(false, key, ev, host);
             }
         }

@@ -28,17 +28,14 @@
 
 #include "prefetch/prefetcher.hpp"
 #include "prefetch/training_unit.hpp"
+#include "util/bitops.hpp"
 #include "util/flat_map.hpp"
 #include "util/lru_table.hpp"
 
 namespace triage::prefetch {
 
-/** Tuning knobs. Default on-chip budget is the paper's MISB_48KB. */
+/** Tuning knobs. The on-chip budget is fixed: see Misb's constants. */
 struct MisbConfig {
-    std::uint32_t ps_cache_entries = 8192; ///< 32 KB at 4 B/entry
-    std::uint32_t sp_cache_entries = 4096; ///< 16 KB at 4 B/entry
-    std::uint32_t cache_ways = 8;
-    std::uint32_t training_unit_entries = 64;
     /** Structural stream chunk; new PC streams start on this boundary. */
     std::uint32_t stream_length = 256;
     /** Metadata entries moved per off-chip 64 B burst. */
@@ -169,14 +166,19 @@ class GranuleTable
 class Misb final : public Prefetcher
 {
   public:
+    /** On-chip metadata caches: the paper's MISB_48KB budget. */
+    static constexpr std::uint32_t PS_CACHE_ENTRIES = 8192; ///< 32 KB at 4 B
+    static constexpr std::uint32_t SP_CACHE_ENTRIES = 4096; ///< 16 KB at 4 B
+    static constexpr std::uint32_t CACHE_WAYS = 8;
+    static_assert(util::is_pow2(PS_CACHE_ENTRIES / CACHE_WAYS) &&
+                      util::is_pow2(SP_CACHE_ENTRIES / CACHE_WAYS),
+                  "metadata cache sets");
+    static constexpr std::uint32_t TRAINING_UNIT_ENTRIES = 64;
+
     explicit Misb(MisbConfig cfg = {});
 
     void train(const TrainEvent& ev, PrefetchHost& host) override;
     const std::string& name() const override { return name_; }
-
-    /** On-chip PS and SP cache lookups that hit / missed. */
-    std::uint64_t cache_hits() const { return cache_hits_; }
-    std::uint64_t cache_misses() const { return cache_misses_; }
 
     void
     checkpoint(sim::Snapshot& s) override
@@ -191,8 +193,6 @@ class Misb final : public Prefetcher
         };
         ps_cache_.checkpoint(s, line);
         sp_cache_.checkpoint(s, line);
-        s.io(cache_hits_);
-        s.io(cache_misses_);
         tu_.checkpoint(s);
         s.io_vec(streams_, [](sim::Snapshot& a, ActiveStream& e) {
             a.io(e.expected_phys);
@@ -223,8 +223,6 @@ class Misb final : public Prefetcher
                    const TrainEvent& ev, PrefetchHost& host);
     void sp_update(std::uint64_t structural, sim::Addr phys,
                    const TrainEvent& ev, PrefetchHost& host);
-    /** Probe an on-chip cache (LRU touch), counting the hit or miss. */
-    const MetaLine* cache_find(MetaCache& cache, std::uint64_t key);
     /** meta_write, then charge the evicted line's writeback if dirty. */
     void cache_write(MetaCache& cache, std::uint64_t key,
                      std::uint64_t value, bool dirty, const TrainEvent& ev,
@@ -257,8 +255,6 @@ class Misb final : public Prefetcher
     GranuleTable sp_backing_;
     MetaCache ps_cache_;
     MetaCache sp_cache_;
-    std::uint64_t cache_hits_ = 0;
-    std::uint64_t cache_misses_ = 0;
 
     TrainingUnit tu_;
 

@@ -13,11 +13,11 @@ namespace triage::prefetch {
 
 /** Tuning knobs. */
 struct NextLineConfig {
-    std::uint32_t degree = 1;  ///< sequential lines per trigger
-    bool on_miss_only = true;  ///< trigger on misses (tagged) or all
+    std::uint32_t degree = 1; ///< sequential lines per trigger
 };
 
-/** Sequential next-line prefetcher. */
+/** Sequential next-line prefetcher, tagged: it triggers on L2 misses
+ *  and on first hits to prefetched lines. */
 class NextLine final : public Prefetcher
 {
   public:
@@ -27,7 +27,7 @@ class NextLine final : public Prefetcher
     train(const TrainEvent& ev, PrefetchHost& host) override
     {
         ++stats_.train_events;
-        if (cfg_.on_miss_only && ev.l2_hit && !ev.was_prefetch_hit)
+        if (ev.l2_hit && !ev.was_prefetch_hit)
             return;
         for (std::uint32_t d = 1; d <= cfg_.degree; ++d)
             send(ev, host, ev.block + d, ev.now);

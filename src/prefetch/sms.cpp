@@ -1,19 +1,8 @@
 #include "prefetch/sms.hpp"
 
 #include "util/bitops.hpp"
-#include "util/log.hpp"
 
 namespace triage::prefetch {
-
-Sms::Sms(SmsConfig cfg)
-    : cfg_(cfg), offset_mask_(cfg.region_blocks - 1),
-      region_shift_(util::log2_exact(cfg.region_blocks)),
-      filter_(1, cfg.filter_entries), accum_(1, cfg.accum_entries),
-      pht_(cfg.pht_sets, cfg.pht_ways)
-{
-    TRIAGE_ASSERT(util::is_pow2(cfg.region_blocks));
-    TRIAGE_ASSERT(util::is_pow2(cfg.pht_sets));
-}
 
 std::uint64_t
 Sms::pht_key(sim::Pc pc, std::uint32_t offset) const
@@ -24,7 +13,7 @@ Sms::pht_key(sim::Pc pc, std::uint32_t offset) const
 std::uint32_t
 Sms::pht_set(std::uint64_t key) const
 {
-    return static_cast<std::uint32_t>(key & (cfg_.pht_sets - 1));
+    return static_cast<std::uint32_t>(key & (PHT_SETS - 1));
 }
 
 void
@@ -45,8 +34,8 @@ void
 Sms::train(const TrainEvent& ev, PrefetchHost& host)
 {
     ++stats_.train_events;
-    sim::Addr region = ev.block >> region_shift_;
-    auto offset = static_cast<std::uint32_t>(ev.block & offset_mask_);
+    sim::Addr region = ev.block >> REGION_SHIFT;
+    auto offset = static_cast<std::uint32_t>(ev.block & (REGION_BLOCKS - 1));
 
     if (Generation* g = accum_.find(0, region)) {
         g->pattern |= 1u << offset;
@@ -69,8 +58,8 @@ Sms::train(const TrainEvent& ev, PrefetchHost& host)
     // New generation: predict its footprint from the PHT, then track it.
     const std::uint64_t key = pht_key(ev.pc, offset);
     if (const std::uint32_t* p = pht_.peek(pht_set(key), key)) {
-        sim::Addr base = region << region_shift_;
-        for (std::uint32_t b = 0; b < cfg_.region_blocks; ++b) {
+        sim::Addr base = region << REGION_SHIFT;
+        for (std::uint32_t b = 0; b < REGION_BLOCKS; ++b) {
             if ((*p & (1u << b)) == 0 || b == offset)
                 continue;
             send(ev, host, base + b, ev.now);

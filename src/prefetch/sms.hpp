@@ -12,24 +12,33 @@
 #include <cstdint>
 
 #include "prefetch/prefetcher.hpp"
+#include "util/bitops.hpp"
 #include "util/lru_table.hpp"
 
 namespace triage::prefetch {
-
-/** Tuning knobs (2 KB regions = 32 blocks, as in the original paper). */
-struct SmsConfig {
-    std::uint32_t region_blocks = 32;     ///< power of two
-    std::uint32_t filter_entries = 32;    ///< regions touched once
-    std::uint32_t accum_entries = 64;     ///< active generations
-    std::uint32_t pht_sets = 1024;        ///< pattern history table
-    std::uint32_t pht_ways = 4;
-};
 
 /** SMS prefetcher. */
 class Sms final : public Prefetcher
 {
   public:
-    explicit Sms(SmsConfig cfg = {});
+    /** 2 KB regions = 32 blocks, as in the original paper. */
+    static constexpr std::uint32_t REGION_BLOCKS = 32;
+    /** Regions touched once. */
+    static constexpr std::uint32_t FILTER_ENTRIES = 32;
+    /** Active generations. */
+    static constexpr std::uint32_t ACCUM_ENTRIES = 64;
+    /** Pattern history table geometry. */
+    static constexpr std::uint32_t PHT_SETS = 1024;
+    static constexpr std::uint32_t PHT_WAYS = 4;
+    static_assert(util::is_pow2(REGION_BLOCKS) && REGION_BLOCKS <= 32,
+                  "a footprint is a 32-bit bitmap over region blocks");
+    static_assert(util::is_pow2(PHT_SETS));
+
+    Sms()
+        : filter_(1, FILTER_ENTRIES), accum_(1, ACCUM_ENTRIES),
+          pht_(PHT_SETS, PHT_WAYS)
+    {
+    }
 
     void train(const TrainEvent& ev, PrefetchHost& host) override;
     const std::string& name() const override { return name_; }
@@ -57,9 +66,8 @@ class Sms final : public Prefetcher
     /** Close a generation: record its footprint in the PHT. */
     void retire_generation(const Generation& g);
 
-    SmsConfig cfg_;
-    std::uint32_t offset_mask_;
-    unsigned region_shift_;
+    static constexpr unsigned REGION_SHIFT = util::log2_exact(REGION_BLOCKS);
+
     /** Regions touched once; one set (fully associative). */
     util::LruTable<Generation> filter_;
     /** Active generations; one set. An eviction retires the victim. */

@@ -1,21 +1,14 @@
 #include "prefetch/stride.hpp"
 
 #include "util/bitops.hpp"
-#include "util/log.hpp"
 
 namespace triage::prefetch {
-
-StridePrefetcher::StridePrefetcher(StrideConfig cfg)
-    : cfg_(cfg), table_(cfg.table_entries)
-{
-    TRIAGE_ASSERT(util::is_pow2(cfg.table_entries));
-}
 
 StridePrefetcher::Entry&
 StridePrefetcher::entry_for(sim::Pc pc)
 {
     return table_[static_cast<std::uint32_t>(util::mix64(pc)) &
-                  (cfg_.table_entries - 1)];
+                  (TABLE_ENTRIES - 1)];
 }
 
 void
@@ -42,8 +35,8 @@ StridePrefetcher::train(const TrainEvent& ev, PrefetchHost& host)
         }
     }
     e.last_block = ev.block;
-    if (e.confidence >= cfg_.confidence_threshold && e.stride != 0) {
-        for (std::uint32_t d = 1; d <= cfg_.degree; ++d) {
+    if (e.confidence >= CONFIDENCE_THRESHOLD && e.stride != 0) {
+        for (std::uint32_t d = 1; d <= DEGREE; ++d) {
             std::int64_t target =
                 static_cast<std::int64_t>(ev.block) +
                 e.stride * static_cast<std::int64_t>(d);

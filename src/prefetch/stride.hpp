@@ -10,25 +10,27 @@
 #include <vector>
 
 #include "prefetch/prefetcher.hpp"
+#include "util/bitops.hpp"
 
 namespace triage::prefetch {
-
-/** Tuning knobs. */
-struct StrideConfig {
-    std::uint32_t table_entries = 256; ///< power of two, PC-indexed
-    std::uint32_t degree = 2;          ///< blocks ahead once confident
-    std::uint8_t confidence_threshold = 2;
-};
 
 /**
  * Classic reference-prediction-table stride prefetcher: per PC, track
  * the last block and stride with a 2-bit confidence counter; once
- * confident, prefetch the next `degree` strided blocks.
+ * confident, prefetch the next DEGREE strided blocks.
  */
 class StridePrefetcher final : public Prefetcher
 {
   public:
-    explicit StridePrefetcher(StrideConfig cfg = {});
+    /** PC-indexed reference prediction table entries. */
+    static constexpr std::uint32_t TABLE_ENTRIES = 256;
+    /** Blocks ahead once confident. */
+    static constexpr std::uint32_t DEGREE = 2;
+    /** 2-bit confidence at which the stride prefetches. */
+    static constexpr std::uint8_t CONFIDENCE_THRESHOLD = 2;
+    static_assert(util::is_pow2(TABLE_ENTRIES));
+
+    StridePrefetcher() : table_(TABLE_ENTRIES) {}
 
     void train(const TrainEvent& ev, PrefetchHost& host) override;
     const std::string& name() const override { return name_; }
@@ -58,7 +60,6 @@ class StridePrefetcher final : public Prefetcher
 
     Entry& entry_for(sim::Pc pc);
 
-    StrideConfig cfg_;
     std::vector<Entry> table_;
     std::string name_ = "stride";
 };

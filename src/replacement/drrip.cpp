@@ -4,23 +4,21 @@
 
 namespace triage::replacement {
 
-Drrip::Drrip(std::uint32_t sets, std::uint32_t assoc, DrripConfig cfg)
-    : assoc_(assoc), cfg_(cfg),
-      rrpv_(static_cast<std::size_t>(sets) * assoc, cfg.max_rrpv),
+Drrip::Drrip(std::uint32_t sets, std::uint32_t assoc)
+    : assoc_(assoc), rrpv_(static_cast<std::size_t>(sets) * assoc, MAX_RRPV),
       rng_(sets * 31 + assoc)
 {
-    TRIAGE_ASSERT(cfg_.dueling_stride >= 2);
 }
 
 Drrip::SetRole
 Drrip::role_of(std::uint32_t set) const
 {
     // Leader sets are spread through the index space: one SRRIP and
-    // one BRRIP leader per dueling_stride sets.
-    std::uint32_t r = set % cfg_.dueling_stride;
+    // one BRRIP leader per DUELING_STRIDE sets.
+    std::uint32_t r = set % DUELING_STRIDE;
     if (r == 0)
         return SetRole::LeadSrrip;
-    if (r == cfg_.dueling_stride / 2)
+    if (r == DUELING_STRIDE / 2)
         return SetRole::LeadBrrip;
     return SetRole::FollowSrrip;
 }
@@ -44,10 +42,10 @@ Drrip::on_miss(std::uint32_t set, sim::Addr, sim::Pc)
     // leader votes for BRRIP and vice versa.
     switch (role_of(set)) {
       case SetRole::LeadSrrip:
-        psel_ = std::min(psel_ + 1, cfg_.psel_max);
+        psel_ = std::min(psel_ + 1, PSEL_MAX);
         break;
       case SetRole::LeadBrrip:
-        psel_ = std::max(psel_ - 1, -cfg_.psel_max - 1);
+        psel_ = std::max(psel_ - 1, -PSEL_MAX - 1);
         break;
       default:
         break;
@@ -72,19 +70,18 @@ Drrip::on_insert(const cache::ReplAccess& a)
     if (use_brrip) {
         // BRRIP: distant insertion, occasionally long.
         rrpv(a.set, a.way) =
-            rng_.next_below(cfg_.brrip_epsilon) == 0
-                ? static_cast<std::uint8_t>(cfg_.max_rrpv - 1)
-                : cfg_.max_rrpv;
+            rng_.next_below(BRRIP_EPSILON) == 0
+                ? static_cast<std::uint8_t>(MAX_RRPV - 1)
+                : MAX_RRPV;
     } else {
-        rrpv(a.set, a.way) =
-            static_cast<std::uint8_t>(cfg_.max_rrpv - 1);
+        rrpv(a.set, a.way) = static_cast<std::uint8_t>(MAX_RRPV - 1);
     }
 }
 
 void
 Drrip::on_invalidate(std::uint32_t set, std::uint32_t way)
 {
-    rrpv(set, way) = cfg_.max_rrpv;
+    rrpv(set, way) = MAX_RRPV;
 }
 
 std::uint32_t
@@ -94,7 +91,7 @@ Drrip::victim(std::uint32_t set, std::uint32_t way_begin,
     TRIAGE_ASSERT(way_begin < way_end);
     for (;;) {
         for (std::uint32_t w = way_begin; w < way_end; ++w) {
-            if (rrpv(set, w) >= cfg_.max_rrpv)
+            if (rrpv(set, w) >= MAX_RRPV)
                 return w;
         }
         for (std::uint32_t w = way_begin; w < way_end; ++w)

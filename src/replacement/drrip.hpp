@@ -16,22 +16,20 @@
 
 namespace triage::replacement {
 
-/** Tuning knobs. */
-struct DrripConfig {
-    std::uint8_t max_rrpv = 3;
-    /** 1-in-N dedicated sets per policy (set dueling). */
-    std::uint32_t dueling_stride = 32;
-    /** BRRIP inserts at max_rrpv-1 with probability 1/brrip_epsilon. */
-    std::uint32_t brrip_epsilon = 32;
-    /** Saturating policy-selector width (psel). */
-    std::int32_t psel_max = 1023;
-};
-
 /** DRRIP replacement. */
 class Drrip final : public cache::ReplacementPolicy
 {
   public:
-    Drrip(std::uint32_t sets, std::uint32_t assoc, DrripConfig cfg = {});
+    static constexpr std::uint8_t MAX_RRPV = 3;
+    /** 1-in-N dedicated sets per policy (set dueling). */
+    static constexpr std::uint32_t DUELING_STRIDE = 32;
+    /** BRRIP inserts at MAX_RRPV-1 with probability 1/BRRIP_EPSILON. */
+    static constexpr std::uint32_t BRRIP_EPSILON = 32;
+    /** Saturating policy-selector width (psel). */
+    static constexpr std::int32_t PSEL_MAX = 1023;
+    static_assert(DUELING_STRIDE >= 2);
+
+    Drrip(std::uint32_t sets, std::uint32_t assoc);
 
     void on_hit(const cache::ReplAccess& a) override;
     void on_insert(const cache::ReplAccess& a) override;
@@ -60,7 +58,6 @@ class Drrip final : public cache::ReplacementPolicy
     std::uint8_t& rrpv(std::uint32_t set, std::uint32_t way);
 
     std::uint32_t assoc_;
-    DrripConfig cfg_;
     std::vector<std::uint8_t> rrpv_;
     std::int32_t psel_ = 0;
     util::Rng rng_;

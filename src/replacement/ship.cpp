@@ -5,20 +5,17 @@
 
 namespace triage::replacement {
 
-Ship::Ship(std::uint32_t sets, std::uint32_t assoc, ShipConfig cfg)
-    : assoc_(assoc), cfg_(cfg),
-      lines_(static_cast<std::size_t>(sets) * assoc,
-             {cfg.max_rrpv, false, 0}),
-      shct_(cfg.shct_entries, 1)
+Ship::Ship(std::uint32_t sets, std::uint32_t assoc)
+    : assoc_(assoc),
+      lines_(static_cast<std::size_t>(sets) * assoc, {MAX_RRPV, false, 0}),
+      shct_(SHCT_ENTRIES, 1)
 {
-    TRIAGE_ASSERT(util::is_pow2(cfg.shct_entries));
 }
 
 std::uint32_t
 Ship::signature_of(sim::Pc pc) const
 {
-    return static_cast<std::uint32_t>(util::mix64(pc)) &
-           (cfg_.shct_entries - 1);
+    return static_cast<std::uint32_t>(util::mix64(pc)) & (SHCT_ENTRIES - 1);
 }
 
 Ship::LineState&
@@ -41,8 +38,7 @@ Ship::on_hit(const cache::ReplAccess& a)
     if (!l.outcome) {
         l.outcome = true;
         shct_[l.signature] =
-            util::sat_inc<std::uint8_t>(shct_[l.signature],
-                                        cfg_.shct_max);
+            util::sat_inc<std::uint8_t>(shct_[l.signature], SHCT_MAX);
     }
 }
 
@@ -59,8 +55,8 @@ Ship::on_insert(const cache::ReplAccess& a)
     l.outcome = false;
     // Predicted-dead signatures insert at the eviction boundary.
     l.rrpv = shct_[l.signature] == 0
-                 ? cfg_.max_rrpv
-                 : static_cast<std::uint8_t>(cfg_.max_rrpv - 1);
+                 ? MAX_RRPV
+                 : static_cast<std::uint8_t>(MAX_RRPV - 1);
 }
 
 void
@@ -69,7 +65,7 @@ Ship::on_invalidate(std::uint32_t set, std::uint32_t way)
     LineState& l = line(set, way);
     if (!l.outcome)
         shct_[l.signature] = util::sat_dec(shct_[l.signature]);
-    l.rrpv = cfg_.max_rrpv;
+    l.rrpv = MAX_RRPV;
     l.outcome = false;
 }
 
@@ -80,7 +76,7 @@ Ship::victim(std::uint32_t set, std::uint32_t way_begin,
     TRIAGE_ASSERT(way_begin < way_end);
     for (;;) {
         for (std::uint32_t w = way_begin; w < way_end; ++w) {
-            if (line(set, w).rrpv >= cfg_.max_rrpv)
+            if (line(set, w).rrpv >= MAX_RRPV)
                 return w;
         }
         for (std::uint32_t w = way_begin; w < way_end; ++w)

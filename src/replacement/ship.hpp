@@ -13,21 +13,22 @@
 #include <vector>
 
 #include "cache/replacement.hpp"
+#include "util/bitops.hpp"
 
 namespace triage::replacement {
-
-/** Tuning knobs. */
-struct ShipConfig {
-    std::uint8_t max_rrpv = 3;
-    std::uint32_t shct_entries = 16384; ///< signature counters (pow2)
-    std::uint8_t shct_max = 7;          ///< 3-bit counters
-};
 
 /** SHiP replacement. */
 class Ship final : public cache::ReplacementPolicy
 {
   public:
-    Ship(std::uint32_t sets, std::uint32_t assoc, ShipConfig cfg = {});
+    static constexpr std::uint8_t MAX_RRPV = 3;
+    /** Signature history counter table entries. */
+    static constexpr std::uint32_t SHCT_ENTRIES = 16384;
+    /** 3-bit counters. */
+    static constexpr std::uint8_t SHCT_MAX = 7;
+    static_assert(util::is_pow2(SHCT_ENTRIES));
+
+    Ship(std::uint32_t sets, std::uint32_t assoc);
 
     void on_hit(const cache::ReplAccess& a) override;
     void on_insert(const cache::ReplAccess& a) override;
@@ -63,7 +64,6 @@ class Ship final : public cache::ReplacementPolicy
     LineState& line(std::uint32_t set, std::uint32_t way);
 
     std::uint32_t assoc_;
-    ShipConfig cfg_;
     std::vector<LineState> lines_;
     std::vector<std::uint8_t> shct_;
 };

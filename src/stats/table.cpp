@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <ostream>
 
-#include "stats/csv.hpp"
 #include "util/log.hpp"
 
 namespace triage::stats {
@@ -47,15 +46,6 @@ Table::print(std::ostream& os) const
     os << std::string(total > 2 ? total - 2 : total, '-') << '\n';
     for (const auto& r : rows_)
         emit(r);
-}
-
-void
-Table::print_csv(std::ostream& os) const
-{
-    CsvWriter csv(os);
-    csv.row(headers_);
-    for (const auto& r : rows_)
-        csv.row(r);
 }
 
 std::string

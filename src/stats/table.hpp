@@ -24,9 +24,6 @@ class Table
 
     void print(std::ostream& os) const;
 
-    /** Emit the same table as RFC-4180 CSV (header + rows). */
-    void print_csv(std::ostream& os) const;
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

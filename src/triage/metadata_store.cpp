@@ -11,8 +11,6 @@ namespace triage::core {
 MetadataStore::MetadataStore(MetadataStoreConfig cfg)
     : cfg_(cfg), capacity_bytes_(0)
 {
-    TRIAGE_ASSERT(cfg_.line_entries > 0);
-    TRIAGE_ASSERT(cfg_.entry_bytes > 0);
     set_geometry(cfg.capacity_bytes);
     rebuild_policy();
 }
@@ -20,7 +18,7 @@ MetadataStore::MetadataStore(MetadataStoreConfig cfg)
 std::uint32_t
 MetadataStore::sets_for(std::uint64_t bytes) const
 {
-    const std::uint64_t n_sets = bytes / cfg_.entry_bytes / cfg_.line_entries;
+    const std::uint64_t n_sets = bytes / ENTRY_BYTES / LINE_ENTRIES;
     // Round down to a power of two for cheap indexing.
     return n_sets == 0 ? 0
                        : static_cast<std::uint32_t>(util::floor_pow2(n_sets));
@@ -33,7 +31,7 @@ MetadataStore::set_geometry(std::uint64_t bytes)
     sets_ = sets_for(bytes);
     // resize() keeps the capacity on a shrink and fills only the new
     // tail with empty slots on a grow.
-    const std::size_t n = static_cast<std::size_t>(sets_) * cfg_.line_entries;
+    const std::size_t n = static_cast<std::size_t>(sets_) * LINE_ENTRIES;
     entries_.resize(n);
     keys_.resize(n, INVALID_KEY);
     next_ctags_.resize(n, 0);
@@ -48,7 +46,7 @@ MetadataStore::rebuild_policy()
     if (sets_ == 0)
         return;
     repl_ = cache::make_policy(static_cast<sim::ReplPolicy>(cfg_.repl),
-                               sets_, cfg_.line_entries);
+                               sets_, LINE_ENTRIES);
     // Counters live in the store so the policy rebuild keeps them.
     repl_->bind_stats(&repl_stats_);
 }
@@ -66,14 +64,14 @@ MetadataStore::find_way(std::size_t base, sim::Addr trigger,
     // Scan of the packed key row (NPOS and NO_WAY are both all-ones),
     // matching the cache tag scan.
     const std::uint32_t* row = keys_.data() + base;
-    std::uint32_t way = util::find_first_eq(row, cfg_.line_entries, key);
+    std::uint32_t way = util::find_first_eq(row, LINE_ENTRIES, key);
     if (cfg_.compressed_tags)
         return way;
     // A folded key can be shared: skip to the next match until the
     // entry holds the trigger itself.
     while (way != NO_WAY && entries_[base + way].full_trigger != trigger) {
         const std::uint32_t rest = util::find_first_eq(
-            row + way + 1, cfg_.line_entries - way - 1, key);
+            row + way + 1, LINE_ENTRIES - way - 1, key);
         way = rest == util::NPOS ? NO_WAY : way + 1 + rest;
     }
     return way;
@@ -82,8 +80,7 @@ MetadataStore::find_way(std::size_t base, sim::Addr trigger,
 std::uint32_t
 MetadataStore::find_empty(std::size_t base) const
 {
-    return util::find_first_eq(keys_.data() + base, cfg_.line_entries,
-                               INVALID_KEY);
+    return util::find_first_eq(keys_.data() + base, LINE_ENTRIES, INVALID_KEY);
 }
 
 std::uint32_t
@@ -101,13 +98,12 @@ MetadataStore::prefetch_hint(sim::Addr trigger) const
     if (sets_ == 0)
         return;
     const std::uint32_t set = set_of(trigger);
-    const std::size_t base =
-        static_cast<std::size_t>(set) * cfg_.line_entries;
+    const std::size_t base = static_cast<std::size_t>(set) * LINE_ENTRIES;
     // A 16-entry key row is 64 bytes, which straddles two host lines
     // unless 64-byte aligned: pull both ends.
     const std::uint32_t* row = keys_.data() + base;
     __builtin_prefetch(row);
-    __builtin_prefetch(row + cfg_.line_entries - 1);
+    __builtin_prefetch(row + LINE_ENTRIES - 1);
     // A probe hit or update dereferences the matching Entry; the way is
     // unknown until the key scan, so pull the front of the entry row
     // (16-byte entries: the first two lines cover ways 0-7).
@@ -131,8 +127,7 @@ MetadataStore::probe(sim::Addr trigger)
     if (sets_ == 0)
         return lk;
     const std::uint32_t set = set_of(trigger);
-    const std::size_t base =
-        static_cast<std::size_t>(set) * cfg_.line_entries;
+    const std::size_t base = static_cast<std::size_t>(set) * LINE_ENTRIES;
     std::uint16_t ctag = 0;
     if (cfg_.compressed_tags) {
         // Sub-tag match: compressed tag plus the trigger's set id
@@ -193,8 +188,7 @@ MetadataStore::update(sim::Addr trigger, sim::Addr next, sim::Pc pc)
                   "metadata store takes block addresses");
     ++stats_.updates;
     const std::uint32_t set = set_of(trigger);
-    const std::size_t base =
-        static_cast<std::size_t>(set) * cfg_.line_entries;
+    const std::size_t base = static_cast<std::size_t>(set) * LINE_ENTRIES;
     std::uint64_t trig_tag = 0;
     std::uint32_t way = NO_WAY;
     if (cfg_.compressed_tags) {
@@ -215,10 +209,9 @@ MetadataStore::update(sim::Addr trigger, sim::Addr next, sim::Pc pc)
             e.full_next &= ~CONFIDENT; // first disagreement: keep successor
         } else {
             // Second disagreement: adopt the new successor (it must
-            // confirm once more before prefetching when entries start
-            // unconfident).
+            // confirm once more before prefetching).
             ++stats_.confidence_flips;
-            e.full_next = next | (cfg_.insert_confident ? CONFIDENT : 0);
+            e.full_next = next;
             if (cfg_.compressed_tags) {
                 next_ctags_[base + way] =
                     compressor_.compress(compressor_.tag_of(next));
@@ -235,16 +228,15 @@ MetadataStore::update(sim::Addr trigger, sim::Addr next, sim::Pc pc)
     // Install a fresh correlation, preferring the first empty way.
     std::uint32_t target = find_empty(base);
     if (target == NO_WAY) {
-        target = repl_->victim(set, 0, cfg_.line_entries);
-        TRIAGE_ASSERT(target < cfg_.line_entries);
+        target = repl_->victim(set, 0, LINE_ENTRIES);
+        TRIAGE_ASSERT(target < LINE_ENTRIES);
         repl_->on_invalidate(set, target);
         ++stats_.evictions;
         --live_entries_;
         if (trace_ != nullptr)
             trace_->emit(obs::EventKind::MetaEvict, set, target);
     }
-    entries_[base + target] = {
-        trigger, next | (cfg_.insert_confident ? CONFIDENT : 0)};
+    entries_[base + target] = {trigger, next};
     std::uint16_t trig_ctag = 0;
     if (cfg_.compressed_tags) {
         trig_ctag = compressor_.compress(trig_tag);
@@ -271,7 +263,7 @@ MetadataStore::resize(std::uint64_t bytes)
                      " live entries)");
     const std::uint32_t old_sets = sets_;
     const std::uint32_t new_sets = sets_for(bytes);
-    const std::size_t ways = cfg_.line_entries;
+    const std::size_t ways = LINE_ENTRIES;
     // Grow the arrays before the rehash and shrink them after it, so
     // the slots of both geometries exist while entries move.
     if (new_sets > old_sets)
@@ -328,7 +320,7 @@ MetadataStore::resize(std::uint64_t bytes)
 std::uint64_t
 MetadataStore::capacity_entries() const
 {
-    return static_cast<std::uint64_t>(sets_) * cfg_.line_entries;
+    return static_cast<std::uint64_t>(sets_) * LINE_ENTRIES;
 }
 
 std::uint64_t

@@ -41,22 +41,20 @@ enum class StoreRepl : std::uint8_t {
     Hawkeye = static_cast<std::uint8_t>(sim::ReplPolicy::Hawkeye),
 };
 
+/** Bytes of one metadata entry (paper Section 3.2); the store and the
+ *  partition controller's sandboxes both size in these. */
+inline constexpr std::uint32_t ENTRY_BYTES = 4;
+/** Entries per LLC line: the store's associativity. */
+inline constexpr std::uint32_t LINE_ENTRIES = 16;
+static_assert(ENTRY_BYTES * LINE_ENTRIES == sim::BLOCK_SIZE,
+              "a store row is one LLC line");
+
 /** Store construction parameters. */
 struct MetadataStoreConfig {
     std::uint64_t capacity_bytes = 1024 * 1024;
-    std::uint32_t entry_bytes = 4;
-    /** Entries per LLC line (the store's associativity). */
-    std::uint32_t line_entries = 16;
     StoreRepl repl = StoreRepl::Hawkeye;
     /** Model the compressed-tag table (false stores full addresses). */
     bool compressed_tags = true;
-    /**
-     * Confidence of a freshly inserted correlation. Starting
-     * unconfident means a pair must be observed twice before it
-     * prefetches, which mutes the one-shot pairs that churn through
-     * workloads without stable successors (cf. ISB's counters).
-     */
-    bool insert_confident = false;
 };
 
 /** Running counters. */
@@ -113,7 +111,10 @@ class MetadataStore
     /**
      * Learn the correlation (trigger -> next) with 1-bit confidence:
      * matching updates re-arm confidence, one mismatch lowers it, a
-     * second mismatch replaces the successor.
+     * second mismatch replaces the successor. A new successor starts
+     * unconfident, so a pair must be observed twice before it
+     * prefetches, which mutes the one-shot pairs that churn through
+     * workloads without stable successors (cf. ISB's counters).
      */
     void update(sim::Addr trigger, sim::Addr next, sim::Pc pc);
 

@@ -4,6 +4,7 @@
 
 #include "obs/event_trace.hpp"
 #include "obs/lifecycle.hpp"
+#include "triage/metadata_store.hpp"
 
 #include "util/bitops.hpp"
 #include "util/log.hpp"
@@ -23,10 +24,10 @@ PartitionController::PartitionController(PartitionConfig cfg)
         // Sampled capacity: a 1-in-2^k access sample behaves like a
         // 1-in-2^k capacity cache for OPT (same stack distances in the
         // sampled stream), which is what keeps each sandbox ~1 KB.
-        std::uint64_t entries = bytes / cfg_.entry_bytes;
+        std::uint64_t entries = bytes / ENTRY_BYTES;
         auto cap = static_cast<std::uint32_t>(
             std::max<std::uint64_t>(entries >> cfg_.sample_shift, 16));
-        sandboxes_.emplace_back(cap, cfg_.history_factor);
+        sandboxes_.emplace_back(cap, HISTORY_FACTOR);
     }
 }
 
@@ -84,7 +85,7 @@ PartitionController::force_epoch(const std::vector<double>& rates,
     TRIAGE_ASSERT(rates.size() == cfg_.sizes.size(),
                   "force_epoch needs one rate per candidate size");
     last_rates_ = rates;
-    sampled_ = std::max(sampled_, cfg_.warmup_samples);
+    sampled_ = std::max(sampled_, WARMUP_SAMPLES);
     issued_ = issued;
     useful_ = useful;
     decide_epoch();
@@ -115,7 +116,7 @@ PartitionController::decide_epoch()
 
     // A cold OPTgen reports near-zero hit rates regardless of the
     // workload; hold the initial allocation until history accumulates.
-    if (sampled_ < cfg_.warmup_samples) {
+    if (sampled_ < WARMUP_SAMPLES) {
         ++dstats_.warmup_epochs;
         record_sample(level_, obs::PartitionEvent::Warmup);
         return;
@@ -157,10 +158,9 @@ PartitionController::decide_epoch()
     // rebuilds the same useless store immediately).
     if (cfg_.gate_min_accuracy > 0 && level_ > 0 &&
         epochs_at_level_ >= cfg_.gate_min_epochs) {
-        bool inaccurate = issued_fraction >=
-                              cfg_.gate_min_issued_fraction &&
+        bool inaccurate = issued_fraction >= GATE_MIN_ISSUED_FRACTION &&
                           accuracy < cfg_.gate_min_accuracy;
-        bool quiet = issued_fraction < cfg_.gate_min_issued_fraction;
+        bool quiet = issued_fraction < GATE_MIN_ISSUED_FRACTION;
         if (inaccurate || quiet) {
             verdict = std::min(verdict, level_ - 1);
             cooldown_ = cfg_.gate_cooldown_epochs;

@@ -37,8 +37,6 @@ struct PartitionConfig {
     double hysteresis = 0.05; ///< the 5 % rule
     /** Sample 1-in-2^sample_shift metadata accesses into the sandboxes. */
     std::uint32_t sample_shift = 8;
-    std::uint32_t entry_bytes = 4;
-    std::uint32_t history_factor = 8;
     /** Initial ladder position (sizes.size() = largest; 0 = no store). */
     std::uint32_t initial_level = 2;
     /**
@@ -49,20 +47,17 @@ struct PartitionConfig {
      * surrendering the store.
      */
     std::uint32_t confirm_epochs = 2;
-    /** No decisions until this many sampled accesses accumulated. */
-    std::uint64_t warmup_samples = 512;
     /**
      * Utility gate (the paper's "future work" extension, Section 4.2):
      * when the store is actively prefetching (issued prefetches exceed
-     * gate_min_issued_fraction of the epoch's metadata accesses) but
-     * the prefetches are rarely consumed (useful/issued below
-     * gate_min_accuracy), the metadata is not earning its LLC ways
-     * regardless of its hit rate, and the verdict steps one rung down
-     * the ladder. A cold or quiet store is inconclusive and never
-     * gated. Set gate_min_accuracy to 0 for pure paper behaviour.
-     */
-    double gate_min_issued_fraction = 0.01;
-    /**
+     * PartitionController::GATE_MIN_ISSUED_FRACTION of the epoch's
+     * metadata accesses) but the prefetches are rarely consumed
+     * (useful/issued below gate_min_accuracy), the metadata is not
+     * earning its LLC ways regardless of its hit rate, and the verdict
+     * steps one rung down the ladder. A cold or quiet store is
+     * inconclusive and never gated. Set gate_min_accuracy to 0 for
+     * pure paper behaviour.
+     *
      * 0 disables the gate entirely — the default, matching the paper:
      * its Section 4.2 explicitly leaves utility-aware partitioning to
      * future work, and at this reproduction's scaled-down windows the
@@ -97,6 +92,14 @@ struct PartitionDecisionStats {
 class PartitionController
 {
   public:
+    /** OPTgen history window, as a multiple of sandbox capacity. */
+    static constexpr std::uint32_t HISTORY_FACTOR = 8;
+    /** No decisions until this many sampled accesses accumulated. */
+    static constexpr std::uint64_t WARMUP_SAMPLES = 512;
+    /** The utility gate judges only a store whose issued prefetches
+     *  exceed this fraction of the epoch's metadata accesses. */
+    static constexpr double GATE_MIN_ISSUED_FRACTION = 0.01;
+
     explicit PartitionController(PartitionConfig cfg = {});
 
     /**

@@ -23,30 +23,32 @@
 
 namespace triage::core {
 
-/** Width of the compressed id and the address split it implies. */
+/** Width of the compressed id. */
 struct TagCompressorConfig {
-    std::uint32_t id_bits = 10;  ///< 1024 live tags
-    std::uint32_t set_bits = 11; ///< low bits of a block address (Table 1 LLC)
+    std::uint32_t id_bits = 10; ///< 1024 live tags
 };
 
 /** Bidirectional full-tag <-> compressed-id table with LRU recycling. */
 class TagCompressor
 {
   public:
+    /** Low bits of a block address kept uncompressed: the set index
+     *  of the Table 1 LLC. */
+    static constexpr std::uint32_t SET_BITS = 11;
+
     explicit TagCompressor(TagCompressorConfig cfg = {});
 
     /** Split helpers. */
-    std::uint64_t tag_of(sim::Addr block) const { return block >> cfg_.set_bits; }
-    std::uint32_t
-    set_of(sim::Addr block) const
+    static std::uint64_t tag_of(sim::Addr block) { return block >> SET_BITS; }
+    static std::uint32_t
+    set_of(sim::Addr block)
     {
-        return static_cast<std::uint32_t>(block &
-                                          ((1u << cfg_.set_bits) - 1));
+        return static_cast<std::uint32_t>(block & ((1u << SET_BITS) - 1));
     }
-    sim::Addr
-    combine(std::uint64_t tag, std::uint32_t set) const
+    static sim::Addr
+    combine(std::uint64_t tag, std::uint32_t set)
     {
-        return (tag << cfg_.set_bits) | set;
+        return (tag << SET_BITS) | set;
     }
 
     /** Allocating compression: returns the id for @p tag (may recycle). */

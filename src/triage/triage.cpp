@@ -38,7 +38,7 @@ config_name(const TriageConfig& cfg)
 } // namespace
 
 Triage::Triage(TriageConfig cfg)
-    : cfg_(cfg), tu_(cfg.training_unit_entries),
+    : cfg_(cfg), tu_(TRAINING_UNIT_ENTRIES),
       store_(store_config(cfg)), partition_(cfg.partition),
       name_(config_name(cfg))
 {

@@ -52,7 +52,6 @@ struct TriageConfig {
      */
     bool charge_llc_capacity = true;
     std::uint32_t degree = 1;
-    std::uint32_t training_unit_entries = 128;
     /** Dynamic-partitioning knobs. */
     PartitionConfig partition{};
     /** Track per-entry reuse counts (Figure 1 instrumentation). */
@@ -63,6 +62,9 @@ struct TriageConfig {
 class Triage final : public prefetch::Prefetcher
 {
   public:
+    /** Training Unit entries (paper Section 3.1). */
+    static constexpr std::uint32_t TRAINING_UNIT_ENTRIES = 128;
+
     explicit Triage(TriageConfig cfg = {});
 
     void train(const prefetch::TrainEvent& ev,

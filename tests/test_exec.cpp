@@ -284,7 +284,8 @@ TEST(Lab, StaleCheckpointVersionOnDiskReadsAsMiss)
     // per-entry PCs, 5: the store's own policy sections and the data
     // cache's per-line Hawkeye PCs, 6: the single-core epoch_run
     // section, 7: 8-byte metadata-store search keys, 8: the TLB, MISB,
-    // Markov, SMS and training-unit tables' own entry layouts).
+    // Markov, SMS and training-unit tables' own entry layouts, 9: MISB's
+    // on-chip cache hit/miss counters).
     const std::string dir =
         (std::filesystem::temp_directory_path() /
          ("triage_ckpt_stale_" + std::to_string(::getpid())))

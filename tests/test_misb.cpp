@@ -358,17 +358,6 @@ TEST(MetadataCache, MatchesReferenceUnderRandomizedOps)
     }
 }
 
-TEST(Misb, CountsOnChipHitsAndMisses)
-{
-    Misb pf;
-    Host host;
-    for (int pass = 0; pass < 3; ++pass)
-        for (sim::Addr a = 1000; a < 1100; ++a)
-            pf.train(miss(0x40, a), host);
-    EXPECT_GT(pf.cache_hits(), 0u);
-    EXPECT_GT(pf.cache_misses(), 0u);
-}
-
 TEST(Misb, StreamFollowsAcrossManySteps)
 {
     Misb pf;

@@ -529,13 +529,13 @@ TEST(PartitionTimelineTest, EventNamesAreStable)
 
 TEST(Perfetto, JobSpansProduceWorkerTracks)
 {
+    // Workers 0 and 2 ran jobs; worker 1 (idle) gets no track.
     std::vector<obs::perfetto::JobSpan> jobs;
-    jobs.push_back({0, "mcf / triage", 10, 50});
-    jobs.push_back({1, "lbm / triage", 12, 40});
-    obs::perfetto::TraceOptions opt;
-    opt.n_workers = 2;
+    jobs.push_back({2, "mcf / triage", 10, 50});
+    jobs.push_back({0, "lbm / triage", 12, 40});
+    jobs.push_back({2, "lbm / none", 55, 70});
     std::ostringstream os;
-    obs::perfetto::write_trace(os, nullptr, jobs, opt);
+    obs::perfetto::write_trace(os, nullptr, jobs);
 
     std::string err;
     auto v = obs::json::parse(os.str(), &err);
@@ -543,21 +543,21 @@ TEST(Perfetto, JobSpansProduceWorkerTracks)
     const Value* ev = v->get("traceEvents");
     ASSERT_NE(ev, nullptr);
     ASSERT_TRUE(ev->is_array());
-    int worker_tracks = 0;
+    std::vector<double> worker_tracks;
     int spans = 0;
     for (const Value& e : ev->array) {
         if (e.get("ph")->str == "M" &&
             e.get("name")->str == "thread_name" &&
             e.get("pid")->number == 1.0)
-            ++worker_tracks;
+            worker_tracks.push_back(e.get("tid")->number);
         if (e.get("ph")->str == "X") {
             ++spans;
             EXPECT_TRUE(e.get("ts")->is_number());
             EXPECT_GT(e.get("dur")->number, 0.0);
         }
     }
-    EXPECT_EQ(worker_tracks, 2);
-    EXPECT_EQ(spans, 2);
+    EXPECT_EQ(worker_tracks, (std::vector<double>{0.0, 2.0}));
+    EXPECT_EQ(spans, 3);
 }
 
 TEST(Perfetto, SimulationInstantsAndEpochSpans)

@@ -227,8 +227,7 @@ TEST_P(StrideSweep, LearnsStride)
     auto last_access = static_cast<std::int64_t>(base) + 15 * stride;
     EXPECT_EQ(static_cast<std::int64_t>(host.issued.back()) -
                   last_access,
-              stride * static_cast<std::int64_t>(
-                           prefetch::StrideConfig{}.degree));
+              stride * std::int64_t{prefetch::StridePrefetcher::DEGREE});
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, StrideSweep,

@@ -289,45 +289,6 @@ TEST(SpecGrammar, RunScalePresenceFlagsDefaultToFalse)
 }
 
 // ---------------------------------------------------------------------
-// CSV emission
-// ---------------------------------------------------------------------
-
-#include "stats/csv.hpp"
-
-TEST(Csv, PlainFieldsPassThrough)
-{
-    EXPECT_EQ(stats::CsvWriter::escape("abc"), "abc");
-    EXPECT_EQ(stats::CsvWriter::escape("1.5x"), "1.5x");
-}
-
-TEST(Csv, SpecialFieldsQuoted)
-{
-    EXPECT_EQ(stats::CsvWriter::escape("a,b"), "\"a,b\"");
-    EXPECT_EQ(stats::CsvWriter::escape("say \"hi\""),
-              "\"say \"\"hi\"\"\"");
-    EXPECT_EQ(stats::CsvWriter::escape("two\nlines"),
-              "\"two\nlines\"");
-}
-
-TEST(Csv, WriterEmitsRows)
-{
-    std::ostringstream os;
-    stats::CsvWriter w(os);
-    w.row({"a", "b,c"});
-    w.row({"1", "2"});
-    EXPECT_EQ(os.str(), "a,\"b,c\"\n1,2\n");
-}
-
-TEST(Csv, TablePrintCsvMatchesContents)
-{
-    stats::Table t({"bench", "speedup"});
-    t.row({"mcf", "1.5x"});
-    std::ostringstream os;
-    t.print_csv(os);
-    EXPECT_EQ(os.str(), "bench,speedup\nmcf,1.5x\n");
-}
-
-// ---------------------------------------------------------------------
 // JSON reports
 // ---------------------------------------------------------------------
 

@@ -272,15 +272,6 @@ TEST(MetadataStore, MatchingUpdateReconfirms)
     EXPECT_EQ(s.probe(100).next, 200u);
 }
 
-TEST(MetadataStore, InsertConfidentModeKeepsOldBehaviour)
-{
-    MetadataStoreConfig cfg = small_store();
-    cfg.insert_confident = true;
-    MetadataStore s(cfg);
-    s.update(100, 200, 0x1);
-    EXPECT_TRUE(s.probe(100).confident);
-}
-
 TEST(MetadataStore, ZeroCapacityHoldsNothing)
 {
     MetadataStore s(small_store(StoreRepl::Lru, 0));
@@ -914,7 +905,7 @@ class ReferenceStore
         }
         if (way == NO_WAY)
             return lk;
-        const Entry& e = entries_[std::size_t{set} * cfg_.line_entries + way];
+        const Entry& e = entries_[std::size_t{set} * LINE_ENTRIES + way];
         if (e.full_trigger != trigger)
             ++stats_.tag_alias_drops;
         lk.hit = true;
@@ -948,7 +939,7 @@ class ReferenceStore
             return;
         ++stats_.updates;
         const std::uint32_t set = set_of(trigger);
-        const std::size_t base = std::size_t{set} * cfg_.line_entries;
+        const std::size_t base = std::size_t{set} * LINE_ENTRIES;
         const std::uint64_t trig_tag = comp_.tag_of(trigger);
         std::uint32_t way = NO_WAY;
         if (cfg_.compressed_tags) {
@@ -972,13 +963,13 @@ class ReferenceStore
                     e.next_ctag = comp_.compress(comp_.tag_of(next));
                     e.next_set = comp_.set_of(next);
                 }
-                e.confident = cfg_.insert_confident;
+                e.confident = false;
             }
             repl_->on_hit(set, way, trigger, pc, false);
             return;
         }
         std::uint32_t target = NO_WAY;
-        for (std::uint32_t w = 0; w < cfg_.line_entries; ++w) {
+        for (std::uint32_t w = 0; w < LINE_ENTRIES; ++w) {
             if (!entries_[base + w].valid) {
                 target = w;
                 break;
@@ -992,7 +983,7 @@ class ReferenceStore
         Entry& n = entries_[base + target];
         n.full_trigger = trigger;
         n.full_next = next;
-        n.confident = cfg_.insert_confident;
+        n.confident = false;
         n.valid = true;
         if (cfg_.compressed_tags) {
             n.trigger_ctag = comp_.compress(trig_tag);
@@ -1018,8 +1009,8 @@ class ReferenceStore
             return;
         for (const Entry& e : survivors) {
             const std::uint32_t set = set_of(e.full_trigger);
-            const std::size_t base = std::size_t{set} * cfg_.line_entries;
-            for (std::uint32_t w = 0; w < cfg_.line_entries; ++w) {
+            const std::size_t base = std::size_t{set} * LINE_ENTRIES;
+            for (std::uint32_t w = 0; w < LINE_ENTRIES; ++w) {
                 if (!entries_[base + w].valid) {
                     entries_[base + w] = e;
                     repl_->on_insert(set, w, e.full_trigger, 0);
@@ -1071,8 +1062,8 @@ class ReferenceStore
     std::uint32_t
     find_way(std::uint32_t set, std::uint64_t k) const
     {
-        const std::size_t base = std::size_t{set} * cfg_.line_entries;
-        for (std::uint32_t w = 0; w < cfg_.line_entries; ++w) {
+        const std::size_t base = std::size_t{set} * LINE_ENTRIES;
+        for (std::uint32_t w = 0; w < LINE_ENTRIES; ++w) {
             const Entry& e = entries_[base + w];
             if (!e.valid)
                 continue;
@@ -1091,18 +1082,18 @@ class ReferenceStore
     {
         capacity_bytes_ = bytes;
         const std::uint64_t n_sets =
-            bytes / cfg_.entry_bytes / cfg_.line_entries;
+            bytes / ENTRY_BYTES / LINE_ENTRIES;
         sets_ = n_sets == 0
                     ? 0
                     : static_cast<std::uint32_t>(util::floor_pow2(n_sets));
-        entries_.assign(std::size_t{sets_} * cfg_.line_entries, Entry{});
+        entries_.assign(std::size_t{sets_} * LINE_ENTRIES, Entry{});
         repl_.reset();
         if (sets_ == 0)
             return;
         if (cfg_.repl == StoreRepl::Hawkeye)
-            repl_ = std::make_unique<MetaHawkeye>(sets_, cfg_.line_entries);
+            repl_ = std::make_unique<MetaHawkeye>(sets_, LINE_ENTRIES);
         else
-            repl_ = std::make_unique<MetaLru>(sets_, cfg_.line_entries);
+            repl_ = std::make_unique<MetaLru>(sets_, LINE_ENTRIES);
         repl_->bind_stats(&repl_stats_);
     }
 

@@ -32,8 +32,8 @@
  * A second mode, --perfetto, validates a --trace-perfetto output
  * instead: "traceEvents" must be a non-empty array of well-formed
  * Chrome trace events containing at least one epoch span and one
- * partition instant; --expect-workers=N additionally requires worker
- * thread-name metadata for at least N lab workers, and
+ * partition instant; --expect-workers=N additionally requires at
+ * least N lab worker tracks (pid 1 tids) that carry a job span, and
  * --expect-profile requires host-profiler phase slices and at least
  * one hw.* counter sample (pid 4).
  *
@@ -55,6 +55,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -431,7 +432,7 @@ check_perfetto(const Value& root, unsigned expect_workers,
     bool saw_partition = false;
     bool saw_prof_slice = false;
     bool saw_prof_counter = false;
-    unsigned workers = 0;
+    std::set<double> worker_tids; ///< pid-1 tracks with a job span
     for (std::size_t i = 0; i < events->array.size(); ++i) {
         const Value& e = events->array[i];
         const std::string tag = "traceEvents[" + std::to_string(i) + "]";
@@ -456,9 +457,9 @@ check_perfetto(const Value& root, unsigned expect_workers,
             saw_epoch = true;
         if (name->str.rfind("partition", 0) == 0)
             saw_partition = true;
-        if (ph->str == "M" && name->str == "thread_name" &&
-            pid != nullptr && pid->is_number() && pid->number == 1.0)
-            ++workers;
+        if (ph->str == "X" && pid != nullptr && pid->is_number() &&
+            pid->number == 1.0 && tid != nullptr && tid->is_number())
+            worker_tids.insert(tid->number);
         // Host profiler track is pid 4 (see obs/perfetto.hpp).
         if (pid != nullptr && pid->is_number() && pid->number == 4.0) {
             if (ph->str == "X")
@@ -471,9 +472,10 @@ check_perfetto(const Value& root, unsigned expect_workers,
         fail("no epoch event in traceEvents");
     if (!saw_partition)
         fail("no partition event in traceEvents");
-    if (expect_workers > 0 && workers < expect_workers) {
+    if (expect_workers > 0 && worker_tids.size() < expect_workers) {
         fail("expected >= " + std::to_string(expect_workers) +
-             " lab worker tracks, found " + std::to_string(workers));
+             " lab worker tracks with a job span, found " +
+             std::to_string(worker_tids.size()));
     }
     if (expect_profile && !saw_prof_slice)
         fail("no host-profiler phase slice (pid 4) in traceEvents");

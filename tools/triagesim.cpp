@@ -416,9 +416,7 @@ emit_observability(const Options& o, const sim::RunResult& r,
             std::cerr << "cannot write " << o.trace_perfetto_path << "\n";
             return 1;
         }
-        obs::perfetto::TraceOptions topt;
-        topt.n_workers = lab.workers();
-        obs::perfetto::write_trace(f, &obs, lab.job_spans(), topt);
+        obs::perfetto::write_trace(f, &obs, lab.job_spans());
         if (!o.json) {
             std::cout << "perfetto trace: " << o.trace_perfetto_path
                       << " (open in ui.perfetto.dev)\n";
