@@ -287,6 +287,14 @@ paper_vs_measured(const std::string& what, const std::string& paper,
               << measured << "\n";
 }
 
+/** How Figs 6 and 20 define their accuracy columns. */
+inline constexpr const char* kAccuracyDefinitions =
+    "Accuracy here is useful / issued, where a prefetch demanded while "
+    "its fill is still in flight (late) counts as useful. Timely "
+    "accuracy is (useful - late) / issued; the late fraction is "
+    "late / useful. The paper does not say whether it counts a late "
+    "prefetch as accurate.\n";
+
 } // namespace triage::bench
 
 #endif // TRIAGE_BENCH_COMMON_HPP

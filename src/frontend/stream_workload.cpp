@@ -58,6 +58,10 @@ StreamWorkload::open(const std::string& path, TraceFormat format)
 void
 StreamWorkload::reset()
 {
+    // Nothing read since open or the last reset: the decoder already
+    // stands at the first record.
+    if (!read_any_)
+        return;
     read_any_ = false;
     at_end_ = false;
     // The byte source was validated at open; losing it mid-run (file

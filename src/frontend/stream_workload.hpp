@@ -8,7 +8,8 @@
  * one: the byte layer's decompression window. exec::run_job buffers
  * the stream in sim::ReadAheadWorkload's ring, the one record buffer
  * above the decoder. reset() re-opens the byte source and a fresh
- * decoder, which is what makes the workload restartable
+ * decoder (and returns at once when nothing was read since the open or
+ * the last reset), which is what makes the workload restartable
  * (multi-programmed mixes wrap early finishers) and
  * checkpoint-resumable — CoreModel restores a workload cursor by
  * deterministic replay from reset(), and skip() turns that replay
@@ -71,7 +72,8 @@ class StreamWorkload final : public sim::Workload
     std::unique_ptr<ByteSource> src_;
     std::unique_ptr<TraceDecoder> dec_;
 
-    /** next() or skip() ran since open/reset (set_instance's guard). */
+    /** next() or skip() ran since open/reset: set_instance's guard,
+     *  and what makes reset() reopen the source. */
     bool read_any_ = false;
     bool at_end_ = false;
 

@@ -53,6 +53,11 @@ class Workload
      * Rewind to the first record. The records after reset() must not
      * depend on how many were read before it: ReadAheadWorkload drops
      * the records it read ahead and relies on this.
+     *
+     * A reset() with no next() or skip() since construction or the
+     * last reset() costs nothing: set-up code rewinds a fresh
+     * workload, so an override returns at once rather than rebuild or
+     * reopen what it has.
      */
     virtual void reset() = 0;
 
@@ -87,7 +92,13 @@ class Workload
     /** Benchmark name (matches the paper's x-axis labels). */
     virtual const std::string& name() const = 0;
 
-    /** Fresh, rewound copy (for running the same benchmark on 2 cores). */
+    /**
+     * Fresh, rewound copy (for running the same benchmark on 2 cores).
+     * A generated workload's clone copies the state it has built (a
+     * chase network) rather than build it again, then rewinds the
+     * copy, so a clone taken mid-pass still starts at the first
+     * record. A trace's clone opens its own stream.
+     */
     virtual std::unique_ptr<Workload> clone() const = 0;
 };
 

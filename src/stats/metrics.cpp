@@ -121,4 +121,25 @@ avg_accuracy(const sim::RunResult& r)
     return sum / static_cast<double>(r.per_core.size());
 }
 
+Timeliness
+avg_timeliness(const sim::RunResult& r)
+{
+    Timeliness t;
+    if (r.per_core.empty())
+        return t;
+    for (const auto& c : r.per_core) {
+        const auto& pf = c.l2pf;
+        if (pf.issued() != 0)
+            t.timely_accuracy += static_cast<double>(pf.useful - pf.late) /
+                                 static_cast<double>(pf.issued());
+        if (pf.useful != 0)
+            t.late_fraction += static_cast<double>(pf.late) /
+                               static_cast<double>(pf.useful);
+    }
+    const auto n = static_cast<double>(r.per_core.size());
+    t.timely_accuracy /= n;
+    t.late_fraction /= n;
+    return t;
+}
+
 } // namespace triage::stats

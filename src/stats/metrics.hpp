@@ -47,6 +47,18 @@ double avg_coverage(const sim::RunResult& r);
 /** Average prefetch accuracy across cores. */
 double avg_accuracy(const sim::RunResult& r);
 
+/**
+ * How much of the L2 prefetcher's accuracy arrived in time, averaged
+ * across cores like avg_accuracy. accuracy() counts a late prefetch
+ * (demanded while its fill is still in flight) as useful; these split
+ * it out.
+ */
+struct Timeliness {
+    double timely_accuracy = 0; ///< (useful - late) / issued
+    double late_fraction = 0;   ///< late / useful
+};
+Timeliness avg_timeliness(const sim::RunResult& r);
+
 } // namespace triage::stats
 
 #endif // TRIAGE_STATS_METRICS_HPP

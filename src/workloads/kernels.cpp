@@ -54,11 +54,16 @@ PointerChaseKernel::build()
         cur_[c] = order[0];
     }
     rr_ = 0;
+    fresh_ = true;
 }
 
 void
 PointerChaseKernel::reset()
 {
+    // Only emit() moves the cursors, relinks the network or draws from
+    // mutate_rng_, so an untouched kernel needs no second shuffle.
+    if (fresh_)
+        return;
     mutate_rng_ = util::Rng(p_.seed * 977 + 5);
     build();
 }
@@ -66,13 +71,16 @@ PointerChaseKernel::reset()
 std::unique_ptr<Kernel>
 PointerChaseKernel::clone() const
 {
-    return std::make_unique<PointerChaseKernel>(p_);
+    auto copy = std::make_unique<PointerChaseKernel>(*this);
+    copy->reset();
+    return copy;
 }
 
 void
 PointerChaseKernel::emit(util::Rng& rng, std::uint64_t seq,
                          sim::TraceRecord& out)
 {
+    fresh_ = false;
     std::uint32_t c;
     if (p_.chain_skew > 0.0 && p_.chains > 1) {
         c = static_cast<std::uint32_t>(

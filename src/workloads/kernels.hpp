@@ -71,7 +71,10 @@ class PointerChaseKernel final : public Kernel
 
     void emit(util::Rng& rng, std::uint64_t seq,
               sim::TraceRecord& out) override;
+    /** Rebuilds the network, unless nothing was emitted since the
+     *  last build: then the kernel is already at its first record. */
     void reset() override;
+    /** Copies the built network, then resets the copy. */
     std::unique_ptr<Kernel> clone() const override;
 
   private:
@@ -84,6 +87,8 @@ class PointerChaseKernel final : public Kernel
     std::uint32_t rr_ = 0;
     util::Rng mutate_rng_;
     util::ZipfDist chain_zipf_;
+    /** build() ran and emit() has not since: the state is initial. */
+    bool fresh_ = false;
 };
 
 /**

@@ -439,6 +439,41 @@ TEST(Compression, GzSkipMatchesDrainingNext)
     std::remove(path.c_str());
 }
 
+// A reset with nothing read since the open returns at once; one after
+// a skip() or at the end of the trace reopens it. Each must replay the
+// trace from its first record.
+TEST(Compression, GzResetReplaysFromTheStartAfterAnyRead)
+{
+    const std::uint64_t N = 3000;
+    auto path = make_tria("triage_fe_gz_rewind.tria", N);
+    auto gz = gzip_file(path);
+    auto ref = generator_prefix(N);
+    sim::TraceRecord r;
+
+    auto unread = frontend::open_trace(gz);
+    ASSERT_NE(unread, nullptr);
+    unread->reset();
+    expect_same_stream(*unread, ref, N);
+
+    auto skipped = frontend::open_trace(gz);
+    ASSERT_NE(skipped, nullptr);
+    EXPECT_EQ(skipped->skip(1000), 1000u);
+    skipped->reset();
+    ref.reset();
+    expect_same_stream(*skipped, ref, N);
+
+    auto ended = frontend::open_trace(gz);
+    ASSERT_NE(ended, nullptr);
+    while (ended->next(r)) {
+    }
+    ended->reset();
+    ref.reset();
+    expect_same_stream(*ended, ref, N);
+
+    std::remove(gz.c_str());
+    std::remove(path.c_str());
+}
+
 TEST(Compression, XzRoundTripMatchesRaw)
 {
     auto path = make_tria("triage_fe_xz.tria", 6000);

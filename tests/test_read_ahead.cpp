@@ -386,6 +386,26 @@ TEST(ReadAhead, CloneIsADecoratedRewoundCopy)
     expect_same_pass(*ahead, *plain2);
 }
 
+// clone() copies the inner chase kernels' networks and cursors, which
+// the producer writes as it runs: the copy is taken while the producer
+// is between chunks, and the clone is rewound. Each clone is read while
+// the original's producer keeps filling its ring.
+TEST(ReadAhead, CloneOfRunningChaseWorkloadStartsFresh)
+{
+    constexpr double scale = 0.05; // 100000 records: 24 chunks a pass
+    constexpr std::uint64_t step = 2 * kChunk + 5;
+    auto ahead = read_ahead(workloads::make_benchmark("mcf", scale));
+    for (int i = 0; i < 3; ++i) {
+        drain(*ahead, step);
+        auto copy = ahead->clone();
+        auto fresh = workloads::make_benchmark("mcf", scale);
+        expect_same_pass(*copy, *fresh);
+    }
+    auto plain = workloads::make_benchmark("mcf", scale);
+    drain(*plain, 3 * step);
+    expect_same_pass(*ahead, *plain);
+}
+
 TEST(ReadAhead, EmptyWorkload)
 {
     sim::ReadAheadWorkload ahead(

@@ -40,10 +40,22 @@ same_records(const std::vector<sim::TraceRecord>& a,
     for (std::size_t i = 0; i < a.size(); ++i) {
         if (a[i].pc != b[i].pc || a[i].addr != b[i].addr ||
             a[i].is_write != b[i].is_write ||
+            a[i].nonmem_before != b[i].nonmem_before ||
             a[i].dep_distance != b[i].dep_distance)
             return false;
     }
     return true;
+}
+
+/** What @p k emits as records 1..n, drawing from a fresh shared RNG. */
+std::vector<sim::TraceRecord>
+emit_n(Kernel& k, std::size_t n)
+{
+    util::Rng rng(3);
+    std::vector<sim::TraceRecord> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        k.emit(rng, i + 1, v[i]);
+    return v;
 }
 
 } // namespace
@@ -97,6 +109,73 @@ TEST(Workloads, CloneIsIndependentAndIdentical)
     auto from_copy = collect(*copy, 2000);
     auto fresh = make_benchmark("omnetpp", 0.05);
     EXPECT_TRUE(same_records(from_copy, collect(*fresh, 2000)));
+}
+
+// The five ways a workload comes to its first record: built, reset
+// before any read, cloned fresh, cloned mid-pass, and reset after its
+// pass ended. Set-up skips the rebuild in the first three; each must
+// still replay the fresh pass.
+TEST(Workloads, EveryRewindReplaysTheFreshPass)
+{
+    std::vector<std::string> names = all_spec();
+    names.insert(names.end(), cloudsuite().begin(), cloudsuite().end());
+    for (const auto& name : names) {
+        SCOPED_TRACE(name);
+        auto make = [&] { return make_benchmark(name, 0.001); };
+        const std::size_t pass = make()->length();
+        ASSERT_LE(pass, 4000u);
+        const auto fresh = collect(*make(), pass + 1);
+        ASSERT_EQ(fresh.size(), pass);
+
+        auto reset_first = make();
+        reset_first->reset();
+        EXPECT_TRUE(same_records(collect(*reset_first, pass), fresh));
+
+        EXPECT_TRUE(same_records(collect(*make()->clone(), pass), fresh));
+
+        auto mid = make();
+        collect(*mid, pass / 2);
+        EXPECT_TRUE(same_records(collect(*mid->clone(), pass), fresh));
+
+        auto wrapped = make();
+        collect(*wrapped, pass + 1); // runs next() to its false
+        wrapped->reset();
+        EXPECT_TRUE(same_records(collect(*wrapped, pass), fresh));
+    }
+}
+
+// The same five cases on a chase kernel that relinks its network
+// while it runs, so a rewind must undo the relinks as well.
+TEST(Workloads, ChaseKernelRewindsReplayTheFreshStreamUnderRelinks)
+{
+    PointerChaseKernel::Params p;
+    p.nodes = 1 << 10;
+    p.chains = 4;
+    p.chain_skew = 0.7;
+    p.mutate_prob = 0.05;
+    const std::size_t n = 4000;
+    PointerChaseKernel built(p);
+    const auto fresh = emit_n(built, n);
+
+    PointerChaseKernel::Params still = p;
+    still.mutate_prob = 0;
+    PointerChaseKernel unrelinked(still);
+    EXPECT_FALSE(same_records(emit_n(unrelinked, n), fresh))
+        << "no relink moved the stream";
+
+    PointerChaseKernel reset_first(p);
+    reset_first.reset();
+    EXPECT_TRUE(same_records(emit_n(reset_first, n), fresh));
+
+    PointerChaseKernel untouched(p);
+    EXPECT_TRUE(same_records(emit_n(*untouched.clone(), n), fresh));
+
+    PointerChaseKernel mid(p);
+    emit_n(mid, n / 2);
+    EXPECT_TRUE(same_records(emit_n(*mid.clone(), n), fresh));
+
+    built.reset(); // after n records and their relinks
+    EXPECT_TRUE(same_records(emit_n(built, n), fresh));
 }
 
 TEST(Workloads, PassEndsAtLength)
