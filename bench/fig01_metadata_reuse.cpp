@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common.hpp"
-#include "sim/system.hpp"
+#include "sim/multicore.hpp"
 #include "triage/triage.hpp"
 
 using namespace triage;
@@ -32,15 +32,14 @@ main(int argc, char** argv)
     scale.measure_records =
         std::max<std::uint64_t>(scale.measure_records, 3000000);
 
-    sim::SingleCoreSystem sys(cfg);
+    sim::MultiCoreSystem sys(cfg, 1);
     core::TriageConfig tcfg;
     tcfg.unlimited = true;
     tcfg.charge_llc_capacity = false;
     tcfg.track_reuse = true;
-    sys.set_prefetcher(std::make_unique<core::Triage>(tcfg));
-
-    auto wl = workloads::make_benchmark("mcf", scale.workload_scale);
-    sys.run(*wl, scale.warmup_records, scale.measure_records);
+    sys.set_prefetcher(0, std::make_unique<core::Triage>(tcfg));
+    sys.bind(0, workloads::make_benchmark("mcf", scale.workload_scale));
+    sys.run(scale.warmup_records, scale.measure_records);
 
     auto* triage_pf =
         static_cast<core::Triage*>(sys.memory().prefetcher(0));

@@ -8,10 +8,11 @@
 #include <memory>
 
 #include "cache/cache.hpp"
+#include "cache/hierarchy.hpp"
 #include "replacement/hawkeye.hpp"
 #include "replacement/lru.hpp"
 #include "replacement/optgen.hpp"
-#include "sim/system.hpp"
+#include "sim/cpu.hpp"
 #include "triage/metadata_store.hpp"
 #include "triage/triage.hpp"
 #include "util/rng.hpp"
@@ -117,12 +118,13 @@ BM_EndToEndSimulation(benchmark::State& state)
 {
     // Records simulated per second through the full stack.
     sim::MachineConfig cfg;
-    sim::SingleCoreSystem sys(cfg);
-    sys.set_prefetcher(core::make_triage_dynamic());
+    cache::MemorySystem mem(cfg, 1);
+    sim::CoreModel cpu(cfg, mem, 0);
+    mem.set_prefetcher(0, core::make_triage_dynamic());
     auto wl = workloads::make_benchmark("sphinx3", 1.0);
-    sys.core().bind(wl.get());
+    cpu.bind(wl.get());
     for (auto _ : state)
-        sys.core().run_records(1000);
+        cpu.run_records(1000);
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EndToEndSimulation)->Unit(benchmark::kMillisecond);

@@ -13,8 +13,9 @@
 #include <iostream>
 #include <memory>
 
+#include "cache/hierarchy.hpp"
 #include "common.hpp"
-#include "sim/system.hpp"
+#include "sim/cpu.hpp"
 #include "triage/triage.hpp"
 #include "workloads/phased.hpp"
 
@@ -42,23 +43,24 @@ main(int argc, char** argv)
     }
     workloads::PhasedWorkload wl("phased", std::move(phases));
 
-    sim::SingleCoreSystem sys(cfg);
+    cache::MemorySystem mem(cfg, 1);
+    sim::CoreModel cpu(cfg, mem, 0);
     auto triage_pf = core::make_triage_dynamic();
     auto* tp = triage_pf.get();
-    sys.set_prefetcher(std::move(triage_pf));
-    sys.core().bind(&wl);
+    mem.set_prefetcher(0, std::move(triage_pf));
+    cpu.bind(&wl);
 
     stats::Table t({"records", "phase", "store size", "LLC meta ways",
                     "store entries"});
     const std::uint64_t CHUNK = 100000;
     for (std::uint64_t done = 0; done < 4 * PHASE; done += CHUNK) {
-        sys.core().run_records(CHUNK);
+        cpu.run_records(CHUNK);
         const char* phase_name =
             (done / PHASE) % 2 == 0 ? "irregular (mcf)"
                                     : "streaming (libquantum)";
         t.row({std::to_string(done + CHUNK), phase_name,
                std::to_string(tp->current_store_bytes() / 1024) + "KB",
-               std::to_string(sys.memory().metadata_ways()),
+               std::to_string(mem.metadata_ways()),
                std::to_string(tp->store().valid_entries())});
     }
     t.print(std::cout);

@@ -11,7 +11,7 @@
 #include <iostream>
 #include <memory>
 
-#include "sim/system.hpp"
+#include "sim/multicore.hpp"
 #include "stats/experiment.hpp"
 #include "stats/metrics.hpp"
 #include "stats/table.hpp"
@@ -60,9 +60,9 @@ main(int argc, char** argv)
     for (const auto& s :
          {Shape{2, 1u << 14, "hot levels fit LLC"},
           Shape{4, 1u << 16, "leaves spill to DRAM"}}) {
-        auto base_wl = make_index_workload(s.levels, s.keys);
-        sim::SingleCoreSystem base_sys(cfg);
-        auto base = base_sys.run(*base_wl, scale.warmup_records,
+        sim::MultiCoreSystem base_sys(cfg, 1);
+        base_sys.bind(0, make_index_workload(s.levels, s.keys));
+        auto base = base_sys.run(scale.warmup_records,
                                  scale.measure_records);
         struct Cfg {
             const char* pf;
@@ -71,11 +71,10 @@ main(int argc, char** argv)
         for (const auto& [pf, degree] :
              {Cfg{"bo", 4}, Cfg{"triage_dyn", 1}, Cfg{"triage_dyn", 4},
               Cfg{"misb", 4}}) {
-            sim::SingleCoreSystem sys(cfg);
-            sys.set_prefetcher(stats::make_prefetcher(pf, degree));
-            auto wl = make_index_workload(s.levels, s.keys);
-            auto r = sys.run(*wl, scale.warmup_records,
-                             scale.measure_records);
+            sim::MultiCoreSystem sys(cfg, 1);
+            sys.set_prefetcher(0, stats::make_prefetcher(pf, degree));
+            sys.bind(0, make_index_workload(s.levels, s.keys));
+            auto r = sys.run(scale.warmup_records, scale.measure_records);
             t.row({"L" + std::to_string(s.levels), s.regime, pf,
                    std::to_string(degree),
                    stats::fmt_x(stats::speedup(r, base)),

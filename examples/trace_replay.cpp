@@ -11,7 +11,7 @@
 #include <iostream>
 #include <string>
 
-#include "sim/system.hpp"
+#include "sim/multicore.hpp"
 #include "stats/experiment.hpp"
 #include "stats/metrics.hpp"
 #include "stats/table.hpp"
@@ -43,10 +43,10 @@ main(int argc, char** argv)
     const std::uint64_t measure = 350000;
 
     auto run = [&](const std::string& pf) {
-        auto wl = workloads::load_trace(path);
-        sim::SingleCoreSystem sys(cfg);
-        sys.set_prefetcher(stats::make_prefetcher(pf));
-        return sys.run(*wl, warmup, measure);
+        sim::MultiCoreSystem sys(cfg, 1);
+        sys.set_prefetcher(0, stats::make_prefetcher(pf));
+        sys.bind(0, workloads::load_trace(path));
+        return sys.run(warmup, measure);
     };
 
     auto base = run("none");

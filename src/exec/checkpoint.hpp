@@ -75,8 +75,10 @@ struct CheckpointOptions {
  * the training unit save util::LruTable rows (keys, stamps, values,
  * one clock per table), filled from the first empty way.
  * 10: MISB saves no on-chip cache hit/miss counters.
+ * 11: single-core jobs run on the 1-core MultiCoreSystem, so their
+ * warm blobs open with its multicore.warm section.
  */
-inline constexpr std::uint32_t CKPT_VERSION = 10;
+inline constexpr std::uint32_t CKPT_VERSION = 11;
 
 /**
  * Two-tier (memory LRU + disk) cache of sealed snapshot blobs.

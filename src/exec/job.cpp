@@ -7,7 +7,6 @@
 #include "obs/profile.hpp"
 #include "sim/multicore.hpp"
 #include "sim/read_ahead.hpp"
-#include "sim/system.hpp"
 #include "util/log.hpp"
 #include "workloads/spec.hpp"
 
@@ -153,16 +152,15 @@ namespace {
  * Reach the warm point: restore it from @p ckpt when a checkpoint for
  * this job's warm prefix exists, otherwise simulate the warmup and,
  * when another job can still fork it (Lease::wanted()), publish the
- * snapshot. @p warm and @p checkpoint run the System-specific
- * run_warmup / checkpoint_warm.
+ * snapshot.
  */
-template <typename WarmFn, typename CheckpointFn>
 void
 warm_with_checkpoint(CheckpointStore* ckpt, const JobKey& key,
-                     WarmFn&& warm, CheckpointFn&& checkpoint)
+                     sim::MultiCoreSystem& sys,
+                     std::uint64_t warmup_records, sim::Cycle quantum)
 {
     if (ckpt == nullptr) {
-        warm();
+        sys.run_warmup(warmup_records, quantum);
         return;
     }
     const std::string wk = warm_prefix(key).str();
@@ -173,17 +171,17 @@ warm_with_checkpoint(CheckpointStore* ckpt, const JobKey& key,
         // blob rotted between acquire and open — fail loudly.
         sim::Snapshot s =
             sim::Snapshot::open_or_die(lease.blob(), CKPT_VERSION, wk);
-        checkpoint(s);
+        sys.checkpoint_warm(s);
         return;
     }
-    warm();
+    sys.run_warmup(warmup_records, quantum);
     if (!lease.wanted())
         return;
     sim::Snapshot s;
     // Serialize + seal + publish (the publish includes the disk write
     // when a cache dir is configured).
     obs::prof::ProfScope prof("snapshot.save");
-    checkpoint(s);
+    sys.checkpoint_warm(s);
     lease.publish(s.seal(CKPT_VERSION, wk));
 }
 
@@ -207,48 +205,39 @@ run_job(const Job& job, CheckpointStore* ckpt)
                    : stats::make_prefetcher(job.pf_spec, job.degree);
     };
 
-    if (!job.mix.empty()) {
-        auto cores = static_cast<unsigned>(job.mix.size());
-        sim::MultiCoreSystem sys(job.config, cores);
-        sys.set_observability(job.obs);
-        for (unsigned c = 0; c < cores; ++c) {
-            sys.set_prefetcher(c, make_pf(c));
-            auto wl = workloads::make_workload(
-                job.mix[c], job.scale.workload_scale, jitter, c);
-            if (wl == nullptr)
-                util::fatal("exec::Job mix slot " + std::to_string(c) +
-                            " failed to open: '" + job.mix[c] + "'");
-            // bind() clones, and the clone of a decorated workload is
-            // decorated: each core gets its own producer.
-            sys.bind(c, sim::ReadAheadWorkload(std::move(wl)));
-        }
-        warm_with_checkpoint(
-            ckpt, key,
-            [&] { sys.run_warmup(job.scale.warmup_records, quantum); },
-            [&](sim::Snapshot& s) { sys.checkpoint_warm(s); });
-        return sys.run_measure(job.scale.measure_records, quantum);
-    }
+    // One workload per core: the mix's slots, or the job's single
+    // benchmark on a 1-core system.
+    const auto cores =
+        job.mix.empty() ? 1u : static_cast<unsigned>(job.mix.size());
+    auto open = [&](unsigned core) -> std::unique_ptr<sim::Workload> {
+        if (!job.mix.empty())
+            return workloads::make_workload(
+                job.mix[core], job.scale.workload_scale, jitter, core);
+        if (job.workload_factory)
+            return job.workload_factory();
+        return workloads::make_workload(
+            job.benchmark, job.scale.workload_scale, jitter);
+    };
 
-    sim::SingleCoreSystem sys(job.config);
+    sim::MultiCoreSystem sys(job.config, cores);
     sys.set_observability(job.obs);
-    sys.set_prefetcher(make_pf(0));
-    std::unique_ptr<sim::Workload> wl =
-        job.workload_factory
-            ? job.workload_factory()
-            : workloads::make_workload(job.benchmark,
-                                       job.scale.workload_scale,
-                                       jitter);
-    if (wl == nullptr)
-        util::fatal("exec::Job workload failed to open ('" +
-                    key.workload + "')");
-    wl = std::make_unique<sim::ReadAheadWorkload>(std::move(wl));
-    wl->reset();
-    sys.bind(*wl);
-    warm_with_checkpoint(
-        ckpt, key,
-        [&] { sys.run_warmup(job.scale.warmup_records); },
-        [&](sim::Snapshot& s) { sys.checkpoint_warm(s); });
-    return sys.run_measure(job.scale.measure_records);
+    for (unsigned c = 0; c < cores; ++c) {
+        sys.set_prefetcher(c, make_pf(c));
+        std::unique_ptr<sim::Workload> wl = open(c);
+        if (wl == nullptr)
+            util::fatal("exec::Job workload " + std::to_string(c) +
+                        " failed to open ('" + key.workload + "')");
+        // Each core gets its own read-ahead producer. Rewinding a
+        // fresh workload leaves its stream as it is; runs measured
+        // without the rewind read up to 5 % slower on the ledger's
+        // mcf-none (docs/performance.md §15).
+        auto ra = std::make_unique<sim::ReadAheadWorkload>(std::move(wl));
+        ra->reset();
+        sys.bind(c, std::move(ra));
+    }
+    warm_with_checkpoint(ckpt, key, sys, job.scale.warmup_records,
+                         quantum);
+    return sys.run_measure(job.scale.measure_records, quantum);
 }
 
 sim::RunResult

@@ -165,8 +165,9 @@ class CheckpointStore;
 
 /**
  * Run one job to completion on the calling thread. Self-contained: a
- * fresh SingleCoreSystem/MultiCoreSystem per call, all state local,
- * safe to call from any number of threads concurrently.
+ * fresh MultiCoreSystem per call (one core for a single benchmark),
+ * which owns every workload it runs; all state local, safe to call
+ * from any number of threads concurrently.
  */
 sim::RunResult run_job(const Job& job);
 

@@ -5,8 +5,8 @@
  * (`--jobs=N`; N=1 reproduces the serial path exactly), and collected
  * in submission order.
  *
- * Each worker constructs its own SingleCoreSystem / MultiCoreSystem —
- * the systems are thread-unsafe but self-contained (see
+ * Each worker constructs its own MultiCoreSystem per job — the
+ * systems are thread-unsafe but self-contained (see
  * cache/hierarchy.hpp), which makes job-level parallelism safe by
  * construction. Results are bit-identical across any worker count; see
  * docs/parallel-runs.md for the determinism contract.

@@ -49,8 +49,13 @@ struct CoreStats {
  * Not tied to wall-clock stepping: run_until() advances the core's own
  * dispatch clock past a target, which lets a multi-core driver
  * interleave cores in bounded quanta without per-cycle ticking.
+ *
+ * Cache-line aligned: the core writes its state on every record, so a
+ * heap-allocated core must not share a line with an object another
+ * thread writes, such as workload state a ReadAheadWorkload producer
+ * updates per record (docs/performance.md §15).
  */
-class CoreModel
+class alignas(64) CoreModel
 {
   public:
     CoreModel(const MachineConfig& cfg, cache::MemorySystem& mem,
@@ -58,6 +63,9 @@ class CoreModel
 
     /** Attach (or replace) the workload; does not reset timing state. */
     void bind(Workload* wl);
+
+    /** The bound workload (null before bind()). */
+    Workload* workload() const { return wl_; }
 
     /**
      * Execute records until the dispatch clock reaches @p target or the

@@ -4,19 +4,110 @@
 
 #include "obs/profile.hpp"
 #include "sim/obs_wiring.hpp"
-#include "sim/system.hpp"
-
 #include "util/log.hpp"
 
 namespace triage::sim {
 
+namespace {
+
+/**
+ * One core's RunStats over a measurement window: the core's counters
+ * from @p before to @p after, cycles from @p start to @p end, and its
+ * private caches, prefetchers and metadata accounting as they stand.
+ */
+RunStats
+core_run_stats(cache::MemorySystem& mem, unsigned core,
+               const CoreStats& before, const CoreStats& after,
+               Cycle start, Cycle end)
+{
+    RunStats s;
+    s.instructions = after.instructions - before.instructions;
+    s.mem_records = after.mem_records - before.mem_records;
+    s.cycles = end - start;
+    s.l1 = mem.l1(core).stats();
+    s.l2 = mem.l2(core).stats();
+    if (mem.prefetcher(core) != nullptr)
+        s.l2pf = mem.prefetcher(core)->snapshot();
+    if (mem.l1_stride(core) != nullptr)
+        s.l1_stride = mem.l1_stride(core)->snapshot();
+    s.energy = mem.metadata_energy(core);
+    s.avg_metadata_ways = mem.avg_metadata_ways(core, end);
+    return s;
+}
+
+/**
+ * The 1-core measurement window: clear stats, capture baselines,
+ * attach @p obs (may be null), run @p measure_records references on
+ * @p core (core 0 of @p mem) from its current (warm) state, drain, and
+ * assemble the RunResult.
+ *
+ * The window runs in epoch-sized run_records() chunks (the sampler's
+ * epoch length when sampling, otherwise the verifier's default), and
+ * the sampler and verifier observe each chunk's end. Chunking is
+ * behavior-identical to one big run_records() call, so the epoch
+ * length only decides where those boundaries fall, never the result.
+ */
+RunResult
+measure_one_core(cache::MemorySystem& mem, CoreModel& core,
+                 std::uint64_t measure_records, obs::Observability* obs)
+{
+    mem.clear_stats(core.now());
+    const CoreStats before = core.stats();
+    const Cycle start = core.now();
+
+    if (obs != nullptr)
+        attach_observability(*obs, mem, {&core});
+    const bool sampling = obs != nullptr && obs->sampler.enabled();
+    obs::RunVerifier* verifier = obs != nullptr ? obs->verifier : nullptr;
+    if (sampling)
+        obs->sampler.begin(0);
+
+    const std::uint64_t epoch_len =
+        sampling ? obs->sampler.epoch_len()
+                 : obs::RunVerifier::DEFAULT_EPOCH_RECORDS;
+    for (std::uint64_t done = 0; done < measure_records;) {
+        obs::prof::ProfScope prof("epoch");
+        const std::uint64_t chunk =
+            std::min(epoch_len, measure_records - done);
+        core.run_records(chunk);
+        done += chunk;
+        if (sampling)
+            obs->sampler.sample(done);
+        if (verifier != nullptr)
+            verifier->on_epoch();
+    }
+
+    const Cycle end = core.drain();
+    if (verifier != nullptr)
+        verifier->on_run_end();
+
+    RunResult res;
+    res.per_core.push_back(
+        core_run_stats(mem, 0, before, core.stats(), start, end));
+    res.llc = mem.llc().stats();
+    res.traffic = mem.dram().traffic();
+    res.span = end - start;
+
+    // The registry's bound stats and formulas point into this system,
+    // and none of them change once the run is over — snapshot them now
+    // so harnesses (e.g. stats::run_single callers emitting
+    // --stats-json) can dump the registry after the system dies.
+    if (obs != nullptr)
+        obs->freeze();
+    return res;
+}
+
+} // namespace
+
 MultiCoreSystem::MultiCoreSystem(const MachineConfig& cfg, unsigned n_cores)
-    : cfg_(cfg), n_cores_(n_cores), mem_(cfg, n_cores),
+    : n_cores_(n_cores), mem_(cfg, n_cores), core0_(cfg, mem_, 0),
       workloads_(n_cores)
 {
-    cores_.reserve(n_cores);
-    for (unsigned c = 0; c < n_cores; ++c)
-        cores_.push_back(std::make_unique<CoreModel>(cfg, mem_, c));
+    cores_.push_back(&core0_);
+    for (unsigned c = 1; c < n_cores; ++c) {
+        more_cores_.push_back(std::make_unique<CoreModel>(cfg, mem_, c));
+        cores_.push_back(more_cores_.back().get());
+    }
 }
 
 void
@@ -27,9 +118,9 @@ MultiCoreSystem::set_prefetcher(unsigned core,
 }
 
 void
-MultiCoreSystem::bind(unsigned core, const Workload& wl)
+MultiCoreSystem::bind(unsigned core, std::unique_ptr<Workload> wl)
 {
-    workloads_[core] = wl.clone();
+    workloads_[core] = std::move(wl);
     cores_[core]->bind(workloads_[core].get());
 }
 
@@ -39,7 +130,7 @@ MultiCoreSystem::advance(unsigned core, Cycle target)
     while (!cores_[core]->run_until(target)) {
         // Benchmark finished a pass: restart it so slower co-runners
         // always observe contention (Section 4.1).
-        workloads_[core]->reset();
+        cores_[core]->workload()->reset();
     }
 }
 
@@ -47,15 +138,14 @@ void
 MultiCoreSystem::run_warmup(std::uint64_t warmup_records, Cycle quantum)
 {
     for (unsigned c = 0; c < n_cores_; ++c)
-        TRIAGE_ASSERT(workloads_[c] != nullptr, "core without workload");
+        TRIAGE_ASSERT(cores_[c]->workload() != nullptr,
+                      "core without workload");
     TRIAGE_ASSERT(!warmed_, "run_warmup on an already-warm system");
 
-    // A 1-program "mix" has no co-runners, so it must be
-    // indistinguishable from the single-core system. The quantum-based
+    // One core has no co-runners to keep in step. The quantum-based
     // warmup below overshoots the warm point (it stops at a cycle
-    // boundary, not a record boundary), so warm record-exactly as
-    // SingleCoreSystem does and measure with the same measure_one_core
-    // (tools/diff_fidelity pins this).
+    // boundary, not a record boundary), so one core warms
+    // record-exactly and measures with measure_one_core.
     obs::prof::ProfScope prof("warmup");
     warmed_ = true;
     if (n_cores_ == 1) {
@@ -84,7 +174,8 @@ void
 MultiCoreSystem::checkpoint_warm(Snapshot& s)
 {
     for (unsigned c = 0; c < n_cores_; ++c)
-        TRIAGE_ASSERT(workloads_[c] != nullptr, "core without workload");
+        TRIAGE_ASSERT(cores_[c]->workload() != nullptr,
+                      "core without workload");
     if (s.saving())
         TRIAGE_ASSERT(warmed_, "checkpoint_warm before run_warmup");
 
@@ -94,7 +185,7 @@ MultiCoreSystem::checkpoint_warm(Snapshot& s)
     TRIAGE_ASSERT(n == n_cores_, "core-count mismatch on restore");
     s.io(warm_global_);
     mem_.checkpoint(s);
-    for (auto& c : cores_)
+    for (CoreModel* c : cores_)
         c->checkpoint(s);
     if (s.loading())
         warmed_ = true;
@@ -125,12 +216,8 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum)
         start_cycle[c] = cores_[c]->now();
     }
 
-    if (obs_ != nullptr) {
-        std::vector<CoreModel*> core_ptrs;
-        for (auto& c : cores_)
-            core_ptrs.push_back(c.get());
-        attach_observability(*obs_, mem_, core_ptrs);
-    }
+    if (obs_ != nullptr)
+        attach_observability(*obs_, mem_, cores_);
     const bool sampling = obs_ != nullptr && obs_->sampler.enabled();
     obs::RunVerifier* verifier =
         obs_ != nullptr ? obs_->verifier : nullptr;

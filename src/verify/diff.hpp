@@ -3,8 +3,8 @@
  * Field-by-field RunResult comparison for the differential-fidelity
  * suite (tools/diff_fidelity, tests/test_verify.cpp). Two runs that
  * should be indistinguishable — degree-0 Triage vs no prefetcher, a
- * 1-program mix vs the single-core system, split vs unsplit trace
- * replay, parallel vs serial lab execution — must agree on every
+ * run forked from a warm checkpoint vs a cold one, split vs unsplit
+ * trace replay, parallel vs serial lab execution — must agree on every
  * timing-visible statistic; the comparator names each field that does
  * not so a failure reads as a diagnosis, not a boolean.
  */

@@ -588,6 +588,7 @@ BTreeProbeKernel::reset()
     key_ = 0;
     level_ = 0;
     scan_cursor_ = 0;
+    scan_chained_ = false;
 }
 
 std::unique_ptr<Kernel>

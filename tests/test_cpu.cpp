@@ -9,7 +9,6 @@
 
 #include "cache/hierarchy.hpp"
 #include "sim/cpu.hpp"
-#include "sim/system.hpp"
 
 using namespace triage;
 
@@ -150,20 +149,4 @@ TEST(Core, RunRecordsRestartsWorkload)
     core.bind(&wl);
     core.run_records(35); // 3.5 passes
     EXPECT_EQ(core.stats().mem_records, 35u);
-}
-
-TEST(SingleCoreSystem, WarmupExcludedFromMeasurement)
-{
-    sim::MachineConfig cfg = cfg_no_stride();
-    sim::SingleCoreSystem sys(cfg);
-    std::vector<sim::TraceRecord> recs;
-    for (int i = 0; i < 1000; ++i)
-        recs.push_back({0x400,
-                        static_cast<sim::Addr>(i % 64) * 64, false, 1, 0});
-    sim::VectorWorkload wl("t", recs);
-    auto res = sys.run(wl, 500, 400);
-    EXPECT_EQ(res.per_core[0].mem_records, 400u);
-    // After warmup the 64-block working set is resident: all L1 hits.
-    EXPECT_EQ(res.per_core[0].l1.demand_misses, 0u);
-    EXPECT_GT(res.per_core[0].ipc(), 1.0);
 }

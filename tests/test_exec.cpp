@@ -285,7 +285,8 @@ TEST(Lab, StaleCheckpointVersionOnDiskReadsAsMiss)
     // cache's per-line Hawkeye PCs, 6: the single-core epoch_run
     // section, 7: 8-byte metadata-store search keys, 8: the TLB, MISB,
     // Markov, SMS and training-unit tables' own entry layouts, 9: MISB's
-    // on-chip cache hit/miss counters).
+    // on-chip cache hit/miss counters, 10: single-core warm blobs
+    // without the `multicore.warm` section).
     const std::string dir =
         (std::filesystem::temp_directory_path() /
          ("triage_ckpt_stale_" + std::to_string(::getpid())))
@@ -373,6 +374,20 @@ window_job(std::uint64_t measure)
 }
 
 } // namespace
+
+TEST(LabCheckpoints, OneCoreForkIsBitIdentical)
+{
+    // A single-core job runs on the 1-core MultiCoreSystem: its warm
+    // blob restores into a fresh system exactly as the warmup left it.
+    const exec::Job job = bench_job("mcf", "triage_dyn", 4);
+    const sim::RunResult cold = exec::run_job(job);
+    exec::CheckpointStore store;
+    expect_identical(cold, exec::run_job(job, &store)); // produces
+    expect_identical(cold, exec::run_job(job, &store)); // forks
+    const auto st = store.stats();
+    EXPECT_EQ(st.misses, 1u);
+    EXPECT_EQ(st.mem_hits, 1u);
+}
 
 TEST(LabCheckpoints, UnsharedPrefixesPublishNothing)
 {

@@ -21,8 +21,8 @@
 #include "exec/checkpoint.hpp"
 #include "exec/job.hpp"
 #include "frontend/frontend.hpp"
+#include "sim/multicore.hpp"
 #include "sim/read_ahead.hpp"
-#include "sim/system.hpp"
 #include "stats/experiment.hpp"
 #include "workloads/spec.hpp"
 #include "workloads/trace_io.hpp"
@@ -678,38 +678,32 @@ TEST(TraceJobs, WarmCheckpointResumeIsBitIdentical)
     // restored cursor replay has to cross pass boundaries.
     const std::uint64_t warm = 130000, measure = 40000;
 
-    auto build = [&](sim::SingleCoreSystem& sys,
-                     std::unique_ptr<sim::Workload>& wl) {
-        wl = frontend::open_trace(path);
-        ASSERT_NE(wl, nullptr);
-        wl->reset();
-        sys.set_prefetcher(stats::make_prefetcher("triage_dyn", 4));
-        sys.bind(*wl);
+    auto build = [&] {
+        auto sys = std::make_unique<sim::MultiCoreSystem>(cfg, 1);
+        auto wl = frontend::open_trace(path);
+        EXPECT_NE(wl, nullptr);
+        sys->set_prefetcher(0, stats::make_prefetcher("triage_dyn", 4));
+        sys->bind(0, std::move(wl));
+        return sys;
     };
 
-    sim::SingleCoreSystem ref(cfg);
-    std::unique_ptr<sim::Workload> wl_ref;
-    build(ref, wl_ref);
-    ref.run_warmup(warm);
-    const sim::RunResult want = ref.run_measure(measure);
+    auto ref = build();
+    ref->run_warmup(warm);
+    const sim::RunResult want = ref->run_measure(measure);
 
-    sim::SingleCoreSystem cut(cfg);
-    std::unique_ptr<sim::Workload> wl_cut;
-    build(cut, wl_cut);
-    cut.run_warmup(warm);
+    auto cut = build();
+    cut->run_warmup(warm);
     sim::Snapshot save;
-    cut.checkpoint_warm(save);
+    cut->checkpoint_warm(save);
     const sim::SnapshotBlob blob =
         save.seal(exec::CKPT_VERSION, "fe-warm");
 
-    sim::SingleCoreSystem res(cfg);
-    std::unique_ptr<sim::Workload> wl_res;
-    build(res, wl_res);
+    auto res = build();
     sim::Snapshot load =
         sim::Snapshot::open_or_die(blob, exec::CKPT_VERSION, "fe-warm");
-    res.checkpoint_warm(load);
+    res->checkpoint_warm(load);
     EXPECT_TRUE(load.exhausted());
-    const sim::RunResult got = res.run_measure(measure);
+    const sim::RunResult got = res->run_measure(measure);
 
     ASSERT_EQ(want.per_core.size(), got.per_core.size());
     EXPECT_EQ(want.per_core[0].instructions,

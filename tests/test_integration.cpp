@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/multicore.hpp"
-#include "sim/system.hpp"
 #include "stats/experiment.hpp"
 #include "stats/metrics.hpp"
 #include "workloads/spec.hpp"

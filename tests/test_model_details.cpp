@@ -11,7 +11,6 @@
 #include "prefetch/next_line.hpp"
 #include "replacement/hawkeye.hpp"
 #include "sim/cpu.hpp"
-#include "sim/system.hpp"
 #include "workloads/synthetic.hpp"
 
 using namespace triage;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Multi-core harness tests: shared-LLC behaviour, restart-on-finish,
- * per-core stats isolation, bandwidth contention, and per-core
- * metadata partitioning.
+ * per-core stats isolation, bandwidth contention, per-core metadata
+ * partitioning, binding by ownership, and the 1-core system.
  */
 #include <gtest/gtest.h>
 
@@ -37,7 +37,58 @@ stream_wl(const std::string& name, std::uint64_t blocks,
     return std::make_unique<sim::VectorWorkload>(name, std::move(recs));
 }
 
+/** Forwards to its inner workload; cloning it fails the test. */
+class NoCloneWorkload final : public sim::Workload
+{
+  public:
+    explicit NoCloneWorkload(std::unique_ptr<sim::Workload> inner)
+        : inner_(std::move(inner))
+    {}
+
+    void reset() override { inner_->reset(); }
+    bool next(sim::TraceRecord& out) override { return inner_->next(out); }
+    const std::string& name() const override { return inner_->name(); }
+
+    std::unique_ptr<sim::Workload>
+    clone() const override
+    {
+        ADD_FAILURE() << "cloned " << name();
+        return inner_->clone();
+    }
+
+  private:
+    std::unique_ptr<sim::Workload> inner_;
+};
+
 } // namespace
+
+TEST(MultiCore, BindByOwnershipNeverClones)
+{
+    // Each workload is shorter than the run, so every core also
+    // restarts its own bound workload at EOF.
+    for (unsigned cores : {1u, 2u}) {
+        SCOPED_TRACE(cores);
+        sim::MultiCoreSystem sys(quiet_cfg(), cores);
+        for (unsigned c = 0; c < cores; ++c)
+            sys.bind(c, std::make_unique<NoCloneWorkload>(
+                            stream_wl("w", 64, 700)));
+        const auto res = sys.run(1000, 2000);
+        ASSERT_EQ(res.per_core.size(), cores);
+        for (const auto& pc : res.per_core)
+            EXPECT_GE(pc.mem_records, 2000u);
+    }
+}
+
+TEST(MultiCore, OneCoreWarmupExcludedFromMeasurement)
+{
+    sim::MultiCoreSystem sys(quiet_cfg(), 1);
+    sys.bind(0, stream_wl("t", 64, 1000));
+    auto res = sys.run(500, 400);
+    EXPECT_EQ(res.per_core[0].mem_records, 400u);
+    // After warmup the 64-block working set is resident: all L1 hits.
+    EXPECT_EQ(res.per_core[0].l1.demand_misses, 0u);
+    EXPECT_GT(res.per_core[0].ipc(), 1.0);
+}
 
 TEST(MultiCore, CompletesAndCountsPerCore)
 {

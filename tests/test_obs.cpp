@@ -19,7 +19,7 @@
 #include "obs/perfetto.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
-#include "sim/system.hpp"
+#include "sim/multicore.hpp"
 #include "stats/experiment.hpp"
 #include "stats/report.hpp"
 #include "workloads/spec.hpp"
@@ -635,14 +635,14 @@ TEST(Json, RejectsMalformedInput)
 TEST(ObservabilityIntegration, SingleCoreRunProducesEpochsAndStats)
 {
     sim::MachineConfig cfg;
-    sim::SingleCoreSystem sys(cfg);
+    sim::MultiCoreSystem sys(cfg, 1);
     obs::Observability o;
     o.sampler.configure(5000);
     o.trace.enable(1 << 12);
     sys.set_observability(&o);
-    sys.set_prefetcher(stats::make_prefetcher("triage_dyn", 1));
-    auto wl = workloads::make_benchmark("mcf", 1.0);
-    sim::RunResult r = sys.run(*wl, 10000, 20000);
+    sys.set_prefetcher(0, stats::make_prefetcher("triage_dyn", 1));
+    sys.bind(0, workloads::make_benchmark("mcf", 1.0));
+    sim::RunResult r = sys.run(10000, 20000);
 
     // Epochs: 20000 records at 5000/epoch = 4 closed epochs.
     ASSERT_EQ(o.sampler.epochs().size(), 4u);
@@ -773,17 +773,18 @@ TEST(ObservabilityIntegration, MixLifecycleReconcilesWithRunStats)
 TEST(ObservabilityIntegration, ReRunReattachesWithoutDuplicates)
 {
     sim::MachineConfig cfg;
-    sim::SingleCoreSystem sys(cfg);
+    sim::MultiCoreSystem sys(cfg, 1);
     obs::Observability o;
     o.sampler.configure(5000);
     sys.set_observability(&o);
-    sys.set_prefetcher(stats::make_prefetcher("bo", 1));
+    sys.set_prefetcher(0, stats::make_prefetcher("bo", 1));
     auto wl = workloads::make_benchmark("lbm", 1.0);
-    sys.run(*wl, 2000, 10000);
+    sys.bind(0, *wl);
+    sys.run(2000, 10000);
     std::size_t n_stats = o.registry.size();
     EXPECT_EQ(o.sampler.epochs().size(), 2u);
-    wl->reset();
-    sys.run(*wl, 2000, 10000); // re-registration must not assert
+    sys.bind(0, *wl); // a rewound copy, as the first run had
+    sys.run(2000, 10000); // re-registration must not assert
     EXPECT_EQ(o.registry.size(), n_stats);
     EXPECT_EQ(o.sampler.epochs().size(), 2u); // series restarted
 }

@@ -27,7 +27,6 @@
 #include "obs/profile.hpp"
 #include "sim/multicore.hpp"
 #include "sim/read_ahead.hpp"
-#include "sim/system.hpp"
 #include "stats/experiment.hpp"
 #include "workloads/spec.hpp"
 #include "workloads/trace_io.hpp"
@@ -536,13 +535,12 @@ expect_identical(const sim::RunResult& x, const sim::RunResult& y)
 sim::RunResult
 run_plain(const exec::Job& job)
 {
-    sim::SingleCoreSystem sys(job.config);
-    sys.set_prefetcher(stats::make_prefetcher(job.pf_spec, job.degree));
+    sim::MultiCoreSystem sys(job.config, 1);
+    sys.set_prefetcher(0, stats::make_prefetcher(job.pf_spec, job.degree));
     auto wl = workloads::make_workload(job.benchmark,
                                        job.scale.workload_scale);
     EXPECT_NE(wl, nullptr);
-    wl->reset();
-    sys.bind(*wl);
+    sys.bind(0, std::move(wl));
     sys.run_warmup(job.scale.warmup_records);
     return sys.run_measure(job.scale.measure_records);
 }

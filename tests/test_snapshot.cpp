@@ -20,8 +20,8 @@
 
 #include "exec/checkpoint.hpp"
 #include "exec/job.hpp"
+#include "sim/multicore.hpp"
 #include "sim/snapshot.hpp"
-#include "sim/system.hpp"
 #include "stats/experiment.hpp"
 #include "workloads/spec.hpp"
 
@@ -195,16 +195,24 @@ class WarmResave : public ::testing::TestWithParam<const char*>
 {
 };
 
-sim::SnapshotBlob
-warm_blob(const std::string& spec, sim::SingleCoreSystem& sys,
-          sim::Workload& wl, bool warm)
+/** A 1-core system running mcf under @p spec. */
+std::unique_ptr<sim::MultiCoreSystem>
+mcf_system(const sim::MachineConfig& cfg, const std::string& spec)
 {
-    sys.set_prefetcher(stats::make_prefetcher(spec, 4));
-    sys.bind(wl);
-    if (warm)
-        sys.run_warmup(20000);
+    auto sys = std::make_unique<sim::MultiCoreSystem>(cfg, 1);
+    sys->set_prefetcher(0, stats::make_prefetcher(spec, 4));
+    sys->bind(0, workloads::make_benchmark("mcf"));
+    return sys;
+}
+
+/** The sealed warm state of mcf_system() after 20000 records. */
+sim::SnapshotBlob
+warm_blob(const sim::MachineConfig& cfg, const std::string& spec)
+{
+    auto sys = mcf_system(cfg, spec);
+    sys->run_warmup(20000);
     sim::Snapshot s;
-    sys.checkpoint_warm(s);
+    sys->checkpoint_warm(s);
     return s.seal(exec::CKPT_VERSION, spec);
 }
 
@@ -214,23 +222,16 @@ expect_resave_byte_equal(const std::string& spec, bool model_tlb)
     sim::MachineConfig cfg;
     cfg.model_tlb = model_tlb;
 
-    auto wl_a = workloads::make_benchmark("mcf");
-    wl_a->reset();
-    sim::SingleCoreSystem a(cfg);
-    const sim::SnapshotBlob blob_a = warm_blob(spec, a, *wl_a, true);
+    const sim::SnapshotBlob blob_a = warm_blob(cfg, spec);
 
-    auto wl_b = workloads::make_benchmark("mcf");
-    wl_b->reset();
-    sim::SingleCoreSystem b(cfg);
-    b.set_prefetcher(stats::make_prefetcher(spec, 4));
-    b.bind(*wl_b);
+    auto b = mcf_system(cfg, spec);
     sim::Snapshot load =
         sim::Snapshot::open_or_die(blob_a, exec::CKPT_VERSION, spec);
-    b.checkpoint_warm(load);
+    b->checkpoint_warm(load);
     EXPECT_TRUE(load.exhausted());
 
     sim::Snapshot resave;
-    b.checkpoint_warm(resave);
+    b->checkpoint_warm(resave);
     EXPECT_EQ(resave.seal(exec::CKPT_VERSION, spec), blob_a);
 }
 
@@ -312,10 +313,7 @@ TEST(WarmPrefix, WarmStateIsBitIdenticalAcrossMeasureLengths)
     int i = 0;
     for (std::uint64_t measure : {40000ULL, 80000ULL}) {
         (void)measure; // the window is irrelevant before run_measure
-        auto wl = workloads::make_benchmark("mcf");
-        wl->reset();
-        sim::SingleCoreSystem sys(cfg);
-        blobs[i++] = warm_blob("triage_dyn", sys, *wl, true);
+        blobs[i++] = warm_blob(cfg, "triage_dyn");
     }
     if (const char* dump = std::getenv("TRIAGE_DUMP_WARM_BLOBS")) {
         for (int k = 0; k < 2; ++k) {

@@ -361,6 +361,34 @@ TEST(Workloads, BTreeProbeWalksDependentLevels)
     }
 }
 
+TEST(Workloads, BTreeProbeResetMidProbeReplaysTheFreshStream)
+{
+    // A reset taken part-way through a probe, a scan probe included,
+    // must leave no trace in the records that follow it: from the same
+    // random draws, the reset kernel emits what a fresh one does.
+    BTreeProbeKernel::Params p;
+    p.levels = 3;
+    p.keys = 1 << 10;
+    p.point_query_prob = 0.5;
+    auto emit = [](Kernel& k, util::Rng& rng, std::size_t n) {
+        std::vector<sim::TraceRecord> v(n);
+        for (std::size_t i = 0; i < n; ++i)
+            k.emit(rng, i + 1, v[i]);
+        return v;
+    };
+    for (std::size_t cut = 1; cut < 200; ++cut) {
+        SCOPED_TRACE(cut);
+        BTreeProbeKernel k(p);
+        util::Rng rng(3);
+        emit(k, rng, cut);
+        k.reset();
+        BTreeProbeKernel fresh(p);
+        util::Rng fresh_rng = rng;
+        EXPECT_TRUE(
+            same_records(emit(k, rng, 50), emit(fresh, fresh_rng, 50)));
+    }
+}
+
 TEST(Workloads, BTreeSameKeySamePath)
 {
     BTreeProbeKernel::Params p;

@@ -7,15 +7,13 @@
  *
  *   degree0  degree-0 Triage vs the no-prefetcher baseline (a disabled
  *            prefetcher must not perturb timing);
- *   mix1     a 1-program mix on the multi-core system vs the same
- *            benchmark on the single-core system;
  *   split    trace replay split at arbitrary record boundaries vs the
  *            unsplit trace;
  *   jobs     a sweep executed on a parallel lab (--jobs=N) vs the same
  *            sweep run serially;
  *   ckpt     a run forked from a memoized warm-state checkpoint vs the
- *            same run warming up cold (single-core, 1-program mix and
- *            2-core mix);
+ *            same run warming up cold (single-core, 2-core mix and a
+ *            2-core MISB mix);
  *   stream   a trace replayed through the streaming frontend (bounded
  *            memory, plus a gzip leg and a warm-checkpoint fork) vs
  *            the same trace fully loaded in memory.
@@ -62,7 +60,7 @@ usage(const char* argv0)
 {
     std::printf(
         "usage: %s [options]\n"
-        "  --pair=P        degree0 | mix1 | split | jobs | ckpt | "
+        "  --pair=P        degree0 | split | jobs | ckpt | "
         "stream | all (default all)\n"
         "  --benchmark=B   benchmark analog (default mcf)\n"
         "  --warmup=N      warmup records per run (default 100000)\n"
@@ -160,20 +158,6 @@ pair_degree0(const Options& o)
                                        exec::run_job(disabled)));
 }
 
-/** A 1-program mix has no co-runners: it must match single-core. */
-bool
-pair_mix1(const Options& o)
-{
-    exec::Job single = base_job(o);
-    single.pf_spec = "triage_dyn";
-    single.degree = o.degree;
-    exec::Job mix = single;
-    mix.benchmark.clear();
-    mix.mix = {o.benchmark};
-    return report("mix1", verify::diff_results(exec::run_job(single),
-                                               exec::run_job(mix)));
-}
-
 /** Replay split at a record boundary must match the unsplit replay. */
 bool
 pair_split(const Options& o)
@@ -268,10 +252,9 @@ pair_jobs(const Options& o)
 /**
  * A measurement forked from a memoized warm checkpoint must be
  * bit-identical to one that warmed up cold in the same process.
- * Covers both system kinds (a single-core run and a 2-core mix), the
- * multi-core system's 1-core path (a 1-program mix, which warms and
- * measures like the single-core system but checkpoints through
- * MultiCoreSystem) and MISB's off-chip tables (a 2-core MISB mix).
+ * Covers both warmup kinds (a single-core run, which warms
+ * record-exactly on the 1-core system, and a 2-core mix, which warms
+ * in quanta) and MISB's off-chip tables (a 2-core MISB mix).
  * Each sub-pair runs three times — cold (no store), producing (cold
  * warmup + snapshot publish), and forked (restore from the published
  * blob) — and both store-backed runs must match the cold one.
@@ -304,11 +287,6 @@ pair_ckpt(const Options& o)
     single.pf_spec = "triage_dyn";
     single.degree = o.degree;
     check("single", single);
-
-    exec::Job mix1 = single;
-    mix1.benchmark.clear();
-    mix1.mix = {o.benchmark};
-    check("mix1", mix1);
 
     exec::Job mix = base_job(o);
     mix.benchmark.clear();
@@ -403,8 +381,6 @@ main(int argc, char** argv)
     const bool all = o.pair == "all";
     if (all || o.pair == "degree0")
         ok &= pair_degree0(o);
-    if (all || o.pair == "mix1")
-        ok &= pair_mix1(o);
     if (all || o.pair == "split")
         ok &= pair_split(o);
     if (all || o.pair == "jobs")
@@ -413,9 +389,8 @@ main(int argc, char** argv)
         ok &= pair_ckpt(o);
     if (all || o.pair == "stream")
         ok &= pair_stream(o);
-    if (!all && o.pair != "degree0" && o.pair != "mix1" &&
-        o.pair != "split" && o.pair != "jobs" && o.pair != "ckpt" &&
-        o.pair != "stream") {
+    if (!all && o.pair != "degree0" && o.pair != "split" &&
+        o.pair != "jobs" && o.pair != "ckpt" && o.pair != "stream") {
         std::fprintf(stderr, "unknown pair: %s\n", o.pair.c_str());
         return 2;
     }

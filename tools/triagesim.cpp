@@ -36,7 +36,6 @@
 #include "util/bitops.hpp"
 #include "util/log.hpp"
 #include "util/parse_number.hpp"
-#include "sim/system.hpp"
 #include "stats/experiment.hpp"
 #include "stats/metrics.hpp"
 #include "stats/report.hpp"

@@ -22,8 +22,8 @@
 #include "exec/checkpoint.hpp"
 #include "exec/job.hpp"
 #include "sim/config.hpp"
+#include "sim/multicore.hpp"
 #include "sim/snapshot.hpp"
-#include "sim/system.hpp"
 #include "stats/experiment.hpp"
 #include "util/parse_number.hpp"
 #include "util/rng.hpp"
@@ -213,16 +213,14 @@ fuzz_snapshot_roundtrip(util::Rng& rng, const Options& o, unsigned iter)
         (o.smoke ? 2000 : 10000) + rng.next_below(10000);
 
     auto build = [&]() {
-        auto sys = std::make_unique<sim::SingleCoreSystem>(cfg);
-        sys->set_prefetcher(stats::make_prefetcher(spec, degree));
+        auto sys = std::make_unique<sim::MultiCoreSystem>(cfg, 1);
+        sys->set_prefetcher(0, stats::make_prefetcher(spec, degree));
+        sys->bind(0, workloads::make_benchmark(bench));
         return sys;
     };
     const std::string fp = spec + "|" + bench + "|warm";
 
-    auto wl_a = workloads::make_benchmark(bench);
-    wl_a->reset();
     auto a = build();
-    a->bind(*wl_a);
     a->run_warmup(warm);
     sim::Snapshot save;
     a->checkpoint_warm(save);
@@ -237,10 +235,7 @@ fuzz_snapshot_roundtrip(util::Rng& rng, const Options& o, unsigned iter)
         ok = false;
     };
 
-    auto wl_b = workloads::make_benchmark(bench);
-    wl_b->reset();
     auto b = build();
-    b->bind(*wl_b);
     sim::Snapshot load;
     if (!sim::Snapshot::open(blob, exec::CKPT_VERSION, fp, load)) {
         fail("own blob failed to open");
