@@ -17,10 +17,10 @@
  * reported throughput is the **median** rep, with the min/max spread
  * recorded alongside so a trajectory entry carries its own noise bar.
  * Earlier entries (pre hot-path v2) reported best-of-reps and carry no
- * spread fields. Host counter rates are emitted only when a live
- * perf_event sample was actually scheduled (see HwStopwatch::stop);
- * the TSC fallback still yields cycles_per_access but never an
- * instructions_per_access, which a PMU-less host cannot measure.
+ * spread fields. The "host-profiling" and "hotpath-v2" entries also
+ * carry host counter rates (cycles_per_access), the latter a run-level
+ * hw_backend; new entries time wall-clock only, and --merge-into
+ * carries the old fields forward unchanged.
  *
  * Output: a table on stdout plus a JSON trajectory file
  * (BENCH_hotpath.json). `--merge-into=FILE` appends this run to an
@@ -44,7 +44,6 @@
 #include "exec/job.hpp"
 #include "exec/lab.hpp"
 #include "obs/json.hpp"
-#include "obs/profile.hpp"
 #include "sim/config.hpp"
 #include "stats/table.hpp"
 #include "util/parse_number.hpp"
@@ -76,13 +75,10 @@ struct Result {
     double seconds_min = 0.0;
     double seconds_max = 0.0;
     unsigned reps = 0;
-    /// Host hardware-counter rates for the median rep (obs::prof
-    /// HwStopwatch). cycles_per_access falls back to the TSC;
-    /// instructions_per_access is emitted only when a live perf_event
-    /// sample was scheduled (has_hw_rates) — never a fabricated zero.
+    /// Host counter rates of legacy entries, carried forward by
+    /// --merge-into; fresh rows leave them 0 and do not emit them.
     double cycles_per_access = 0.0;
     double instructions_per_access = 0.0;
-    bool has_hw_rates = false;
 };
 
 /** End-to-end sweep wall clock, cold vs checkpoint-forked warmups. */
@@ -150,51 +146,25 @@ measure(const Job& job, const std::string& config,
     res.accesses =
         static_cast<std::uint64_t>(cores) *
         (job.scale.warmup_records + job.scale.measure_records);
-    struct Rep {
-        double sec = 0.0;
-        triage::obs::prof::HwSample hw;
-        bool hw_valid = false;
-    };
-    std::vector<Rep> runs;
+    std::vector<double> runs;
     runs.reserve(reps);
-    triage::obs::prof::HwStopwatch hw;
     for (unsigned r = 0; r < reps; ++r) {
-        Rep rep;
-        hw.start();
         auto t0 = std::chrono::steady_clock::now();
         (void)triage::exec::run_job(job);
         auto t1 = std::chrono::steady_clock::now();
-        rep.hw = hw.stop(&rep.hw_valid);
-        rep.sec = std::chrono::duration<double>(t1 - t0).count();
-        runs.push_back(rep);
+        runs.push_back(std::chrono::duration<double>(t1 - t0).count());
     }
-    std::sort(runs.begin(), runs.end(),
-              [](const Rep& a, const Rep& b) { return a.sec < b.sec; });
-    const Rep& med = runs[(runs.size() - 1) / 2];
-    res.seconds = med.sec;
-    res.seconds_min = runs.front().sec;
-    res.seconds_max = runs.back().sec;
+    std::sort(runs.begin(), runs.end());
+    const double med = runs[(runs.size() - 1) / 2];
+    res.seconds = med;
+    res.seconds_min = runs.front();
+    res.seconds_max = runs.back();
     res.reps = reps;
-    if (res.accesses > 0) {
-        const double n = static_cast<double>(res.accesses);
-        res.cycles_per_access = static_cast<double>(med.hw.cycles) / n;
-        // Instruction rates only from a genuinely scheduled perf
-        // sample: the TSC fallback and a never-co-scheduled group both
-        // read 0 instructions, and emitting that as a rate is exactly
-        // the "instructions_per_access": 0 artifact this gate removes.
-        if (med.hw_valid) {
-            res.instructions_per_access =
-                static_cast<double>(med.hw.instructions) / n;
-            res.has_hw_rates = true;
-        }
-    }
-    res.accesses_per_sec = med.sec > 0.0
-                               ? static_cast<double>(res.accesses) /
-                                     med.sec
-                               : 0.0;
+    res.accesses_per_sec =
+        med > 0.0 ? static_cast<double>(res.accesses) / med : 0.0;
     res.ns_per_access =
         res.accesses > 0
-            ? med.sec * 1e9 / static_cast<double>(res.accesses)
+            ? med * 1e9 / static_cast<double>(res.accesses)
             : 0.0;
     return res;
 }
@@ -299,7 +269,7 @@ emit_result(std::ostream& os, const Result& r, int indent)
            << pad << " \"cycles_per_access\": " << std::setprecision(6)
            << r.cycles_per_access;
     }
-    if (r.has_hw_rates) {
+    if (r.instructions_per_access > 0.0) {
         os << ",\n"
            << pad << " \"instructions_per_access\": "
            << std::setprecision(6) << r.instructions_per_access;
@@ -365,14 +335,12 @@ emit_parsed_run(std::ostream& os, const triage::obs::json::Value& run)
                 r.reps = static_cast<unsigned>(v->number);
             if (const auto* v = e.get("cycles_per_access"); v != nullptr)
                 r.cycles_per_access = v->number;
-            // Same gate as fresh results: a 0 here is the
-            // never-scheduled-counter artifact, not a rate — drop it
-            // on re-emit rather than carrying it forward forever.
+            // A 0 here is the never-scheduled-counter artifact, not
+            // a rate: emit_result drops it rather than carrying it
+            // forward.
             if (const auto* v = e.get("instructions_per_access");
-                v != nullptr && v->number > 0.0) {
+                v != nullptr)
                 r.instructions_per_access = v->number;
-                r.has_hw_rates = true;
-            }
             emit_result(os, r, 4);
             os << (i + 1 < results->array.size() ? ",\n" : "\n");
         }
@@ -417,11 +385,8 @@ write_trajectory(const Options& o, const std::vector<Result>& results,
         emit_parsed_run(f, run);
         f << ",\n";
     }
-    triage::obs::prof::HwStopwatch probe;
     f << "  {\"label\": \"" << o.label << "\", \"mode\": \""
-      << (o.smoke ? "smoke" : "full") << "\", \"hw_backend\": \""
-      << triage::obs::prof::Profiler::backend_name(probe.backend())
-      << "\",\n";
+      << (o.smoke ? "smoke" : "full") << "\",\n";
     emit_sweep(f, sweep);
     f << "   \"results\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -488,27 +453,19 @@ main(int argc, char** argv)
 
     triage::stats::Table t({"config", "workload", "cores", "accesses",
                             "sec(med)", "sec(min..max)", "acc/s",
-                            "ns/access", "cyc/access"});
+                            "ns/access"});
     for (const auto& r : results) {
-        std::ostringstream rate, ns, sec, spread, cyc;
+        std::ostringstream rate, ns, sec, spread;
         rate << std::fixed << std::setprecision(0) << r.accesses_per_sec;
         ns << std::fixed << std::setprecision(1) << r.ns_per_access;
         sec << std::fixed << std::setprecision(3) << r.seconds;
         spread << std::fixed << std::setprecision(3) << r.seconds_min
                << ".." << r.seconds_max;
-        cyc << std::fixed << std::setprecision(1) << r.cycles_per_access;
         t.row({r.config, r.workload, std::to_string(r.cores),
                std::to_string(r.accesses), sec.str(), spread.str(),
-               rate.str(), ns.str(), cyc.str()});
+               rate.str(), ns.str()});
     }
     t.print(std::cout);
-    {
-        triage::obs::prof::HwStopwatch probe;
-        std::cout << "hw counters: "
-                  << triage::obs::prof::Profiler::backend_name(
-                         probe.backend())
-                  << " backend\n";
-    }
 
     std::cerr << "  running fig17-smoke sweep (cold vs checkpointed)\n";
     const SweepWallclock sweep = measure_sweep(o.smoke);

@@ -89,8 +89,8 @@ class CheckpointStore
   public:
     /** Hit/miss counters (tests and the cache-smoke tool assert on
      *  these; disk_hits > 0 proves cross-process reuse). The Lab
-     *  exports them under profile.ckpt.* when profiling is on
-     *  (docs/observability.md §10). */
+     *  exports them under profile.counters.ckpt.* when profiling is
+     *  on (docs/observability.md §10). */
     struct Stats {
         std::uint64_t mem_hits = 0;
         std::uint64_t disk_hits = 0;

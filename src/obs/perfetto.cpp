@@ -212,31 +212,6 @@ write_profile_slices(EventWriter& w)
                   << "\", \"ph\": \"X\", \"ts\": " << ts
                   << ", \"dur\": " << dur << ", \"pid\": " << PID_PROF
                   << ", \"tid\": " << tid << "}";
-        // Counter samples at slice end: each point is the slice's
-        // counter delta, making hot phases visible as spikes on the
-        // hw.* tracks (all zero only when no backend produced data).
-        if (s.has_hw) {
-            w.begin() << "{\"name\": \"hw.cycles\", \"ph\": \"C\", "
-                         "\"ts\": "
-                      << ts + dur << ", \"pid\": " << PID_PROF
-                      << ", \"tid\": " << tid << ", \"args\": {\"cycles\": " << s.hw.cycles
-                      << "}}";
-            w.begin() << "{\"name\": \"hw.instructions\", \"ph\": "
-                         "\"C\", \"ts\": "
-                      << ts + dur << ", \"pid\": " << PID_PROF
-                      << ", \"tid\": " << tid << ", \"args\": {\"instructions\": "
-                      << s.hw.instructions << "}}";
-            w.begin() << "{\"name\": \"hw.llc_misses\", \"ph\": \"C\", "
-                         "\"ts\": "
-                      << ts + dur << ", \"pid\": " << PID_PROF
-                      << ", \"tid\": " << tid << ", \"args\": {\"llc_misses\": "
-                      << s.hw.llc_misses << "}}";
-            w.begin() << "{\"name\": \"hw.branch_misses\", \"ph\": "
-                         "\"C\", \"ts\": "
-                      << ts + dur << ", \"pid\": " << PID_PROF
-                      << ", \"tid\": " << tid << ", \"args\": {\"branch_misses\": "
-                      << s.hw.branch_misses << "}}";
-        }
     }
 }
 

@@ -4,7 +4,7 @@
  *
  * Serializes a run's observability data as one Chrome trace-event file
  * ({"traceEvents": [...]}) that loads directly in ui.perfetto.dev or
- * chrome://tracing. Three process tracks, each in its own time domain
+ * chrome://tracing. Four process tracks, each in its own time domain
  * (the format has a single "ts" axis; separating domains by pid keeps
  * them visually distinct and individually zoomable):
  *
@@ -18,9 +18,8 @@
  *    every probe value as args (ts in measured records);
  *  - pid 4 "host profiler": phase slices recorded by the host
  *    profiler (obs/profile.hpp), one thread per profiled host
- *    thread, plus hw.* counter tracks (cycles, instructions, LLC and
- *    branch misses) sampled at each slice end (ts in real
- *    microseconds since the profiler was enabled).
+ *    thread (ts in real microseconds since the profiler was
+ *    enabled).
  *
  * Reuses the event_trace plumbing: nothing new is recorded during the
  * run; the exporter is a pure sink over EventTrace, EpochSampler and
@@ -52,8 +51,8 @@ struct JobSpan {
 struct TraceOptions {
     /** Kinds of simulation instants to include (see perfetto.cpp). */
     bool include_simulation_events = true;
-    /** Include the host profiler's phase slices + counter tracks when
-     *  it recorded any (a disarmed profiler contributes nothing). */
+    /** Include the host profiler's phase slices when it recorded any
+     *  (a disarmed profiler contributes nothing). */
     bool include_profile = true;
 };
 

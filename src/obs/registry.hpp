@@ -10,7 +10,7 @@
  *    simulation hot path — the registry reads the live field at dump
  *    time);
  *  - owned counters: registry-native scalars for numbers no component
- *    keeps (triagesim's profile.ckpt.* mirror);
+ *    keeps;
  *  - formulas: lazily evaluated derived metrics (hit rates, IPC).
  *
  * The registry serializes itself as nested JSON keyed by the name

@@ -1,14 +1,13 @@
 /**
  * @file
  * Tests for the host self-profiler (obs/profile): phase aggregation
- * under nesting, the LIFO-unwind invariant, the forced software
- * counter backend, the stats-JSON and Perfetto exports, worker /
- * checkpoint telemetry plumbed through the Lab, and the opt-in log
- * timestamp prefix. The profiler is a process-wide singleton, so every
- * test starts from Profiler::reset() and disarms on the way out.
+ * under nesting, the LIFO-unwind invariant, the stats-JSON and
+ * Perfetto exports, worker / checkpoint telemetry plumbed through the
+ * Lab, and the opt-in log timestamp prefix. The profiler is a
+ * process-wide singleton, so every test starts from Profiler::reset()
+ * and disarms on the way out.
  */
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,7 +25,6 @@ namespace triage {
 namespace {
 
 using obs::json::Value;
-using obs::prof::Backend;
 using obs::prof::ProfScope;
 using obs::prof::Profiler;
 
@@ -140,101 +138,6 @@ TEST(ProfileDeathTest, NonLifoUnwindDies)
         "ProfScope");
 }
 
-// --- Counter backends ---------------------------------------------------
-
-TEST(Profile, ForcedSoftwareFallback)
-{
-    ::setenv("TRIAGE_PROF_NO_PERF", "1", 1);
-    Profiler::instance().reset(); // re-reads the env knob
-    Profiler::instance().enable();
-    {
-        ProfScope s("forced");
-        spin_for_us(200);
-    }
-    EXPECT_EQ(Profiler::instance().backend(), Backend::Software);
-    EXPECT_STREQ(Profiler::backend_name(Profiler::instance().backend()),
-                 "software");
-    const auto phases = Profiler::instance().phases();
-    ASSERT_TRUE(phases.count("forced"));
-    EXPECT_EQ(phases.at("forced").hw_samples, 1u);
-    ::unsetenv("TRIAGE_PROF_NO_PERF");
-    Profiler::instance().disable();
-    Profiler::instance().reset();
-}
-
-TEST(Profile, BackendResolvesToSomethingReal)
-{
-    ProfilerFixture fx;
-    Profiler::instance().enable();
-    {
-        ProfScope s("probe");
-        spin_for_us(100);
-    }
-    const Backend b = Profiler::instance().backend();
-    EXPECT_TRUE(b == Backend::PerfEvent || b == Backend::Software);
-    EXPECT_STRNE(Profiler::backend_name(b), "unresolved");
-}
-
-TEST(Profile, HwStopwatchMeasuresWork)
-{
-    obs::prof::HwStopwatch hw;
-    EXPECT_TRUE(hw.backend() == Backend::PerfEvent ||
-                hw.backend() == Backend::Software);
-    hw.start();
-    spin_for_us(2000);
-    const obs::prof::HwSample s = hw.stop();
-    // Both backends produce cycles on x86; other architectures may
-    // report zero under the fallback, so only sanity-check types here.
-    if (hw.live())
-        EXPECT_GT(s.cycles, 0u);
-    // A second measurement must be independent of the first.
-    hw.start();
-    const obs::prof::HwSample s2 = hw.stop();
-    EXPECT_LE(s2.cycles, s.cycles + s.cycles / 2 + 1'000'000);
-}
-
-TEST(Profile, MultiplexScaleNeverScheduledIsInvalid)
-{
-    // The group enabled but never hosted by the PMU: every counter
-    // delta reads zero. The scale must be 0 ("no sample"), never 1 —
-    // a 1 here is exactly the bug that shipped a plausible-looking
-    // "instructions_per_access": 0 into the pr8 bench trajectory.
-    EXPECT_EQ(obs::prof::multiplex_scale(1'000'000, 0), 0.0);
-}
-
-TEST(Profile, MultiplexScaleFullyScheduled)
-{
-    EXPECT_EQ(obs::prof::multiplex_scale(500, 500), 1.0);
-    // running > enabled never happens, but clamp to 1 if it did.
-    EXPECT_EQ(obs::prof::multiplex_scale(400, 500), 1.0);
-    // Empty interval: trivially valid, zero deltas are honest zeros.
-    EXPECT_EQ(obs::prof::multiplex_scale(0, 0), 1.0);
-}
-
-TEST(Profile, MultiplexScaleExtrapolatesPartialScheduling)
-{
-    EXPECT_DOUBLE_EQ(obs::prof::multiplex_scale(1000, 250), 4.0);
-    EXPECT_DOUBLE_EQ(obs::prof::multiplex_scale(900, 600), 1.5);
-}
-
-TEST(Profile, HwStopwatchReportsSampleValidity)
-{
-    obs::prof::HwStopwatch hw;
-    hw.start();
-    spin_for_us(500);
-    bool valid = true;
-    const obs::prof::HwSample s = hw.stop(&valid);
-    if (hw.live()) {
-        // A live group that produced a valid sample measured real
-        // instructions; zero would mean the gate failed.
-        if (valid)
-            EXPECT_GT(s.instructions, 0u);
-    } else {
-        // Software fallback can never claim valid hw rates.
-        EXPECT_FALSE(valid);
-    }
-}
-
 // --- Exports ------------------------------------------------------------
 
 TEST(Profile, WriteJsonShapeParses)
@@ -254,12 +157,12 @@ TEST(Profile, WriteJsonShapeParses)
     auto root = obs::json::parse(os.str(), &err);
     ASSERT_TRUE(root.has_value()) << err << "\n" << os.str();
     EXPECT_TRUE(root->get("enabled")->boolean);
-    const Value* backend = root->get("backend");
-    ASSERT_NE(backend, nullptr);
-    EXPECT_TRUE(backend->str == "perf_event" || backend->str == "software");
+    EXPECT_EQ(root->get("backend"), nullptr);
     EXPECT_GT(root->get("wall_seconds")->number, 0.0);
     const Value* phase = root->get("phases")->get("json_phase");
     ASSERT_NE(phase, nullptr);
+    // A phase is its entry count and its steady-clock seconds.
+    EXPECT_EQ(phase->object.size(), 2u);
     EXPECT_EQ(phase->get("count")->number, 1.0);
     EXPECT_GT(phase->get("seconds")->number, 0.0);
     const Value* ckpt = root->get("counters")->get("ckpt");
@@ -287,21 +190,19 @@ TEST(Profile, PerfettoRoundTripCarriesProfileTracks)
     ASSERT_TRUE(root.has_value()) << err;
     const Value* events = root->get("traceEvents");
     ASSERT_NE(events, nullptr);
-    bool saw_slice = false, saw_counter = false;
+    bool saw_slice = false;
     for (const Value& e : events->array) {
         const Value* pid = e.get("pid");
         const Value* ph = e.get("ph");
         if (pid == nullptr || ph == nullptr || pid->number != 4)
             continue;
         ASSERT_NE(e.get("tid"), nullptr);
+        // The profiler track holds track names and phase slices only.
+        EXPECT_TRUE(ph->str == "M" || ph->str == "X") << ph->str;
         if (ph->str == "X" && e.get("name")->str == "trace_phase")
             saw_slice = true;
-        if (ph->str == "C" &&
-            e.get("name")->str.rfind("hw.", 0) == 0)
-            saw_counter = true;
     }
     EXPECT_TRUE(saw_slice);
-    EXPECT_TRUE(saw_counter);
     // Opting out removes the profiler process entirely.
     std::ostringstream os2;
     obs::perfetto::TraceOptions opt;

@@ -21,12 +21,10 @@
  *     object with a numeric "dropped" and one per-core sample array
  *     (possibly empty) of well-formed, epoch-monotonic samples;
  *   - with --require-profile: "profile" is the host profiler block
- *     (backend, wall/attributed seconds, a non-empty phase table with
- *     warmup and measure phases, checkpoint and read-ahead counters,
- *     worker rows);
- *     --min-attributed=F additionally requires attributed_frac >= F
- *     and --expect-backend=NAME pins the counter backend
- *     ("perf_event" or "software");
+ *     (wall/attributed seconds, a non-empty phase table with warmup
+ *     and measure phases, checkpoint and read-ahead counters, worker
+ *     rows);
+ *     --min-attributed=F additionally requires attributed_frac >= F;
  *   - each --require-key=PATH names a dotted path that must exist.
  *
  * A second mode, --perfetto, validates a --trace-perfetto output
@@ -34,8 +32,7 @@
  * Chrome trace events containing at least one epoch span and one
  * partition instant; --expect-workers=N additionally requires at
  * least N lab worker tracks (pid 1 tids) that carry a job span, and
- * --expect-profile requires host-profiler phase slices and at least
- * one hw.* counter sample (pid 4).
+ * --expect-profile requires host-profiler phase slices (pid 4).
  *
  * A third mode, --golden=FILE, compares the input against a checked-in
  * golden dump: every leaf (numbers exact, strings, bools) must match,
@@ -282,12 +279,10 @@ check_partition_timeline(const Value& root)
 
 /**
  * Validate the host-profiler block written by triagesim --profile.
- * @p min_attributed < 0 skips the attribution-floor check;
- * @p expect_backend empty accepts either backend.
+ * @p min_attributed < 0 skips the attribution-floor check.
  */
 void
-check_profile(const Value& root, double min_attributed,
-              const std::string& expect_backend)
+check_profile(const Value& root, double min_attributed)
 {
     const Value* p = root.get("profile");
     if (p == nullptr || !p->is_object()) {
@@ -297,15 +292,6 @@ check_profile(const Value& root, double min_attributed,
     const Value* enabled = p->get("enabled");
     if (enabled == nullptr || !enabled->is_bool() || !enabled->boolean)
         fail("profile.enabled missing or false");
-    const Value* backend = p->get("backend");
-    if (backend == nullptr || !backend->is_string() ||
-        (backend->str != "perf_event" && backend->str != "software")) {
-        fail("profile.backend must be 'perf_event' or 'software'");
-    } else if (!expect_backend.empty() &&
-               backend->str != expect_backend) {
-        fail("profile.backend is '" + backend->str + "', expected '" +
-             expect_backend + "'");
-    }
     for (const char* key :
          {"wall_seconds", "attributed_seconds", "attributed_frac"}) {
         const Value* v = p->get(key);
@@ -345,15 +331,11 @@ check_profile(const Value& root, double min_attributed,
         if (count == nullptr || !count->is_number() ||
             count->number <= 0.0)
             fail(tag + ".count missing or not positive");
-        for (const char* key : {"seconds", "hw_samples", "cycles",
-                                "instructions", "llc_misses",
-                                "branch_misses"}) {
-            const Value* v = ph.get(key);
-            if (v == nullptr || !v->is_number() ||
-                !std::isfinite(v->number) || v->number < 0.0)
-                fail(tag + "." + key +
-                     " missing or not a finite non-negative number");
-        }
+        const Value* seconds = ph.get("seconds");
+        if (seconds == nullptr || !seconds->is_number() ||
+            !std::isfinite(seconds->number) || seconds->number < 0.0)
+            fail(tag + ".seconds missing or not a finite non-negative "
+                       "number");
         // Phase keys are dotted call paths ("job.measure.epoch");
         // warmup and measure must appear somewhere in the tree.
         if (name == "warmup" ||
@@ -431,7 +413,6 @@ check_perfetto(const Value& root, unsigned expect_workers,
     bool saw_epoch = false;
     bool saw_partition = false;
     bool saw_prof_slice = false;
-    bool saw_prof_counter = false;
     std::set<double> worker_tids; ///< pid-1 tracks with a job span
     for (std::size_t i = 0; i < events->array.size(); ++i) {
         const Value& e = events->array[i];
@@ -461,12 +442,9 @@ check_perfetto(const Value& root, unsigned expect_workers,
             pid->number == 1.0 && tid != nullptr && tid->is_number())
             worker_tids.insert(tid->number);
         // Host profiler track is pid 4 (see obs/perfetto.hpp).
-        if (pid != nullptr && pid->is_number() && pid->number == 4.0) {
-            if (ph->str == "X")
-                saw_prof_slice = true;
-            if (ph->str == "C" && name->str.rfind("hw.", 0) == 0)
-                saw_prof_counter = true;
-        }
+        if (pid != nullptr && pid->is_number() && pid->number == 4.0 &&
+            ph->str == "X")
+            saw_prof_slice = true;
     }
     if (!saw_epoch)
         fail("no epoch event in traceEvents");
@@ -479,8 +457,6 @@ check_perfetto(const Value& root, unsigned expect_workers,
     }
     if (expect_profile && !saw_prof_slice)
         fail("no host-profiler phase slice (pid 4) in traceEvents");
-    if (expect_profile && !saw_prof_counter)
-        fail("no hw.* counter sample (pid 4) in traceEvents");
 }
 
 /** Type name for golden-mismatch messages. */
@@ -583,8 +559,9 @@ check_bench(const Value& root)
         if (mode == nullptr || !mode->is_string() ||
             (mode->str != "full" && mode->str != "smoke"))
             fail(tag + ".mode must be 'full' or 'smoke'");
-        // Hot-path v2 onwards: which counter backend produced the hw
-        // rates. Absent on older entries, constrained when present.
+        // Legacy field: which counter backend produced the hw rates
+        // (the "hotpath-v2" entry only; the bench no longer writes
+        // it). Constrained when present.
         if (const Value* hb = run.get("hw_backend"); hb != nullptr) {
             if (!hb->is_string() ||
                 (hb->str != "perf_event" && hb->str != "software"))
@@ -661,11 +638,11 @@ check_bench(const Value& root)
                                 "[seconds_min, seconds_max]");
                 }
             }
-            // Hardware-counter rates (pr8 onwards): absent on older
-            // trajectory entries, validated whenever present. The
-            // instruction rate must be genuinely positive — hot-path
-            // v2 gates it on a scheduled perf sample precisely so a
-            // fabricated 0 can no longer appear.
+            // Legacy hardware-counter rates ("host-profiling" and
+            // "hotpath-v2" entries only; the bench no longer writes
+            // them), validated whenever
+            // present. An instruction rate must be positive: a 0 was
+            // the artifact of a counter group that never ran.
             if (const Value* v = r.get("cycles_per_access");
                 v != nullptr) {
                 if (!v->is_number() || !std::isfinite(v->number) ||
@@ -737,7 +714,6 @@ main(int argc, char** argv)
     bool require_verify_clean = false;
     bool require_profile = false;
     double min_attributed = -1.0;
-    std::string expect_backend;
     bool perfetto = false;
     bool expect_profile = false;
     bool bench = false;
@@ -764,9 +740,6 @@ main(int argc, char** argv)
                     a.substr(std::strlen("--min-attributed=")),
                     min_attributed))
                 return 2;
-        } else if (a.rfind("--expect-backend=", 0) == 0) {
-            expect_backend =
-                a.substr(std::strlen("--expect-backend="));
         } else if (a == "--perfetto") {
             perfetto = true;
         } else if (a == "--expect-profile") {
@@ -790,8 +763,7 @@ main(int argc, char** argv)
                          " [--require-stats] [--require-lifecycle]"
                          " [--require-partition-timeline]"
                          " [--require-verify-clean]"
-                         " [--require-profile [--min-attributed=F]"
-                         " [--expect-backend=NAME]]"
+                         " [--require-profile [--min-attributed=F]]"
                          " [--require-key=PATH]...\n"
                          "       check_stats_json FILE --perfetto"
                          " [--expect-workers=N] [--expect-profile]\n"
@@ -852,7 +824,7 @@ main(int argc, char** argv)
         if (require_verify_clean)
             check_verify(*root);
         if (require_profile)
-            check_profile(*root, min_attributed, expect_backend);
+            check_profile(*root, min_attributed);
         for (const auto& key : require_keys) {
             if (root->find_path(key) == nullptr)
                 fail("required key '" + key + "' missing");

@@ -120,9 +120,7 @@ usage()
         "  --json                 emit the report as JSON\n"
         "  --profile              profile the simulator itself: phase\n"
         "                         timers (warmup/measure/epoch/\n"
-        "                         snapshot), hardware counters where\n"
-        "                         perf_event_open works (TSC fallback\n"
-        "                         otherwise), worker + checkpoint-store\n"
+        "                         snapshot), worker + checkpoint-store\n"
         "                         telemetry; adds a \"profile\" block\n"
         "                         to --stats-json and host-profiler\n"
         "                         tracks to --trace-perfetto\n"
@@ -329,46 +327,20 @@ wants_observability(const Options& o)
 
 /**
  * Post-run profile wiring: pull the Lab's worker/checkpoint telemetry
- * into the profiler and mirror the checkpoint counters into the stats
- * registry under profile.ckpt.* (integer view of the same numbers the
- * profile block reports; docs/observability.md §10).
+ * into the profiler (docs/observability.md §10) and print the
+ * attributed share of the wall clock.
  */
 void
-finish_profile(const Options& o, obs::Observability& obs,
-               exec::Lab& lab)
+finish_profile(const Options& o, const exec::Lab& lab)
 {
     lab.publish_profile();
-    if (wants_observability(o)) {
-        exec::CheckpointStore* ckpt = lab.checkpoints();
-        if (ckpt != nullptr) {
-            const exec::CheckpointStore::Stats s = ckpt->stats();
-            auto put = [&](const char* leaf, std::uint64_t v) {
-                obs.registry.counter(std::string("profile.ckpt.") + leaf)
-                    .add(v);
-            };
-            put("mem_hits", s.mem_hits);
-            put("disk_hits", s.disk_hits);
-            put("misses", s.misses);
-            put("produces", s.produces);
-            put("skipped", s.skipped);
-            put("waits", s.waits);
-            put("evictions", s.evictions);
-            put("lease_wait_ns", s.lease_wait_ns);
-            put("bytes_published", s.bytes_published);
-            put("bytes_mem", s.bytes_mem);
-            put("bytes_disk_read", s.bytes_disk_read);
-            put("bytes_disk_written", s.bytes_disk_written);
-        }
-    }
     if (!o.json) {
         auto& prof = obs::prof::Profiler::instance();
         const double wall = prof.wall_seconds();
         const double frac =
             wall > 0.0 ? prof.attributed_seconds() / wall : 0.0;
         std::cout << "profile: " << static_cast<int>(frac * 100.0 + 0.5)
-                  << "% of " << wall << "s wall attributed, backend "
-                  << obs::prof::Profiler::backend_name(prof.backend())
-                  << "\n";
+                  << "% of " << wall << "s wall attributed\n";
     }
 }
 
@@ -605,7 +577,7 @@ main(int argc, char** argv)
             report(label, r, base);
     }
     if (o.profile)
-        finish_profile(o, obs, lab);
+        finish_profile(o, lab);
     int rc = emit_observability(o, r, obs, lab);
     if (o.verify) {
         if (!o.json) {
