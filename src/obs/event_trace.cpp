@@ -3,6 +3,7 @@
 #include <cstring>
 #include <ostream>
 
+#include "obs/json.hpp"
 #include "util/log.hpp"
 
 namespace triage::obs {
@@ -78,12 +79,13 @@ EventTrace::clear()
 void
 EventTrace::write_jsonl(std::ostream& os) const
 {
+    json::Writer w(os);
     for (std::size_t i = 0; i < size(); ++i) {
         const TraceEvent& e = at(i);
-        os << "{\"cycle\": " << e.cycle
-           << ", \"core\": " << static_cast<unsigned>(e.core)
-           << ", \"kind\": \"" << kind_name(e.kind)
-           << "\", \"a0\": " << e.a0 << ", \"a1\": " << e.a1 << "}\n";
+        w.begin_object(false).field("cycle", e.cycle).field("core", e.core);
+        w.field("kind", kind_name(e.kind)).field("a0", e.a0);
+        w.field("a1", e.a1).end();
+        os << '\n';
     }
 }
 

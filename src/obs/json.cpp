@@ -1,7 +1,12 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <ostream>
+
+#include "util/log.hpp"
 
 namespace triage::obs::json {
 
@@ -316,6 +321,162 @@ std::optional<Value>
 parse(std::string_view text, std::string* error)
 {
     return Parser(text, error).run();
+}
+
+void
+Writer::indent(std::size_t depth)
+{
+    os_ << '\n';
+    for (std::size_t i = 0; i < depth; ++i)
+        os_ << "  ";
+}
+
+void
+Writer::separate()
+{
+    if (keyed_) {
+        keyed_ = false;
+        return;
+    }
+    if (frames_.empty())
+        return;
+    Frame& f = frames_.back();
+    if (!f.empty)
+        os_ << (f.block ? "," : ", ");
+    f.empty = false;
+    if (f.block)
+        indent(frames_.size());
+}
+
+Writer&
+Writer::open(char bracket, bool block)
+{
+    separate();
+    os_ << bracket;
+    // Everything inside a compact container stays on its line.
+    frames_.push_back(
+        {bracket == '{', block && (frames_.empty() || frames_.back().block)});
+    return *this;
+}
+
+Writer&
+Writer::begin_object(bool block)
+{
+    return open('{', block);
+}
+
+Writer&
+Writer::begin_array(bool block)
+{
+    return open('[', block);
+}
+
+Writer&
+Writer::end()
+{
+    TRIAGE_ASSERT(!frames_.empty() && !keyed_, "unbalanced JSON end()");
+    const Frame f = frames_.back();
+    frames_.pop_back();
+    if (f.block && !f.empty)
+        indent(frames_.size());
+    os_ << (f.object ? '}' : ']');
+    return *this;
+}
+
+Writer&
+Writer::key(std::string_view k)
+{
+    TRIAGE_ASSERT(!frames_.empty() && frames_.back().object && !keyed_,
+                  "JSON key outside an object");
+    separate();
+    escaped(k);
+    os_ << ": ";
+    keyed_ = true;
+    return *this;
+}
+
+void
+Writer::escaped(std::string_view s)
+{
+    os_ << '"';
+    for (char ch : s) {
+        switch (ch) {
+          case '"': os_ << "\\\""; break;
+          case '\\': os_ << "\\\\"; break;
+          case '\n': os_ << "\\n"; break;
+          case '\t': os_ << "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(ch) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(ch));
+                os_ << buf;
+            } else {
+                os_ << ch;
+            }
+        }
+    }
+    os_ << '"';
+}
+
+Writer&
+Writer::scalar(std::string_view text)
+{
+    separate();
+    os_ << text;
+    return *this;
+}
+
+Writer&
+Writer::value(std::string_view s)
+{
+    separate();
+    escaped(s);
+    return *this;
+}
+
+Writer&
+Writer::value(bool b)
+{
+    return scalar(b ? "true" : "false");
+}
+
+Writer&
+Writer::value(double v)
+{
+    if (!std::isfinite(v))
+        v = 0.0;
+    if (std::fabs(v) < 9007199254740992.0 && v == std::trunc(v))
+        return value(static_cast<std::int64_t>(v));
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%.10g", v);
+    return scalar(std::string_view(buf, static_cast<std::size_t>(n)));
+}
+
+Writer&
+Writer::dotted_key(std::string_view name, std::vector<std::string>& open)
+{
+    std::vector<std::string_view> segs;
+    for (std::size_t start = 0;;) {
+        const std::size_t dot = name.find('.', start);
+        segs.push_back(name.substr(start, dot - start));
+        if (dot == std::string_view::npos)
+            break;
+        start = dot + 1;
+    }
+    std::size_t shared = 0;
+    while (shared < open.size() && shared + 1 < segs.size() &&
+           open[shared] == segs[shared])
+        ++shared;
+    while (open.size() > shared) {
+        end();
+        open.pop_back();
+    }
+    for (std::size_t d = shared; d + 1 < segs.size(); ++d) {
+        key(segs[d]).begin_object();
+        open.emplace_back(segs[d]);
+    }
+    return key(segs.back());
 }
 
 } // namespace triage::obs::json

@@ -1,8 +1,10 @@
 #include "obs/lifecycle.hpp"
 
 #include <algorithm>
-#include <ostream>
+#include <cstdio>
+#include <cstdlib>
 
+#include "obs/json.hpp"
 #include "util/log.hpp"
 
 namespace triage::obs {
@@ -201,53 +203,52 @@ LifecycleTracker::top_by_pollution(std::size_t n) const
 namespace {
 
 void
-write_counts(std::ostream& os, const LifecycleCounts& c)
+write_counts(json::Writer& w, const LifecycleCounts& c)
 {
-    os << "{\"issued\": " << c.issued << ", \"accurate\": " << c.accurate
-       << ", \"late\": " << c.late
-       << ", \"early_evicted\": " << c.early_evicted
-       << ", \"useless\": " << c.useless
-       << ", \"dropped\": " << c.dropped << "}";
+    w.begin_object(false);
+    w.field("issued", c.issued).field("accurate", c.accurate);
+    w.field("late", c.late).field("early_evicted", c.early_evicted);
+    w.field("useless", c.useless).field("dropped", c.dropped).end();
 }
 
 void
-write_pc_table(std::ostream& os, const std::string& pad,
-               const std::vector<PcAttribution>& rows)
+write_pc_table(json::Writer& w, const std::vector<PcAttribution>& rows)
 {
-    os << "[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        os << (i == 0 ? "\n" : ",\n") << pad << "  {\"pc\": "
-           << rows[i].pc << ", \"counts\": ";
-        write_counts(os, rows[i].counts);
-        os << "}";
+    w.begin_array();
+    for (const PcAttribution& row : rows) {
+        w.begin_object(false).field("pc", row.pc).key("counts");
+        write_counts(w, row.counts);
+        w.end();
     }
-    if (!rows.empty())
-        os << "\n" << pad;
-    os << "]";
+    w.end();
+}
+
+/** Hit rates are written at 6 significant digits, the resolution the
+ *  partition timeline has always carried (and the goldens pin). */
+double
+six_digits(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    return std::strtod(buf, nullptr);
 }
 
 } // namespace
 
 void
-LifecycleTracker::write_json(std::ostream& os, int indent,
-                             std::size_t top_n) const
+LifecycleTracker::write_json(json::Writer& w, std::size_t top_n) const
 {
-    const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-    os << "{\n" << pad << "  \"cores\": [";
-    for (std::size_t c = 0; c < per_core_.size(); ++c) {
-        os << (c == 0 ? "\n" : ",\n") << pad << "    ";
-        write_counts(os, per_core_[c].counts);
-    }
-    if (!per_core_.empty())
-        os << "\n" << pad << "  ";
-    os << "],\n" << pad << "  \"total\": ";
-    write_counts(os, total());
-    os << ",\n" << pad << "  \"open\": " << open_records();
-    os << ",\n" << pad << "  \"top_pcs_by_coverage\": ";
-    write_pc_table(os, pad + "  ", top_by_coverage(top_n));
-    os << ",\n" << pad << "  \"top_pcs_by_pollution\": ";
-    write_pc_table(os, pad + "  ", top_by_pollution(top_n));
-    os << "\n" << pad << "}";
+    w.begin_object().key("cores").begin_array();
+    for (const PerCore& pc : per_core_)
+        write_counts(w, pc.counts);
+    w.end().key("total");
+    write_counts(w, total());
+    w.field("open", open_records());
+    w.key("top_pcs_by_coverage");
+    write_pc_table(w, top_by_coverage(top_n));
+    w.key("top_pcs_by_pollution");
+    write_pc_table(w, top_by_pollution(top_n));
+    w.end();
 }
 
 const char*
@@ -284,34 +285,26 @@ PartitionTimeline::record(PartitionSample s)
 }
 
 void
-PartitionTimeline::write_json(std::ostream& os, int indent) const
+PartitionTimeline::write_json(json::Writer& w) const
 {
-    const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-    os << "{\n" << pad << "  \"dropped\": " << dropped_ << ",\n"
-       << pad << "  \"cores\": [";
+    w.begin_object().field("dropped", dropped_).key("cores").begin_array();
     for (unsigned c = 0; c < n_cores_; ++c) {
-        os << (c == 0 ? "\n" : ",\n") << pad << "    [";
-        bool first = true;
+        w.begin_array();
         for (const PartitionSample& s : samples_) {
             if (s.core != c)
                 continue;
-            os << (first ? "\n" : ",\n") << pad << "      "
-               << "{\"epoch\": " << s.epoch << ", \"level\": " << s.level
-               << ", \"verdict\": " << s.verdict
-               << ", \"size_bytes\": " << s.size_bytes << ", \"event\": \""
-               << partition_event_name(s.event) << "\", \"hit_rates\": [";
-            for (std::size_t i = 0; i < s.hit_rates.size(); ++i)
-                os << (i == 0 ? "" : ", ") << s.hit_rates[i];
-            os << "]}";
-            first = false;
+            w.begin_object(false);
+            w.field("epoch", s.epoch).field("level", s.level);
+            w.field("verdict", s.verdict).field("size_bytes", s.size_bytes);
+            w.field("event", partition_event_name(s.event));
+            w.key("hit_rates").begin_array(false);
+            for (double r : s.hit_rates)
+                w.value(six_digits(r));
+            w.end().end();
         }
-        if (!first)
-            os << "\n" << pad << "    ";
-        os << "]";
+        w.end();
     }
-    if (n_cores_ != 0)
-        os << "\n" << pad << "  ";
-    os << "]\n" << pad << "}";
+    w.end().end();
 }
 
 } // namespace triage::obs

@@ -33,11 +33,14 @@
 #define TRIAGE_OBS_LIFECYCLE_HPP
 
 #include <cstdint>
-#include <iosfwd>
 #include <unordered_map>
 #include <vector>
 
 namespace triage::obs {
+
+namespace json {
+class Writer;
+} // namespace json
 
 /** Terminal classification of one prefetch. */
 enum class PrefetchClass : std::uint8_t {
@@ -136,8 +139,7 @@ class LifecycleTracker
      * {"cores": [{...class counts...}], "total": {...},
      *  "top_pcs_by_coverage": [...], "top_pcs_by_pollution": [...]}
      */
-    void write_json(std::ostream& os, int indent = 0,
-                    std::size_t top_n = 10) const;
+    void write_json(json::Writer& w, std::size_t top_n = 10) const;
 
   private:
     struct PerCore {
@@ -206,7 +208,7 @@ class PartitionTimeline
      * Serialize as {"dropped": N, "cores": [[...samples...], ...]},
      * one inner array per core in epoch order.
      */
-    void write_json(std::ostream& os, int indent = 0) const;
+    void write_json(json::Writer& w) const;
 
   private:
     unsigned n_cores_ = 0;

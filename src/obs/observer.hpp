@@ -11,7 +11,6 @@
 #define TRIAGE_OBS_OBSERVER_HPP
 
 #include <cstdint>
-#include <iosfwd>
 
 #include "obs/event_trace.hpp"
 #include "obs/lifecycle.hpp"
@@ -57,7 +56,7 @@ class RunVerifier
     /** Total violations reported so far. */
     virtual std::uint64_t violations() const = 0;
     /** Serialize {"checks":N,"violations":N,"failures":[...]}. */
-    virtual void write_json(std::ostream& os, int indent = 0) const = 0;
+    virtual void write_json(json::Writer& w) const = 0;
 };
 
 /** Registry + sampler + trace + lifecycle/timeline, one unit. */

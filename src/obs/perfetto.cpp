@@ -1,10 +1,9 @@
 #include "obs/perfetto.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
-#include <sstream>
 
+#include "obs/json.hpp"
 #include "obs/observer.hpp"
 #include "obs/profile.hpp"
 
@@ -17,86 +16,35 @@ constexpr int PID_SIM = 2;
 constexpr int PID_EPOCH = 3;
 constexpr int PID_PROF = 4;
 
-/** Minimal JSON string escaping for names/labels. */
-std::string
-escape(const std::string& s)
+/** Metadata event naming a process (tid 0) or one of its threads. */
+void
+name_track(json::Writer& w, const char* what, int pid, int tid,
+           const std::string& name)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
+    w.begin_object(false).field("name", what).field("ph", "M");
+    w.field("pid", pid).field("tid", tid);
+    w.key("args").begin_object().field("name", name).end().end();
 }
-
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os.precision(10);
-    os << v;
-    return os.str();
-}
-
-/** Emits events with the separating commas handled centrally. */
-class EventWriter
-{
-  public:
-    explicit EventWriter(std::ostream& os) : os_(os) {}
-
-    std::ostream&
-    begin()
-    {
-        os_ << (first_ ? "\n  " : ",\n  ");
-        first_ = false;
-        return os_;
-    }
-
-    void
-    metadata(const char* what, int pid, int tid, const std::string& name)
-    {
-        begin() << "{\"name\": \"" << what << "\", \"ph\": \"M\", \"pid\": "
-                << pid << ", \"tid\": " << tid
-                << ", \"args\": {\"name\": \"" << escape(name) << "\"}}";
-    }
-
-    void
-    process(int pid, const std::string& name)
-    {
-        // tid 0 is fine for process metadata; the UI keys on "ph":"M".
-        metadata("process_name", pid, 0, name);
-    }
-
-    void
-    thread(int pid, int tid, const std::string& name)
-    {
-        begin() << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": "
-                << pid << ", \"tid\": " << tid
-                << ", \"args\": {\"name\": \"" << escape(name) << "\"}}";
-    }
-
-    bool empty() const { return first_; }
-
-  private:
-    std::ostream& os_;
-    bool first_ = true;
-};
 
 void
-write_job_spans(EventWriter& w, const std::vector<JobSpan>& jobs)
+name_process(json::Writer& w, int pid, const std::string& name)
+{
+    // tid 0 is fine for process metadata; the UI keys on "ph":"M".
+    name_track(w, "process_name", pid, 0, name);
+}
+
+/** Opens a complete ("X") span event; the caller adds args or ends it. */
+json::Writer&
+span(json::Writer& w, const std::string& name, std::uint64_t ts,
+     std::uint64_t dur, int pid, unsigned tid)
+{
+    w.begin_object(false).field("name", name).field("ph", "X");
+    w.field("ts", ts).field("dur", dur).field("pid", pid);
+    return w.field("tid", tid);
+}
+
+void
+write_job_spans(json::Writer& w, const std::vector<JobSpan>& jobs)
 {
     // One named track per worker that ran a job, in worker order.
     std::vector<unsigned> workers;
@@ -105,22 +53,19 @@ write_job_spans(EventWriter& w, const std::vector<JobSpan>& jobs)
     std::sort(workers.begin(), workers.end());
     workers.erase(std::unique(workers.begin(), workers.end()),
                   workers.end());
-    w.process(PID_LAB, "lab scheduler (wall-clock us)");
+    name_process(w, PID_LAB, "lab scheduler (wall-clock us)");
     for (unsigned t : workers)
-        w.thread(PID_LAB, static_cast<int>(t),
-                 "worker " + std::to_string(t));
+        name_track(w, "thread_name", PID_LAB, static_cast<int>(t),
+                   "worker " + std::to_string(t));
     for (const JobSpan& j : jobs) {
         std::uint64_t dur =
             j.end_us > j.start_us ? j.end_us - j.start_us : 1;
-        w.begin() << "{\"name\": \"" << escape(j.label)
-                  << "\", \"ph\": \"X\", \"ts\": " << j.start_us
-                  << ", \"dur\": " << dur << ", \"pid\": " << PID_LAB
-                  << ", \"tid\": " << j.worker << "}";
+        span(w, j.label, j.start_us, dur, PID_LAB, j.worker).end();
     }
 }
 
 void
-write_simulation_events(EventWriter& w, const EventTrace& trace)
+write_simulation_events(json::Writer& w, const EventTrace& trace)
 {
     bool named[256] = {};
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -153,65 +98,57 @@ write_simulation_events(EventWriter& w, const EventTrace& trace)
             continue; // high-volume per-prefetch kinds stay out
         }
         if (!named[e.core]) {
-            w.thread(PID_SIM, e.core,
-                     "core " + std::to_string(e.core));
+            name_track(w, "thread_name", PID_SIM, e.core,
+                       "core " + std::to_string(e.core));
             named[e.core] = true;
         }
-        w.begin() << "{\"name\": \"" << name
-                  << "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": " << e.cycle
-                  << ", \"pid\": " << PID_SIM
-                  << ", \"tid\": " << static_cast<int>(e.core)
-                  << ", \"args\": {\"" << k0 << "\": " << e.a0 << ", \""
-                  << k1 << "\": " << e.a1 << "}}";
+        w.begin_object(false).field("name", name).field("ph", "i");
+        w.field("s", "t").field("ts", e.cycle).field("pid", PID_SIM);
+        w.field("tid", e.core).key("args").begin_object();
+        w.field(k0, e.a0).field(k1, e.a1).end().end();
     }
 }
 
 void
-write_epoch_spans(EventWriter& w, const EpochSampler& sampler)
+write_epoch_spans(json::Writer& w, const EpochSampler& sampler)
 {
-    w.process(PID_EPOCH, "epochs (measured records)");
-    w.thread(PID_EPOCH, 0, "epochs");
+    name_process(w, PID_EPOCH, "epochs (measured records)");
+    name_track(w, "thread_name", PID_EPOCH, 0, "epochs");
     const auto& names = sampler.probe_names();
     const auto& epochs = sampler.epochs();
     for (std::size_t i = 0; i < epochs.size(); ++i) {
         const Epoch& e = epochs[i];
         std::uint64_t dur = e.end > e.begin ? e.end - e.begin : 1;
-        auto& os = w.begin();
-        os << "{\"name\": \"epoch " << i << "\", \"ph\": \"X\", \"ts\": "
-           << e.begin << ", \"dur\": " << dur << ", \"pid\": " << PID_EPOCH
-           << ", \"tid\": 0, \"args\": {";
+        span(w, "epoch " + std::to_string(i), e.begin, dur, PID_EPOCH, 0)
+            .key("args")
+            .begin_object();
         for (std::size_t p = 0; p < names.size() &&
-                                p < e.values.size(); ++p) {
-            os << (p == 0 ? "" : ", ") << "\"" << escape(names[p])
-               << "\": " << num(e.values[p]);
-        }
-        os << "}}";
+                                p < e.values.size(); ++p)
+            w.field(names[p], e.values[p]);
+        w.end().end();
     }
 }
 
 void
-write_profile_slices(EventWriter& w)
+write_profile_slices(json::Writer& w)
 {
     auto& prof = prof::Profiler::instance();
     const auto slices = prof.slices();
     if (slices.empty())
         return;
-    w.process(PID_PROF, "host profiler (wall-clock us)");
+    name_process(w, PID_PROF, "host profiler (wall-clock us)");
     bool named[64] = {};
     for (const auto& s : slices) {
         const unsigned tid = s.tid < 64 ? s.tid : 63;
         if (!named[tid]) {
-            w.thread(PID_PROF, static_cast<int>(tid),
-                     "host thread " + std::to_string(tid));
+            name_track(w, "thread_name", PID_PROF, static_cast<int>(tid),
+                       "host thread " + std::to_string(tid));
             named[tid] = true;
         }
         const std::uint64_t ts = s.start_ns / 1000;
         const std::uint64_t dur = std::max<std::uint64_t>(
             1, s.dur_ns / 1000);
-        w.begin() << "{\"name\": \"" << escape(s.path)
-                  << "\", \"ph\": \"X\", \"ts\": " << ts
-                  << ", \"dur\": " << dur << ", \"pid\": " << PID_PROF
-                  << ", \"tid\": " << tid << "}";
+        span(w, s.path, ts, dur, PID_PROF, tid).end();
     }
 }
 
@@ -221,13 +158,14 @@ void
 write_trace(std::ostream& os, const Observability* obs,
             const std::vector<JobSpan>& jobs, const TraceOptions& opt)
 {
-    os << "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [";
-    EventWriter w(os);
+    json::Writer w(os);
+    w.begin_object().field("displayTimeUnit", "ms");
+    w.key("traceEvents").begin_array();
     if (!jobs.empty())
         write_job_spans(w, jobs);
     if (obs != nullptr) {
         if (opt.include_simulation_events && obs->trace.size() > 0) {
-            w.process(PID_SIM, "simulation (cycles)");
+            name_process(w, PID_SIM, "simulation (cycles)");
             write_simulation_events(w, obs->trace);
         }
         if (!obs->sampler.epochs().empty())
@@ -235,7 +173,8 @@ write_trace(std::ostream& os, const Observability* obs,
     }
     if (opt.include_profile)
         write_profile_slices(w);
-    os << (w.empty() ? "]" : "\n]") << "}\n";
+    w.end().end();
+    os << '\n';
 }
 
 } // namespace triage::obs::perfetto

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <ostream>
 
+#include "obs/json.hpp"
 #include "util/log.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -35,30 +35,6 @@ struct ThreadState {
 };
 
 thread_local ThreadState t_state;
-
-/** JSON indentation helper matching the registry writer's style. */
-std::string
-pad(int indent)
-{
-    return std::string(static_cast<std::size_t>(indent) * 2, ' ');
-}
-
-std::vector<std::string>
-split_segments(const std::string& name)
-{
-    std::vector<std::string> segs;
-    std::size_t start = 0;
-    while (true) {
-        std::size_t dot = name.find('.', start);
-        if (dot == std::string::npos) {
-            segs.push_back(name.substr(start));
-            break;
-        }
-        segs.push_back(name.substr(start, dot - start));
-        start = dot + 1;
-    }
-    return segs;
-}
 
 } // namespace
 
@@ -218,7 +194,7 @@ Profiler::record_slice(std::uint64_t start_ns, std::uint64_t end_ns)
 }
 
 void
-Profiler::write_json(std::ostream& os, int indent) const
+Profiler::write_json(json::Writer& w) const
 {
     const double wall = wall_seconds();
     const double attributed = attributed_seconds();
@@ -237,80 +213,39 @@ Profiler::write_json(std::ostream& os, int indent) const
         n_slices = slices_.size();
     }
 
-    const std::string p0 = pad(indent);
-    const std::string p1 = pad(indent + 1);
-    const std::string p2 = pad(indent + 2);
-    os << "{\n";
-    os << p1 << "\"enabled\": " << (armed() ? "true" : "false")
-       << ",\n";
-    os << p1 << "\"wall_seconds\": " << wall << ",\n";
-    os << p1 << "\"attributed_seconds\": " << attributed << ",\n";
-    os << p1 << "\"attributed_frac\": "
-       << (wall > 0.0 ? attributed / wall : 0.0) << ",\n";
+    w.begin_object();
+    w.field("enabled", armed());
+    w.field("wall_seconds", wall);
+    w.field("attributed_seconds", attributed);
+    w.field("attributed_frac", wall > 0.0 ? attributed / wall : 0.0);
 
     // Phase table: flat object keyed by full dotted path (paths embed
     // dots, so nesting them would collide with single-segment keys).
-    os << p1 << "\"phases\": {";
-    bool first = true;
+    w.key("phases").begin_object();
     for (const auto& [path, ph] : phases) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n"
-           << p2 << "\"" << path << "\": {\"count\": " << ph.count
-           << ", \"seconds\": " << static_cast<double>(ph.ns) * 1e-9
-           << "}";
+        w.key(path).begin_object(false);
+        w.field("count", ph.count);
+        w.field("seconds", static_cast<double>(ph.ns) * 1e-9).end();
     }
-    os << (first ? "" : "\n" + p1) << "},\n";
+    w.end();
 
-    os << p1 << "\"slices\": {\"recorded\": " << n_slices
-       << ", \"dropped\": " << dropped << "},\n";
+    w.key("slices").begin_object(false);
+    w.field("recorded", n_slices).field("dropped", dropped).end();
 
-    // Summary counters, nested by dotted name like the registry writer
+    // Summary counters, nested by dotted name like the registry dump
     // (so "ckpt.mem_hits" lands at profile.counters.ckpt.mem_hits).
-    os << p1 << "\"counters\": {";
-    std::vector<std::string> open_path;
-    first = true;
-    for (const auto& [name, v] : counters) {
-        auto segs = split_segments(name);
-        std::size_t common = 0;
-        while (common < open_path.size() && common + 1 < segs.size() &&
-               open_path[common] == segs[common])
-            ++common;
-        for (std::size_t i = open_path.size(); i > common; --i)
-            os << "\n" << pad(indent + 1 + static_cast<int>(i)) << "}";
-        open_path.resize(common);
-        if (!first)
-            os << ",";
-        first = false;
-        for (std::size_t i = common; i + 1 < segs.size(); ++i) {
-            os << "\n"
-               << pad(indent + 2 + static_cast<int>(i)) << "\""
-               << segs[i] << "\": {";
-            open_path.push_back(segs[i]);
-        }
-        os << "\n"
-           << pad(indent + 2 + static_cast<int>(open_path.size()))
-           << "\"" << segs.back() << "\": " << v;
-    }
-    for (std::size_t i = open_path.size(); i > 0; --i)
-        os << "\n" << pad(indent + 1 + static_cast<int>(i)) << "}";
-    os << (first ? "" : "\n" + p1) << "},\n";
+    w.key("counters");
+    json::write_nested(w, counters,
+                       [](json::Writer& out, double v) { out.value(v); });
 
-    os << p1 << "\"workers\": [";
-    first = true;
-    for (const auto& [id, w] : workers) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n"
-           << p2 << "{\"worker\": " << w.worker
-           << ", \"jobs\": " << w.jobs << ", \"busy_seconds\": "
-           << static_cast<double>(w.busy_ns) * 1e-9
-           << ", \"peak_rss_kb\": " << w.peak_rss_kb << "}";
+    w.key("workers").begin_array();
+    for (const auto& [id, wa] : workers) {
+        w.begin_object(false);
+        w.field("worker", wa.worker).field("jobs", wa.jobs);
+        w.field("busy_seconds", static_cast<double>(wa.busy_ns) * 1e-9);
+        w.field("peak_rss_kb", wa.peak_rss_kb).end();
     }
-    os << (first ? "" : "\n" + p1) << "]\n";
-    os << p0 << "}";
+    w.end().end();
 }
 
 void

@@ -36,11 +36,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
 #include <vector>
+
+namespace triage::obs::json {
+class Writer;
+} // namespace triage::obs::json
 
 namespace triage::obs::prof {
 
@@ -119,7 +122,7 @@ class Profiler
      * phase table, summary counters (nested by dotted name), and
      * worker rows. See docs/observability.md §10.
      */
-    void write_json(std::ostream& os, int indent = 0) const;
+    void write_json(json::Writer& w) const;
 
   private:
     friend class ProfScope;

@@ -1,8 +1,6 @@
 #include "obs/registry.hpp"
 
-#include <cmath>
-#include <ostream>
-
+#include "obs/json.hpp"
 #include "util/log.hpp"
 
 namespace triage::obs {
@@ -61,14 +59,6 @@ Registry::add_formula(const std::string& name, std::function<double()> fn)
     insert(name, StatKind::Formula).formula = std::move(fn);
 }
 
-Counter&
-Registry::counter(const std::string& name)
-{
-    Stat& s = insert(name, StatKind::Counter);
-    s.owned = std::make_unique<Counter>();
-    return *s.owned;
-}
-
 bool
 Registry::contains(const std::string& name) const
 {
@@ -81,9 +71,7 @@ Registry::read(const std::string& name) const
     const Stat& s = find(name);
     switch (s.kind) {
       case StatKind::Counter:
-        return static_cast<double>(s.bound_counter != nullptr
-                                       ? *s.bound_counter
-                                       : s.owned->value());
+        return static_cast<double>(*s.bound_counter);
       case StatKind::Formula:
         return s.formula();
     }
@@ -107,22 +95,12 @@ Registry::names() const
 }
 
 void
-Registry::reset()
-{
-    for (auto& [name, stat] : stats_) {
-        if (stat.owned != nullptr)
-            stat.owned->reset();
-    }
-}
-
-void
 Registry::freeze()
 {
     for (auto& [name, s] : stats_) {
         switch (s.kind) {
           case StatKind::Counter:
-            if (s.bound_counter != nullptr &&
-                s.bound_counter != &s.frozen_counter) {
+            if (s.bound_counter != &s.frozen_counter) {
                 s.frozen_counter = *s.bound_counter;
                 s.bound_counter = &s.frozen_counter;
             }
@@ -142,100 +120,15 @@ Registry::clear()
     stats_.clear();
 }
 
-namespace {
-
-/** JSON numbers cannot carry inf/nan; degrade them to 0. */
-double
-finite(double v)
-{
-    return std::isfinite(v) ? v : 0.0;
-}
-
 void
-write_number(std::ostream& os, double v)
+Registry::write_json(json::Writer& w) const
 {
-    auto prec = os.precision(10);
-    os << finite(v);
-    os.precision(prec);
-}
-
-std::vector<std::string>
-split_segments(const std::string& name)
-{
-    std::vector<std::string> segs;
-    std::size_t start = 0;
-    while (true) {
-        std::size_t dot = name.find('.', start);
-        if (dot == std::string::npos) {
-            segs.push_back(name.substr(start));
-            return segs;
-        }
-        segs.push_back(name.substr(start, dot - start));
-        start = dot + 1;
-    }
-}
-
-void
-pad(std::ostream& os, int depth)
-{
-    for (int i = 0; i < depth; ++i)
-        os << "  ";
-}
-
-} // namespace
-
-void
-Registry::write_json(std::ostream& os, int indent) const
-{
-    // Sorted map order groups siblings; emit nested objects by tracking
-    // the shared prefix depth between consecutive names.
-    std::vector<std::string> open; // currently open path segments
-    os << "{";
-    bool first = true;
-    for (const auto& [name, stat] : stats_) {
-        auto segs = split_segments(name);
-        // Close objects no longer shared with this name's path.
-        std::size_t shared = 0;
-        while (shared < open.size() && shared + 1 < segs.size() &&
-               open[shared] == segs[shared])
-            ++shared;
-        for (std::size_t d = open.size(); d > shared; --d) {
-            os << "\n";
-            pad(os, indent + static_cast<int>(d));
-            os << "}";
-        }
-        open.resize(shared);
-        if (!first)
-            os << ",";
-        first = false;
-        // Open any new intermediate objects.
-        for (std::size_t d = shared; d + 1 < segs.size(); ++d) {
-            os << "\n";
-            pad(os, indent + static_cast<int>(d) + 1);
-            os << "\"" << segs[d] << "\": {";
-            open.push_back(segs[d]);
-        }
-        os << "\n";
-        pad(os, indent + static_cast<int>(segs.size()));
-        os << "\"" << segs.back() << "\": ";
-        switch (stat.kind) {
-          case StatKind::Counter:
-            os << (stat.bound_counter != nullptr ? *stat.bound_counter
-                                                 : stat.owned->value());
-            break;
-          case StatKind::Formula:
-            write_number(os, stat.formula());
-            break;
-        }
-    }
-    for (std::size_t d = open.size(); d > 0; --d) {
-        os << "\n";
-        pad(os, indent + static_cast<int>(d));
-        os << "}";
-    }
-    os << "\n";
-    pad(os, indent);
-    os << "}";
+    json::write_nested(w, stats_, [](json::Writer& out, const Stat& s) {
+        if (s.kind == StatKind::Counter)
+            out.value(*s.bound_counter);
+        else
+            out.value(s.formula());
+    });
 }
 
 } // namespace triage::obs

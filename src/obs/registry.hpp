@@ -3,14 +3,12 @@
  * Hierarchical statistics registry (gem5-style).
  *
  * Components register named stats under dot-separated hierarchical
- * names ("core0.l2.demand_misses"). Three stat flavours:
+ * names ("core0.l2.demand_misses"). Two stat flavours:
  *
  *  - bound counters: non-owning views of counters a component already
  *    keeps in its own stats struct (registration costs nothing on the
  *    simulation hot path — the registry reads the live field at dump
  *    time);
- *  - owned counters: registry-native scalars for numbers no component
- *    keeps;
  *  - formulas: lazily evaluated derived metrics (hit rates, IPC).
  *
  * The registry serializes itself as nested JSON keyed by the name
@@ -21,35 +19,20 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace triage::obs {
 
+namespace json {
+class Writer;
+} // namespace json
+
 /** Discriminates Registry entries. */
 enum class StatKind : std::uint8_t {
-    Counter, ///< monotonic integer (bound or owned)
+    Counter, ///< monotonic integer bound to a component's field
     Formula, ///< derived metric, evaluated on read
-};
-
-/** Registry-owned scalar counter. */
-class Counter
-{
-  public:
-    Counter& operator++()
-    {
-        ++v_;
-        return *this;
-    }
-    void add(std::uint64_t n) { v_ += n; }
-    std::uint64_t value() const { return v_; }
-    void reset() { v_ = 0; }
-
-  private:
-    std::uint64_t v_ = 0;
 };
 
 /** The hierarchical registry. */
@@ -60,8 +43,6 @@ class Registry
     void bind_counter(const std::string& name, const std::uint64_t* src);
     /** Register a derived metric evaluated at read/dump time. */
     void add_formula(const std::string& name, std::function<double()> fn);
-    /** Create (and own) a scalar counter. */
-    Counter& counter(const std::string& name);
 
     bool contains(const std::string& name) const;
     std::size_t size() const { return stats_.size(); }
@@ -77,15 +58,10 @@ class Registry
     /** All registered names in sorted (hierarchical) order. */
     std::vector<std::string> names() const;
 
-    /** Zero owned counters (bound stats belong to their components,
-     *  which have their own clear_stats paths). */
-    void reset();
-
     /**
      * Snapshot every bound counter and formula into storage the
      * registry owns, so reads and dumps stay valid after the components
-     * the stats were bound to are destroyed. Owned counters are
-     * untouched. Idempotent.
+     * the stats were bound to are destroyed. Idempotent.
      */
     void freeze();
 
@@ -96,14 +72,13 @@ class Registry
      * Serialize as nested JSON: name segments become object keys, so
      * "core0.l2.demand_misses" lands at {"core0":{"l2":{...}}}.
      */
-    void write_json(std::ostream& os, int indent = 0) const;
+    void write_json(json::Writer& w) const;
 
   private:
     struct Stat {
         StatKind kind = StatKind::Counter;
         const std::uint64_t* bound_counter = nullptr;
         std::function<double()> formula;
-        std::unique_ptr<Counter> owned;
         // freeze() target: a bound pointer is repointed here (map nodes
         // are pointer-stable, so this address never moves).
         std::uint64_t frozen_counter = 0;

@@ -1,9 +1,8 @@
 #include "obs/sampler.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <ostream>
 
+#include "obs/json.hpp"
 #include "util/log.hpp"
 
 namespace triage::obs {
@@ -125,35 +124,19 @@ EpochSampler::reset()
 }
 
 void
-EpochSampler::write_json(std::ostream& os, int indent) const
+EpochSampler::write_json(json::Writer& w) const
 {
-    auto pad = [&](int extra) {
-        os << "\n";
-        for (int i = 0; i < indent + extra; ++i)
-            os << "  ";
-    };
-    auto prec = os.precision(10);
-    os << "[";
-    for (std::size_t i = 0; i < epochs_.size(); ++i) {
-        const Epoch& e = epochs_[i];
-        if (i != 0)
-            os << ",";
-        pad(1);
-        os << "{\"begin\": " << e.begin << ", \"end\": " << e.end;
+    w.begin_array();
+    for (const Epoch& e : epochs_) {
+        w.begin_object(false).field("begin", e.begin).field("end", e.end);
         // A frozen sampler keeps names_ but no probes; epochs recorded
         // before older registrations may also be shorter than names_.
         const std::size_t n = std::min(names_.size(), e.values.size());
-        for (std::size_t p = 0; p < n; ++p) {
-            double v = e.values[p];
-            os << ", \"" << names_[p]
-               << "\": " << (std::isfinite(v) ? v : 0.0);
-        }
-        os << "}";
+        for (std::size_t p = 0; p < n; ++p)
+            w.field(names_[p], e.values[p]);
+        w.end();
     }
-    if (!epochs_.empty())
-        pad(0);
-    os << "]";
-    os.precision(prec);
+    w.end();
 }
 
 } // namespace triage::obs

@@ -23,11 +23,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace triage::obs {
+
+namespace json {
+class Writer;
+} // namespace json
 
 /** One closed epoch: progress interval plus one value per probe. */
 struct Epoch {
@@ -82,7 +85,7 @@ class EpochSampler
      * Serialize as a JSON array of epoch objects:
      * [{"begin": 0, "end": 10000, "core0.ipc": 1.23, ...}, ...]
      */
-    void write_json(std::ostream& os, int indent = 0) const;
+    void write_json(json::Writer& w) const;
 
   private:
     enum class Kind : std::uint8_t { Level, Delta, Rate };

@@ -8,18 +8,20 @@
 #define TRIAGE_STATS_REPORT_HPP
 
 #include <iosfwd>
-#include <string>
 
 #include "sim/run_stats.hpp"
 
 namespace triage::obs {
 struct Observability;
+namespace json {
+class Writer;
+} // namespace json
 } // namespace triage::obs
 
 namespace triage::stats {
 
 /**
- * Write @p r as a JSON object:
+ * Write @p r as a JSON object through @p w:
  * {
  *   "cores": [ {ipc, instructions, cycles, l1_misses, l2_misses,
  *               coverage, accuracy, pf_issued, pf_useful,
@@ -29,15 +31,19 @@ namespace triage::stats {
  *               metadata_write, total},
  *   "span_cycles": N
  * }
- * Pretty-printed with two-space indentation.
  */
-void write_json(std::ostream& os, const sim::RunResult& r);
-
-/** Convenience: JSON to a string. */
-std::string to_json(const sim::RunResult& r);
+void write_json(obs::json::Writer& w, const sim::RunResult& r);
 
 /**
- * Full structured report for --stats-json: the RunResult under "run",
+ * Version of the --stats-json layout, written as its first key. Bump
+ * it when a key is renamed or removed or changes meaning
+ * (docs/observability.md, "Output format").
+ */
+inline constexpr int STATS_SCHEMA_VERSION = 1;
+
+/**
+ * Full structured report for --stats-json: "schema_version", then the
+ * RunResult under "run",
  * plus — when @p obs is non-null — the epoch time series under
  * "epochs" (one object per closed epoch, keys = probe names), the
  * hierarchical stats registry dump under "stats", and ring-buffer

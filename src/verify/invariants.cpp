@@ -1,38 +1,11 @@
 #include "verify/invariants.hpp"
 
-#include <ostream>
-
 #include "cache/hierarchy.hpp"
+#include "obs/json.hpp"
 #include "obs/lifecycle.hpp"
 #include "triage/triage.hpp"
 
 namespace triage::verify {
-
-namespace {
-
-void
-write_escaped(std::ostream& os, const std::string& s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char* hex = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
 
 void
 InvariantSuite::clear()
@@ -161,25 +134,15 @@ InvariantSuite::sweep()
 }
 
 void
-InvariantSuite::write_json(std::ostream& os, int indent) const
+InvariantSuite::write_json(obs::json::Writer& w) const
 {
-    const std::string pad(static_cast<std::size_t>(indent), ' ');
-    const std::string pad2 = pad + "  ";
-    const std::string pad4 = pad2 + "  ";
-    os << "{\n";
-    os << pad2 << "\"checks\": " << checks_ << ",\n";
-    os << pad2 << "\"violations\": " << violations_ << ",\n";
-    os << pad2 << "\"failures\": [";
-    for (std::size_t i = 0; i < recorded_.size(); ++i) {
-        os << (i == 0 ? "\n" : ",\n") << pad4 << "{\"checker\": ";
-        write_escaped(os, recorded_[i].checker);
-        os << ", \"message\": ";
-        write_escaped(os, recorded_[i].message);
-        os << "}";
+    w.begin_object().field("checks", checks_);
+    w.field("violations", violations_).key("failures").begin_array();
+    for (const Violation& v : recorded_) {
+        w.begin_object(false).field("checker", v.checker);
+        w.field("message", v.message).end();
     }
-    if (!recorded_.empty())
-        os << "\n" << pad2;
-    os << "]\n" << pad << "}";
+    w.end().end();
 }
 
 } // namespace triage::verify

@@ -54,7 +54,7 @@ class InvariantSuite final : public obs::RunVerifier
 
     std::uint64_t checks_run() const override { return checks_; }
     std::uint64_t violations() const override { return violations_; }
-    void write_json(std::ostream& os, int indent = 0) const override;
+    void write_json(obs::json::Writer& w) const override;
 
     /** Register an extra checker under @p name (tests, experiments). */
     void add_checker(std::string name, CheckFn fn);

@@ -8,10 +8,8 @@ PhasedWorkload::PhasedWorkload(std::string name, std::vector<Phase> phases)
     : name_(std::move(name)), phases_(std::move(phases))
 {
     TRIAGE_ASSERT(!phases_.empty());
-    for (const auto& p : phases_) {
+    for (const auto& p : phases_)
         TRIAGE_ASSERT(p.workload != nullptr);
-        TRIAGE_ASSERT(p.records > 0);
-    }
 }
 
 void
@@ -28,21 +26,23 @@ PhasedWorkload::next(sim::TraceRecord& out)
 {
     while (phase_ < phases_.size()) {
         Phase& p = phases_[phase_];
-        if (emitted_in_phase_ >= p.records) {
-            ++phase_;
-            emitted_in_phase_ = 0;
-            continue;
+        if (p.records == 0 || emitted_in_phase_ < p.records) {
+            if (p.workload->next(out)) {
+                ++emitted_in_phase_;
+                return true;
+            }
+            if (p.records != 0) {
+                // Underlying phase ran out early: restart it within
+                // the phase.
+                p.workload->reset();
+                if (!p.workload->next(out))
+                    return false; // empty underlying workload
+                ++emitted_in_phase_;
+                return true;
+            }
         }
-        if (p.workload->next(out)) {
-            ++emitted_in_phase_;
-            return true;
-        }
-        // Underlying phase ran out early: restart it within the phase.
-        p.workload->reset();
-        if (!p.workload->next(out))
-            return false; // empty underlying workload
-        ++emitted_in_phase_;
-        return true;
+        ++phase_;
+        emitted_in_phase_ = 0;
     }
     return false;
 }

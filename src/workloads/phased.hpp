@@ -5,7 +5,11 @@
  * (Section 3, "Adjusting the Size of the Metadata Store"); this is the
  * workload shape that exercises it — e.g. an irregular pointer-chase
  * phase followed by a streaming phase should see the metadata ways
- * grow and then be handed back.
+ * grow and then be handed back. A phase of 0 records plays its part
+ * to the end once, which makes the same class a plain concatenation:
+ * replaying a trace split at a record boundary must match replaying
+ * it whole, one of the differential-fidelity checks
+ * (tools/diff_fidelity).
  */
 #ifndef TRIAGE_WORKLOADS_PHASED_HPP
 #define TRIAGE_WORKLOADS_PHASED_HPP
@@ -18,7 +22,11 @@
 
 namespace triage::workloads {
 
-/** One phase: a workload and how many records it contributes. */
+/**
+ * One phase: a workload and how many records it contributes. A
+ * workload that runs out early restarts within its phase; 0 records
+ * means "play the workload to its end, no restart".
+ */
 struct Phase {
     std::unique_ptr<sim::Workload> workload;
     std::uint64_t records = 0;

@@ -42,28 +42,6 @@ TEST(Registry, BoundCounterReadsLiveField)
     EXPECT_EQ(reg.kind("l2.hits"), obs::StatKind::Counter);
 }
 
-TEST(Registry, OwnedCounterAndReset)
-{
-    obs::Registry reg;
-    obs::Counter& c = reg.counter("events");
-    ++c;
-    c.add(9);
-    EXPECT_EQ(reg.read("events"), 10.0);
-    reg.reset();
-    EXPECT_EQ(reg.read("events"), 0.0);
-}
-
-TEST(Registry, ResetLeavesBoundCountersAlone)
-{
-    obs::Registry reg;
-    std::uint64_t live = 7;
-    reg.bind_counter("bound", &live);
-    reg.counter("owned").add(5);
-    reg.reset();
-    EXPECT_EQ(reg.read("bound"), 7.0);
-    EXPECT_EQ(reg.read("owned"), 0.0);
-}
-
 TEST(Registry, FormulaEvaluatesOnRead)
 {
     obs::Registry reg;
@@ -97,7 +75,8 @@ TEST(Registry, FreezeSnapshotsBoundStatsAndFormulas)
 
     // The frozen registry still serializes.
     std::ostringstream os;
-    reg.write_json(os);
+    obs::json::Writer w(os);
+    reg.write_json(w);
     std::string err;
     auto v = obs::json::parse(os.str(), &err);
     ASSERT_TRUE(v.has_value()) << err;
@@ -111,7 +90,7 @@ TEST(RegistryDeathTest, RejectsNameNestingUnderExistingLeaf)
     obs::Registry reg;
     std::uint64_t v = 0;
     reg.bind_counter("a.b", &v);
-    EXPECT_DEATH(reg.counter("a.b.c"), "nests");
+    EXPECT_DEATH(reg.bind_counter("a.b.c", &v), "nests");
     EXPECT_DEATH(reg.bind_counter("a", &v), "nests");
     // Siblings and shared interior prefixes stay legal.
     reg.bind_counter("a.bc", &v);
@@ -140,12 +119,14 @@ TEST(Registry, JsonDumpRoundTripsThroughParser)
 {
     obs::Registry reg;
     std::uint64_t misses = 123;
+    std::uint64_t evictions = 7;
     reg.bind_counter("core0.l2.demand_misses", &misses);
     reg.add_formula("core0.ipc", [] { return 1.5; });
-    reg.counter("llc.evictions").add(7);
+    reg.bind_counter("llc.evictions", &evictions);
 
     std::ostringstream os;
-    reg.write_json(os);
+    obs::json::Writer w(os);
+    reg.write_json(w);
     std::string err;
     auto v = obs::json::parse(os.str(), &err);
     ASSERT_TRUE(v.has_value()) << err << "\n" << os.str();
@@ -161,12 +142,33 @@ TEST(Registry, JsonDumpRoundTripsThroughParser)
     EXPECT_EQ(ev->number, 7.0);
 }
 
+TEST(Registry, DumpKeepsLargeIntegersExact)
+{
+    // Integral formulas once printed at 10 significant digits
+    // (12345678901 -> 1.23456789e+10); counters above 2^53 must not
+    // pass through a double on their way out.
+    obs::Registry reg;
+    const std::uint64_t big = (std::uint64_t{1} << 60) + 1;
+    reg.add_formula("core0.cycles", [] { return 12345678901.0; });
+    reg.bind_counter("core0.huge", &big);
+    std::ostringstream os;
+    obs::json::Writer w(os);
+    reg.write_json(w);
+    const std::string text = os.str();
+    EXPECT_NE(text.find("\"huge\": 1152921504606846977"), std::string::npos)
+        << text;
+    auto v = obs::json::parse(text);
+    ASSERT_TRUE(v.has_value()) << text;
+    EXPECT_EQ(v->find_path("core0.cycles")->number, 12345678901.0);
+}
+
 TEST(Registry, NonFiniteFormulaSerializesAsZero)
 {
     obs::Registry reg;
     reg.add_formula("bad", [] { return std::nan(""); });
     std::ostringstream os;
-    reg.write_json(os);
+    obs::json::Writer w(os);
+    reg.write_json(w);
     auto v = obs::json::parse(os.str());
     ASSERT_TRUE(v.has_value()) << os.str();
     EXPECT_EQ(v->find_path("bad")->number, 0.0);
@@ -248,7 +250,8 @@ TEST(EpochSampler, JsonRoundTrip)
     s.sample(100);
 
     std::ostringstream os;
-    s.write_json(os);
+    obs::json::Writer w(os);
+    s.write_json(w);
     std::string err;
     auto parsed = obs::json::parse(os.str(), &err);
     ASSERT_TRUE(parsed.has_value()) << err << "\n" << os.str();
@@ -458,7 +461,8 @@ TEST(Lifecycle, JsonRoundTrip)
     lc.finalize();
 
     std::ostringstream os;
-    lc.write_json(os);
+    obs::json::Writer w(os);
+    lc.write_json(w);
     std::string err;
     auto v = obs::json::parse(os.str(), &err);
     ASSERT_TRUE(v.has_value()) << err << "\n" << os.str();
@@ -499,7 +503,8 @@ TEST(PartitionTimelineTest, RecordsPerCoreAndBoundsCapacity)
     EXPECT_EQ(tl.dropped(), 1u);
 
     std::ostringstream os;
-    tl.write_json(os);
+    obs::json::Writer w(os);
+    tl.write_json(w);
     std::string err;
     auto v = obs::json::parse(os.str(), &err);
     ASSERT_TRUE(v.has_value()) << err << "\n" << os.str();
@@ -618,6 +623,19 @@ TEST(Json, ParsesScalarsAndNesting)
     EXPECT_EQ(v->get("s")->str, "x\ny");
     EXPECT_TRUE(v->get("t")->boolean);
     EXPECT_TRUE(v->get("n")->is_null());
+}
+
+TEST(Json, WriterEscapesRoundTrip)
+{
+    const std::string nasty = "q\"b\\n\nt\tc\x01";
+    std::ostringstream os;
+    obs::json::Writer w(os);
+    w.begin_object().field(nasty, nasty).end();
+    auto v = obs::json::parse(os.str());
+    ASSERT_TRUE(v.has_value()) << os.str();
+    ASSERT_EQ(v->object.size(), 1u);
+    EXPECT_EQ(v->object.begin()->first, nasty);
+    EXPECT_EQ(v->object.begin()->second.str, nasty);
 }
 
 TEST(Json, RejectsMalformedInput)

@@ -152,7 +152,8 @@ TEST(Profile, WriteJsonShapeParses)
     Profiler::instance().set_counter("ckpt.bytes_published", 1234);
     Profiler::instance().set_worker({0, 2, 5'000'000, 4096});
     std::ostringstream os;
-    Profiler::instance().write_json(os);
+    obs::json::Writer w(os);
+    Profiler::instance().write_json(w);
     std::string err;
     auto root = obs::json::parse(os.str(), &err);
     ASSERT_TRUE(root.has_value()) << err << "\n" << os.str();
@@ -173,6 +174,21 @@ TEST(Profile, WriteJsonShapeParses)
     ASSERT_EQ(workers->array.size(), 1u);
     EXPECT_EQ(workers->array[0].get("jobs")->number, 2.0);
     EXPECT_EQ(workers->array[0].get("peak_rss_kb")->number, 4096.0);
+}
+
+TEST(Profile, CountersStayExact)
+{
+    // 2^21 + 1 needs 7 significant digits; the block once printed 6.
+    ProfilerFixture fx;
+    Profiler::instance().enable();
+    Profiler::instance().set_counter("readahead.records", 2097153);
+    std::ostringstream os;
+    obs::json::Writer w(os);
+    Profiler::instance().write_json(w);
+    auto root = obs::json::parse(os.str());
+    ASSERT_TRUE(root.has_value()) << os.str();
+    EXPECT_EQ(root->find_path("counters.readahead.records")->number,
+              2097153.0);
 }
 
 TEST(Profile, PerfettoRoundTripCarriesProfileTracks)

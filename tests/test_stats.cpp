@@ -292,6 +292,7 @@ TEST(SpecGrammar, RunScalePresenceFlagsDefaultToFalse)
 // JSON reports
 // ---------------------------------------------------------------------
 
+#include "obs/json.hpp"
 #include "stats/report.hpp"
 
 TEST(JsonReport, EmitsParseableStructure)
@@ -308,7 +309,10 @@ TEST(JsonReport, EmitsParseableStructure)
         sim::TrafficClass::DemandRead)] = 640;
     r.span = 500;
 
-    std::string j = stats::to_json(r);
+    std::ostringstream os;
+    obs::json::Writer w(os);
+    stats::write_json(w, r);
+    const std::string j = os.str();
     // Structural smoke checks (a full parser is out of scope here; the
     // CLI test path validates with a real JSON parser).
     EXPECT_NE(j.find("\"cores\": ["), std::string::npos);

@@ -18,6 +18,7 @@
 #include "cache/cache.hpp"
 #include "exec/job.hpp"
 #include "exec/lab.hpp"
+#include "obs/json.hpp"
 #include "obs/observer.hpp"
 #include "replacement/hawkeye.hpp"
 #include "replacement/lru.hpp"
@@ -26,7 +27,7 @@
 #include "util/rng.hpp"
 #include "verify/diff.hpp"
 #include "verify/invariants.hpp"
-#include "workloads/chain.hpp"
+#include "workloads/phased.hpp"
 #include "workloads/spec.hpp"
 
 using namespace triage;
@@ -389,7 +390,8 @@ TEST(InvariantSuite, WriteJsonShape)
                       });
     suite.sweep();
     std::ostringstream os;
-    suite.write_json(os);
+    obs::json::Writer w(os);
+    suite.write_json(w);
     const std::string json = os.str();
     EXPECT_NE(json.find("\"checks\": 1"), std::string::npos) << json;
     EXPECT_NE(json.find("\"violations\": 1"), std::string::npos) << json;
@@ -486,19 +488,21 @@ TEST(DiffFidelity, SplitTraceReplayMatchesUnsplit)
                 return std::unique_ptr<sim::Workload>(
                     std::make_unique<sim::VectorWorkload>("t", records));
             }
-            std::vector<std::unique_ptr<sim::Workload>> parts;
-            parts.push_back(std::make_unique<sim::VectorWorkload>(
+            std::vector<workloads::Phase> parts;
+            parts.push_back({std::make_unique<sim::VectorWorkload>(
                 "t.a", std::vector<sim::TraceRecord>(
                            records.begin(),
                            records.begin() +
-                               static_cast<std::ptrdiff_t>(cut))));
-            parts.push_back(std::make_unique<sim::VectorWorkload>(
+                               static_cast<std::ptrdiff_t>(cut))),
+                       0});
+            parts.push_back({std::make_unique<sim::VectorWorkload>(
                 "t.b", std::vector<sim::TraceRecord>(
                            records.begin() +
                                static_cast<std::ptrdiff_t>(cut),
-                           records.end())));
+                           records.end())),
+                       0});
             return std::unique_ptr<sim::Workload>(
-                std::make_unique<workloads::ChainWorkload>(
+                std::make_unique<workloads::PhasedWorkload>(
                     "t", std::move(parts)));
         };
         return j;
@@ -542,39 +546,4 @@ TEST(DiffFidelity, ComparatorActuallyDetectsDivergence)
     auto on = exec::run_job(bench_job("mcf", "triage_dyn", 4));
     auto diff = verify::diff_results(off, on);
     EXPECT_FALSE(diff.empty());
-}
-
-// ---------------------------------------------------------------------
-// ChainWorkload seam
-// ---------------------------------------------------------------------
-
-TEST(ChainWorkload, ConcatenatesAndRewindsAllParts)
-{
-    auto rec = [](sim::Addr a) {
-        sim::TraceRecord r;
-        r.pc = 1;
-        r.addr = a;
-        return r;
-    };
-    std::vector<std::unique_ptr<sim::Workload>> parts;
-    parts.push_back(std::make_unique<sim::VectorWorkload>(
-        "a", std::vector<sim::TraceRecord>{rec(1), rec(2)}));
-    parts.push_back(std::make_unique<sim::VectorWorkload>(
-        "b", std::vector<sim::TraceRecord>{rec(3)}));
-    workloads::ChainWorkload chain("ab", std::move(parts));
-
-    for (int pass = 0; pass < 2; ++pass) {
-        sim::TraceRecord r;
-        std::vector<sim::Addr> seen;
-        while (chain.next(r))
-            seen.push_back(r.addr);
-        EXPECT_EQ(seen, (std::vector<sim::Addr>{1, 2, 3}))
-            << "pass " << pass;
-        chain.reset();
-    }
-
-    auto copy = chain.clone();
-    sim::TraceRecord r;
-    ASSERT_TRUE(copy->next(r));
-    EXPECT_EQ(r.addr, 1u);
 }

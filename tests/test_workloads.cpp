@@ -474,3 +474,39 @@ TEST(PhasedWorkload, CloneReplaysIdentically)
         EXPECT_EQ(x.pc, y.pc);
     }
 }
+
+TEST(PhasedWorkload, ConcatenatesAndRewindsAllParts)
+{
+    // 0-record phases play each part to its end, no restart: a plain
+    // concatenation, which the split-trace fidelity pair relies on.
+    using namespace workloads;
+    auto rec = [](sim::Addr a) {
+        sim::TraceRecord r;
+        r.pc = 1;
+        r.addr = a;
+        return r;
+    };
+    std::vector<Phase> parts;
+    parts.push_back({std::make_unique<sim::VectorWorkload>(
+                         "a", std::vector<sim::TraceRecord>{rec(1), rec(2)}),
+                     0});
+    parts.push_back({std::make_unique<sim::VectorWorkload>(
+                         "b", std::vector<sim::TraceRecord>{rec(3)}),
+                     0});
+    PhasedWorkload chain("ab", std::move(parts));
+
+    for (int pass = 0; pass < 2; ++pass) {
+        sim::TraceRecord r;
+        std::vector<sim::Addr> seen;
+        while (chain.next(r))
+            seen.push_back(r.addr);
+        EXPECT_EQ(seen, (std::vector<sim::Addr>{1, 2, 3}))
+            << "pass " << pass;
+        chain.reset();
+    }
+
+    auto copy = chain.clone();
+    sim::TraceRecord r;
+    ASSERT_TRUE(copy->next(r));
+    EXPECT_EQ(r.addr, 1u);
+}

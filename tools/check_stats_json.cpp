@@ -5,6 +5,7 @@
  * Exits non-zero (with a message per failure) unless the file is valid
  * JSON with the expected structure:
  *
+ *   - "schema_version" is a positive integer;
  *   - "run.cores" is a non-empty array whose entries carry the summary
  *     metrics (ipc, coverage, accuracy, meta_ways);
  *   - with --require-epochs: "epochs" is a non-empty array of closed
@@ -81,6 +82,15 @@ const char* const EPOCH_KEYS[] = {
     "core0.pf.meta_hit_rate",
     "core0.meta_ways",
 };
+
+void
+check_schema(const Value& root)
+{
+    const Value* v = root.get("schema_version");
+    if (v == nullptr || !v->is_number() || !(v->number >= 1.0) ||
+        v->number != std::floor(v->number))
+        fail("schema_version missing or not a positive integer");
+}
 
 void
 check_run(const Value& root)
@@ -812,6 +822,7 @@ main(int argc, char** argv)
     } else if (perfetto) {
         check_perfetto(*root, expect_workers, expect_profile);
     } else {
+        check_schema(*root);
         check_run(*root);
         if (require_epochs)
             check_epochs(*root);

@@ -17,12 +17,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "exec/checkpoint.hpp"
 #include "exec/lab.hpp"
+#include "obs/json.hpp"
 #include "util/parse_number.hpp"
 
 namespace {
@@ -167,14 +169,11 @@ main(int argc, char** argv)
     lab.wait_all();
 
     const auto st = lab.checkpoints()->stats();
-    std::printf("{\"mem_hits\": %llu, \"disk_hits\": %llu, "
-                "\"misses\": %llu, \"produces\": %llu, "
-                "\"bytes_mem\": %llu}\n",
-                static_cast<unsigned long long>(st.mem_hits),
-                static_cast<unsigned long long>(st.disk_hits),
-                static_cast<unsigned long long>(st.misses),
-                static_cast<unsigned long long>(st.produces),
-                static_cast<unsigned long long>(st.bytes_mem));
+    obs::json::Writer w(std::cout);
+    w.begin_object(false).field("mem_hits", st.mem_hits);
+    w.field("disk_hits", st.disk_hits).field("misses", st.misses);
+    w.field("produces", st.produces).field("bytes_mem", st.bytes_mem).end();
+    std::cout << std::endl;
 
     bool ok = true;
     ok &= check("mem_hits", o.expect_mem_hits, st.mem_hits);

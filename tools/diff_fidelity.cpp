@@ -37,7 +37,7 @@
 #include "sim/config.hpp"
 #include "util/parse_number.hpp"
 #include "verify/diff.hpp"
-#include "workloads/chain.hpp"
+#include "workloads/phased.hpp"
 #include "workloads/spec.hpp"
 #include "workloads/trace_io.hpp"
 
@@ -185,19 +185,21 @@ pair_split(const Options& o)
                     std::make_unique<sim::VectorWorkload>("trace",
                                                           records));
             }
-            std::vector<std::unique_ptr<sim::Workload>> parts;
-            parts.push_back(std::make_unique<sim::VectorWorkload>(
+            std::vector<workloads::Phase> parts;
+            parts.push_back({std::make_unique<sim::VectorWorkload>(
                 "trace.a", std::vector<sim::TraceRecord>(
                                records.begin(),
                                records.begin() +
-                                   static_cast<std::ptrdiff_t>(cut))));
-            parts.push_back(std::make_unique<sim::VectorWorkload>(
+                                   static_cast<std::ptrdiff_t>(cut))),
+                           0});
+            parts.push_back({std::make_unique<sim::VectorWorkload>(
                 "trace.b", std::vector<sim::TraceRecord>(
                                records.begin() +
                                    static_cast<std::ptrdiff_t>(cut),
-                               records.end())));
+                               records.end())),
+                           0});
             return std::unique_ptr<sim::Workload>(
-                std::make_unique<workloads::ChainWorkload>(
+                std::make_unique<workloads::PhasedWorkload>(
                     "trace", std::move(parts)));
         };
         return j;

@@ -28,6 +28,7 @@
 
 #include "exec/lab.hpp"
 #include "frontend/frontend.hpp"
+#include "obs/json.hpp"
 #include "obs/observer.hpp"
 #include "obs/profile.hpp"
 #include "verify/invariants.hpp"
@@ -571,9 +572,11 @@ main(int argc, char** argv)
     const auto& r = lab.result(main_id);
     {
         obs::prof::ProfScope prof_report("report");
-        if (o.json)
-            stats::write_json(std::cout, r);
-        else
+        if (o.json) {
+            obs::json::Writer w(std::cout);
+            stats::write_json(w, r);
+            std::cout << '\n';
+        } else
             report(label, r, base);
     }
     if (o.profile)
